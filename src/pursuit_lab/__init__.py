@@ -2,8 +2,8 @@
 
 Library layout:
 
-* :mod:`pursuit_lab.numerics` -- RK4 step, angle wrapping, polynomial
-  roots, 5x5 complex eigenvalues;
+* :mod:`pursuit_lab.numerics` -- the RK4 step and driver, angle
+  wrapping, polynomial roots, 5x5 complex eigenvalues;
 * :mod:`pursuit_lab.params` -- controller parameters and the homogeneity
   assumptions;
 * :mod:`pursuit_lab.full_space` -- planar particle model, steering law,

@@ -16,16 +16,17 @@ import configparser
 import hashlib
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import equilibria, full_space, pure_shape, shape_space, stability
-from .errors import (ConfigError, DegenerateAlphaSumError, PursuitLabError)
+from .errors import (AssumptionError, ConfigError, DegenerateAlphaSumError,
+                     PursuitLabError)
 from .numerics import DEFAULT_DT
-from .params import ControlParams
+from .params import (ControlParams, require_analysis_assumptions,
+                     require_shape_assumptions)
 
 MODES = ("simulate", "shape-sim", "equilibria", "stability", "pure-shape",
          "portrait", "sweep")
@@ -41,8 +42,19 @@ _MODE_KEYS = {
     "pure-shape": {"k", "kappa1", "rho1", "t", "dt", "record_every"},
     "portrait": {"k", "kappa_min", "kappa_max", "kappa_samples", "rho_min",
                  "rho_max", "rho_samples", "seeds", "t", "dt"},
-    "sweep": {"parameter", "start", "stop", "samples", "m", "workers"},
+    "sweep": {"parameter", "start", "stop", "samples", "m"},
 }
+# The homogeneity assumptions each mode requires, and the config key that
+# carries each assumption (named in the error).
+_MODE_ASSUMPTIONS = {
+    "shape-sim": require_shape_assumptions,
+    "equilibria": require_shape_assumptions,
+    "stability": require_analysis_assumptions,
+    "pure-shape": require_analysis_assumptions,
+    "portrait": require_analysis_assumptions,
+    "sweep": require_analysis_assumptions,
+}
+_ASSUMPTION_KEYS = {"A1": "nu", "A2": "mu_b", "A3": "alpha0", "A4": "alpha"}
 
 
 def parse_angle(text, key="angle"):
@@ -118,7 +130,6 @@ class RunConfig:
     sweep_start: float = 0.0
     sweep_stop: float = math.pi
     sweep_samples: int = 16
-    workers: int = 4
     canonical: str = ""
 
     def config_hash(self):
@@ -150,12 +161,17 @@ def _check_unknown_keys(parser, mode):
                 raise ConfigError(f"unknown key '{key}' in section [{name}]")
 
 
-def _positive(value, key, kind=float):
+def _number(value, key, kind=float):
     try:
-        out = kind(value)
+        return kind(value)
     except ValueError:
-        raise ConfigError(f"{key}: expected a number, got {value!r}") \
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key}: expected {what}, got {value!r}") \
             from None
+
+
+def _positive(value, key, kind=float):
+    out = _number(value, key, kind)
     if out <= 0:
         raise ConfigError(f"{key}: must be positive, got {out}")
     return out
@@ -193,54 +209,27 @@ def parse_config(path, mode, overrides=(), out_dir="out", seed=None):
     if "system" not in parser:
         raise ConfigError("missing [system] section")
     system = parser["system"]
-    try:
-        n = int(_require(system, "n", "system"))
-    except ValueError:
-        raise ConfigError("n: expected an integer") from None
-    if n < 2:
-        raise ConfigError("n: need at least 2 agents")
-    mu = _positive(_require(system, "mu", "system"), "mu")
-    try:
-        lam = float(_require(system, "lambda", "system"))
-    except ValueError:
-        raise ConfigError("lambda: expected a number") from None
-    if not 0.0 < lam < 1.0:
-        raise ConfigError(
-            f"lambda: must lie strictly inside (0, 1), got {lam}")
+    n = _number(_require(system, "n", "system"), "n", kind=int)
+    mu = _number(_require(system, "mu", "system"), "mu")
+    lam = _number(_require(system, "lambda", "system"), "lambda")
     alpha = parse_angle_list(_require(system, "alpha", "system"), n, "alpha")
     alpha0 = parse_angle_list(_require(system, "alpha0", "system"), n,
                               "alpha0")
-    nu_text = _get(system, "nu", "1")
-    nu = [_positive(v, "nu") for v in str(nu_text).split(",")]
-    nu = nu * n if len(nu) == 1 else nu
-    if len(nu) != n:
-        raise ConfigError(f"nu: expected {n} entries, got {len(nu)}")
+    nu = [_number(v, "nu") for v in str(_get(system, "nu", "1")).split(",")]
     mub_text = _get(system, "mu_b")
-    if mub_text is None:
-        mu_b = [mu] * n
-    else:
-        mu_b = [_positive(v, "mu_b") for v in str(mub_text).split(",")]
-        mu_b = mu_b * n if len(mu_b) == 1 else mu_b
-        if len(mu_b) != n:
-            raise ConfigError(f"mu_b: expected {n} entries, got {len(mu_b)}")
+    mu_b = mu if mub_text is None else [
+        _number(v, "mu_b") for v in str(mub_text).split(",")]
     try:
         params = ControlParams(n=n, mu=mu, lam=lam, alpha=alpha,
                                alpha0=alpha0, mu_b=mu_b, nu=nu)
     except ValueError as err:
         raise ConfigError(str(err)) from None
-
-    flags = params.flags()
-    if mode in ("shape-sim", "equilibria", "stability", "pure-shape",
-                "portrait", "sweep"):
-        if not (flags.a1_equal_speed and abs(params.nu[0] - 1.0) < 1e-12):
-            raise ConfigError(f"nu: mode {mode} requires common unit speed")
-        if not flags.a2_equal_gains:
-            raise ConfigError(f"mu_b: mode {mode} requires mu_b = mu")
-        if not flags.a3_common_alpha0:
-            raise ConfigError(f"alpha0: mode {mode} requires a common value")
-    if mode in ("stability", "pure-shape", "portrait", "sweep"):
-        if not flags.a4_common_alpha:
-            raise ConfigError(f"alpha: mode {mode} requires a common value")
+    if mode in _MODE_ASSUMPTIONS:
+        try:
+            _MODE_ASSUMPTIONS[mode](params)
+        except AssumptionError as err:
+            raise ConfigError(f"{_ASSUMPTION_KEYS[err.failed[0]]}: mode "
+                              f"{mode}: {err}") from None
 
     section = parser[mode] if parser.has_section(mode) else None
     cfg = RunConfig(mode=mode, params=params, out_dir=Path(out_dir))
@@ -324,8 +313,6 @@ def parse_config(path, mode, overrides=(), out_dir="out", seed=None):
             cfg.m = int(_require(section, "m", mode))
         except ValueError:
             raise ConfigError("m: expected an integer") from None
-        cfg.workers = int(_positive(_get(section, "workers", 4), "workers",
-                                    kind=int))
 
     canon = [f"mode={mode}", f"seed={cfg.seed}"]
     for name in sorted(parser.sections()):
@@ -408,12 +395,14 @@ def run(cfg):
             fh.write("\n".join(chunks))
         artifacts.append(out.name)
     elif cfg.mode == "stability":
-        report = stability.format_stability_report(cfg.params, cfg.m)
+        spectrum = stability.spectrum_report(cfg.params, cfg.m)
+        report = stability.format_stability_report(cfg.params, cfg.m,
+                                                   spectrum)
         out = cfg.out_dir / "stability.txt"
         out.write_text(report, encoding="utf-8")
         artifacts.append(out.name)
         spec_csv = cfg.out_dir / "spectrum.csv"
-        stability.write_spectrum_csv(cfg.params, cfg.m, spec_csv)
+        stability.write_spectrum_csv(spectrum, spec_csv)
         artifacts.append(spec_csv.name)
     elif cfg.mode == "pure-shape":
         spec = pure_shape.manifold_spec(cfg.params.n, cfg.k)
@@ -504,11 +493,9 @@ def _sweep_item(cfg, value):
 
 def _run_sweep(cfg):
     values = np.linspace(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_samples)
-    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-        results = list(pool.map(lambda v: _sweep_item(cfg, v), values))
     rows = []
-    for idx, (value, res) in enumerate(zip(values, results)):
-        exists, verdict, worst = res
+    for idx, value in enumerate(values):
+        exists, verdict, worst = _sweep_item(cfg, value)
         rows.append((idx, format(value, ".12g"), int(exists), int(verdict),
                      worst))
     return rows

@@ -57,7 +57,15 @@ class PreconditionError(PursuitLabError):
 
 class AssumptionError(PreconditionError):
     """A homogeneity assumption (A1-A4, A6) required by an analysis
-    routine does not hold for the supplied parameters."""
+    routine does not hold for the supplied parameters.
+
+    ``failed`` names the violated assumptions ("A1", ...) in check order;
+    it is empty when the raiser does not list them.
+    """
+
+    def __init__(self, message, failed=()):
+        super().__init__(message)
+        self.failed = tuple(failed)
 
 
 class DegenerateBranchError(PreconditionError):

@@ -5,24 +5,26 @@ Each agent is a unit-mass self-steering particle carried by a natural
 frame (heading x_i of unit length, normal y_i = x_i rotated by +pi/2);
 the steering control u_i is the path curvature.  The feedback is a convex
 combination of constant-bearing pursuit of the next agent in the cycle
-and constant-bearing tracking of a fixed beacon.  Both the vector form
-and the scalar shape form of the law are implemented; the vector form is
-authoritative and the two agree to roundoff.
+and constant-bearing tracking of a fixed beacon.  The law is written once,
+in vector form over any leading axes; the scalar shape form is kept as a
+test oracle and agrees with it to roundoff.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CollisionError, NumericError
-from .numerics import DEFAULT_DT, rk4_step, wrap_angle
+from .errors import CollisionError
+from .numerics import DEFAULT_DT, rk4_integrate, wrap_angle
 from .shape_space import EPS_COL, ShapeState
+
+
+_ROT90 = np.array([-1.0, 1.0])
 
 
 def rot90(v):
     """Rotate planar vectors by +pi/2 (counter-clockwise)."""
-    v = np.asarray(v, dtype=float)
-    return np.stack((-v[..., 1], v[..., 0]), axis=-1)
+    return np.asarray(v, dtype=float)[..., ::-1] * _ROT90
 
 
 def rotate(v, angle):
@@ -35,21 +37,6 @@ def rotate(v, angle):
 
 def heading_from_angle(angle):
     return np.stack((np.cos(angle), np.sin(angle)), axis=-1)
-
-
-@dataclass
-class AgentState:
-    """Position and natural frame of one agent."""
-
-    r: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-
-    def validate(self, tol=1e-9):
-        if abs(np.hypot(*self.x) - 1.0) > tol:
-            raise ValueError("heading is not unit length")
-        if np.max(np.abs(self.y - rot90(self.x))) > tol:
-            raise ValueError("frame normal is not the +pi/2 rotation of x")
 
 
 @dataclass
@@ -70,25 +57,12 @@ class WorldState:
     def n(self):
         return self.positions.shape[0]
 
-    @property
-    def normals(self):
-        return rot90(self.headings)
-
-    def agent(self, i):
-        return AgentState(r=self.positions[i].copy(),
-                          x=self.headings[i].copy(),
-                          y=rot90(self.headings[i]))
-
     @classmethod
     def from_polar(cls, positions, heading_angles, beacon=(0.0, 0.0), t=0.0):
         return cls(positions=np.asarray(positions, dtype=float),
                    headings=heading_from_angle(np.asarray(heading_angles,
                                                           dtype=float)),
                    beacon=np.asarray(beacon, dtype=float), t=t)
-
-    def copy(self):
-        return WorldState(self.positions.copy(), self.headings.copy(),
-                          self.beacon.copy(), self.t)
 
 
 def random_world(n, seed, side=4.0, beacon=(0.0, 0.0)):
@@ -105,65 +79,48 @@ def random_world(n, seed, side=4.0, beacon=(0.0, 0.0)):
 def _chase_geometry(positions, beacon):
     """Distances and unit bearings to the pursued neighbor and beacon.
 
-    Raises CollisionError on any collocated pair (pursued neighbor or
-    beacon), identifying the pair.
+    positions: (..., n, 2); beacon: (2,).  Raises CollisionError on any
+    collocated pair (pursued neighbor or beacon), identifying the pair.
     """
-    d_next = np.roll(positions, -1, axis=0) - positions
-    rho = np.hypot(d_next[:, 0], d_next[:, 1])
+    n = positions.shape[-2]
+    d_next = np.roll(positions, -1, axis=-2) - positions
+    rho = np.hypot(d_next[..., 0], d_next[..., 1])
     if np.any(rho <= EPS_COL):
-        i = int(np.argmax(rho <= EPS_COL))
+        i = int(np.argmax(rho <= EPS_COL)) % n
         raise CollisionError(
-            f"agents {i + 1} and {(i + 1) % positions.shape[0] + 1} are "
-            "collocated", pair=(i, (i + 1) % positions.shape[0]))
+            f"agents {i + 1} and {(i + 1) % n + 1} are collocated",
+            pair=(i, (i + 1) % n))
     d_b = beacon - positions
-    rho_b = np.hypot(d_b[:, 0], d_b[:, 1])
+    rho_b = np.hypot(d_b[..., 0], d_b[..., 1])
     if np.any(rho_b <= EPS_COL):
-        i = int(np.argmax(rho_b <= EPS_COL))
+        i = int(np.argmax(rho_b <= EPS_COL)) % n
         raise CollisionError(f"agent {i + 1} is collocated with the beacon",
                              pair=(i, "beacon"))
-    return d_next / rho[:, None], rho, d_b / rho_b[:, None], rho_b
+    return d_next / rho[..., None], rho, d_b / rho_b[..., None], rho_b
 
 
-def cb_component(i, world, params):
-    """Constant-bearing pursuit curvature toward agent i+1 (vector form)."""
-    n = world.n
-    j = (i + 1) % n
-    d = world.positions[j] - world.positions[i]
-    rho = float(np.hypot(*d))
-    if rho <= EPS_COL:
-        raise CollisionError(f"agents {i + 1} and {j + 1} are collocated",
-                             pair=(i, j))
-    los = d / rho
-    y_i = rot90(world.headings[i])
-    rel_vel = (params.nu[i] * world.headings[i]
-               - params.nu[j] * world.headings[j])
-    return float(params.mu * rotate(y_i, params.alpha[i]) @ los
-                 + (los @ rot90(rel_vel)) / (params.nu[i] * rho))
+def _controls(positions, headings, beacon, params):
+    """The steering law: curvature commands of all agents, as a convex
+    combination of constant-bearing pursuit of the next agent and
+    constant-bearing tracking of the beacon.
 
-
-def beacon_component(i, world, params):
-    """Beacon-tracking curvature for agent i (vector form)."""
-    d = world.beacon - world.positions[i]
-    rho_b = float(np.hypot(*d))
-    if rho_b <= EPS_COL:
-        raise CollisionError(f"agent {i + 1} is collocated with the beacon",
-                             pair=(i, "beacon"))
-    y_i = rot90(world.headings[i])
-    return float(params.mu_b[i] * rotate(y_i, params.alpha0[i]) @ (d / rho_b))
-
-
-def steering_law(i, world, params):
-    """Curvature command for agent i: convex combination of neighbor
-    pursuit and beacon tracking."""
-    return ((1.0 - params.lam) * cb_component(i, world, params)
-            + params.lam * beacon_component(i, world, params))
+    positions/headings: (..., n, 2); returns (..., n).
+    """
+    los, rho, e_b, _ = _chase_geometry(positions, beacon)
+    y = rot90(headings)
+    vel = params.nu[:, None] * headings
+    rel_vel = vel - np.roll(vel, -1, axis=-2)
+    u_cb = (params.mu * np.sum(rotate(y, params.alpha) * los, axis=-1)
+            + np.sum(los * rot90(rel_vel), axis=-1) / (params.nu * rho))
+    u_b = params.mu_b * np.sum(rotate(y, params.alpha0) * e_b, axis=-1)
+    return (1.0 - params.lam) * u_cb + params.lam * u_b
 
 
 def steering_law_shape(i, shape, params):
-    """The same control evaluated from scalar shape variables.
+    """The steering law of agent i evaluated from scalar shape variables.
 
-    Kept alongside the vector form as a consistency check; the two agree
-    to 1e-10 at any valid state.
+    Test oracle for the vector form; the two agree to 1e-10 at any valid
+    state.
     """
     n = shape.n
     j = (i + 1) % n
@@ -178,37 +135,15 @@ def steering_law_shape(i, shape, params):
 
 
 def control_profile(world, params):
-    """Curvature commands for all agents at once (vector form)."""
-    los, rho, e_b, _ = _chase_geometry(world.positions, world.beacon)
-    y = rot90(world.headings)
-    vel = params.nu[:, None] * world.headings
-    rel_vel = vel - np.roll(vel, -1, axis=0)
-    u_cb = (params.mu * np.sum(rotate(y, params.alpha) * los, axis=1)
-            + np.sum(los * rot90(rel_vel), axis=1) / (params.nu * rho))
-    u_b = params.mu_b * np.sum(rotate(y, params.alpha0) * e_b, axis=1)
-    return (1.0 - params.lam) * u_cb + params.lam * u_b
+    """Curvature commands for all agents of a world state."""
+    return _controls(world.positions, world.headings, world.beacon, params)
 
 
-@dataclass
-class WorldRates:
-    """Time derivative of a WorldState (beacon is fixed)."""
-
-    d_positions: np.ndarray
-    d_headings: np.ndarray
-    d_normals: np.ndarray
-    d_beacon: np.ndarray
-    controls: np.ndarray
-
-
-def world_derivative(world, params):
-    """Particle-model rates: r' = nu x, x' = nu u y, y' = -nu u x."""
-    u = control_profile(world, params)
-    d_pos = params.nu[:, None] * world.headings
-    gain = (params.nu * u)[:, None]
-    y = rot90(world.headings)
-    return WorldRates(d_positions=d_pos, d_headings=gain * y,
-                      d_normals=-gain * world.headings,
-                      d_beacon=np.zeros(2), controls=u)
+def particle_rates(positions, headings, beacon, params):
+    """Particle-model rates r' = nu x, x' = nu u y (beacon fixed)."""
+    u = _controls(positions, headings, beacon, params)
+    return (params.nu[:, None] * headings,
+            (params.nu * u)[:, None] * rot90(headings))
 
 
 @dataclass
@@ -242,55 +177,32 @@ def simulate(world0, params, T, dt=DEFAULT_DT, record_every=1):
     """
     n = world0.n
     beacon = world0.beacon.copy()
-    n_steps = int(round(T / dt))
 
     def field(vec):
-        pos = vec[:2 * n].reshape(n, 2)
-        head = vec[2 * n:].reshape(n, 2)
-        los, rho, e_b, _ = _chase_geometry(pos, beacon)
-        y = rot90(head)
-        vel = params.nu[:, None] * head
-        rel_vel = vel - np.roll(vel, -1, axis=0)
-        u = ((1.0 - params.lam)
-             * (params.mu * np.sum(rotate(y, params.alpha) * los, axis=1)
-                + np.sum(los * rot90(rel_vel), axis=1) / (params.nu * rho))
-             + params.lam * params.mu_b
-             * np.sum(rotate(y, params.alpha0) * e_b, axis=1))
-        return np.concatenate([vel.ravel(),
-                               ((params.nu * u)[:, None] * y).ravel()])
+        d_pos, d_head = particle_rates(vec[:2 * n].reshape(n, 2),
+                                       vec[2 * n:].reshape(n, 2), beacon,
+                                       params)
+        return np.concatenate([d_pos.ravel(), d_head.ravel()])
 
-    vec = np.concatenate([world0.positions.ravel(), world0.headings.ravel()])
-    times = [0.0]
-    pos_samples = [world0.positions.copy()]
-    head_samples = [world0.headings.copy()]
-    ctrl_samples = [control_profile(world0, params)]
-
-    for step in range(1, n_steps + 1):
-        t = step * dt
-        try:
-            vec = rk4_step(field, vec, dt)
-        except CollisionError as err:
-            raise CollisionError(str(err), pair=err.pair, t=t) from None
-        if not np.all(np.isfinite(vec)):
-            raise NumericError(f"non-finite state at t = {t:.6g}")
+    def renormalize(vec, t):
         head = vec[2 * n:].reshape(n, 2)
         head /= np.hypot(head[:, 0], head[:, 1])[:, None]
-        if step % record_every == 0 or step == n_steps:
-            pos = vec[:2 * n].reshape(n, 2)
-            times.append(t)
-            pos_samples.append(pos.copy())
-            head_samples.append(head.copy())
-            world = WorldState(pos, head, beacon, t=t)
-            try:
-                ctrl_samples.append(control_profile(world, params))
-            except CollisionError as err:
-                raise CollisionError(str(err), pair=err.pair, t=t) from None
+        return vec
 
-    return FullTrajectory(t=np.asarray(times),
-                          positions=np.asarray(pos_samples),
-                          headings=np.asarray(head_samples),
-                          controls=np.asarray(ctrl_samples),
-                          beacon=beacon)
+    times, samples = rk4_integrate(
+        field, np.concatenate([world0.positions.ravel(),
+                               world0.headings.ravel()]),
+        T, dt, record_every, renormalize)
+    positions = samples[:, :2 * n].reshape(-1, n, 2)
+    headings = samples[:, 2 * n:].reshape(-1, n, 2)
+    try:
+        # every sample but the last already fed a field evaluation
+        controls = _controls(positions, headings, beacon, params)
+    except CollisionError as err:
+        raise CollisionError(str(err), pair=err.pair,
+                             t=float(times[-1])) from None
+    return FullTrajectory(t=times, positions=positions, headings=headings,
+                          controls=controls, beacon=beacon)
 
 
 def _shape_arrays(positions, headings, beacon):

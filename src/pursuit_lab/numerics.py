@@ -1,6 +1,7 @@
 """Shared numerical kernels.
 
-Fixed-step RK4 integration, angle normalization, polynomial root finding
+The fixed-step RK4 step and the one driver loop every integrator runs
+through, angle normalization, polynomial root finding
 (Aberth-Ehrlich simultaneous iteration) and eigenvalues of 5x5 complex
 matrices via the characteristic polynomial.  All functions are pure.
 
@@ -14,12 +15,10 @@ Conventions used package-wide:
 
 import numpy as np
 
-from .errors import IntegrationError, NumericError
+from .errors import CollisionError, IntegrationError, NumericError
 
 # Default fixed step for all integrations (deterministic, reproducible).
 DEFAULT_DT = 1e-3
-# Circular tolerance for angle equality.
-ANGLE_TOL = 1e-9
 
 
 def wrap_angle(theta):
@@ -27,13 +26,8 @@ def wrap_angle(theta):
     return np.pi - np.mod(np.pi - theta, 2.0 * np.pi)
 
 
-def angle_distance(a, b):
-    """Circular distance |a - b| mod 2*pi, in [0, pi]."""
-    return np.abs(wrap_angle(np.asarray(a) - np.asarray(b)))
-
-
 def _check_finite(k, stage):
-    if not np.all(np.isfinite(k)):
+    if not np.isfinite(k).all():
         bad = int(np.argmin(np.isfinite(k)))
         raise IntegrationError(
             f"non-finite derivative entry at index {bad} (RK4 stage {stage})"
@@ -68,6 +62,44 @@ def rk4_step(field, state, dt):
     k4 = np.asarray(field(state + dt * k3), dtype=float)
     _check_finite(k4, 4)
     return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def rk4_integrate(field, y0, T, dt, record_every=1, post_step=None):
+    """Fixed-step RK4 trajectory of an autonomous field.
+
+    Runs ``round(T / dt)`` steps from ``y0``.  After each step the state
+    must be finite (else :class:`NumericError`); then ``post_step(y, t)``,
+    when given, returns the state to carry on with (re-wrapped,
+    renormalized, checked).  The state is sampled at t = 0, every
+    ``record_every`` steps and after the last step.  A
+    :class:`CollisionError` raised by the field or by ``post_step``
+    without a time is re-raised carrying the time of the step.
+
+    Returns
+    -------
+    times : ndarray, shape (m,)
+    samples : ndarray, shape (m, len(y0))
+    """
+    n_steps = int(round(T / dt))
+    y = np.array(y0, dtype=float)
+    times = [0.0]
+    samples = [y.copy()]
+    for step in range(1, n_steps + 1):
+        t = step * dt
+        try:
+            y = rk4_step(field, y, dt)
+            if not np.isfinite(y).all():
+                raise NumericError(f"non-finite state at t = {t:.6g}")
+            if post_step is not None:
+                y = post_step(y, t)
+        except CollisionError as err:
+            if err.t is not None:
+                raise
+            raise CollisionError(str(err), pair=err.pair, t=t) from None
+        if step % record_every == 0 or step == n_steps:
+            times.append(t)
+            samples.append(y.copy())
+    return np.asarray(times), np.asarray(samples)
 
 
 def _horner(coeffs, z):

@@ -1,7 +1,7 @@
 """System and controller parameters, plus the homogeneity assumptions
 (A1-A4, A6) that gate the analysis modules."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,6 +20,20 @@ def _per_agent(value, n, name):
     if arr.shape != (n,):
         raise ValueError(f"{name} must be a scalar or a length-{n} sequence")
     return arr
+
+
+def _all_equal(values, value):
+    return bool(np.all(np.abs(values - value) <= _EQ_TOL))
+
+
+@dataclass(frozen=True)
+class HomogeneityFlags:
+    """Which of the homogeneity assumptions hold for a parameter set."""
+
+    a1_equal_speed: bool
+    a2_equal_gains: bool
+    a3_common_alpha0: bool
+    a4_common_alpha: bool
 
 
 @dataclass(frozen=True)
@@ -52,10 +66,11 @@ class ControlParams:
     alpha0: np.ndarray
     mu_b: np.ndarray
     nu: np.ndarray
+    _flags: HomogeneityFlags = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 2:
-            raise ValueError("need at least 2 agents")
+            raise ValueError("n must be at least 2")
         if not self.mu > 0.0:
             raise ValueError("mu must be positive")
         if not 0.0 < self.lam < 1.0:
@@ -68,6 +83,11 @@ class ControlParams:
             raise ValueError("beacon gains mu_b must be positive")
         if np.any(self.nu <= 0.0):
             raise ValueError("speeds nu must be positive")
+        object.__setattr__(self, "_flags", HomogeneityFlags(
+            a1_equal_speed=_all_equal(self.nu, self.nu[0]),
+            a2_equal_gains=_all_equal(self.mu_b, self.mu),
+            a3_common_alpha0=_all_equal(self.alpha0, self.alpha0[0]),
+            a4_common_alpha=_all_equal(self.alpha, self.alpha[0])))
 
     @classmethod
     def homogeneous(cls, n, mu=1.0, lam=0.5, alpha=0.0, alpha0=0.0, nu=1.0):
@@ -76,40 +96,24 @@ class ControlParams:
                    mu_b=mu, nu=nu)
 
     def flags(self):
-        """Derive the homogeneity flags for assumptions A1-A4."""
-        return HomogeneityFlags(
-            a1_equal_speed=bool(np.all(np.abs(self.nu - self.nu[0]) <= _EQ_TOL)),
-            a2_equal_gains=bool(np.all(np.abs(self.mu_b - self.mu) <= _EQ_TOL)),
-            a3_common_alpha0=bool(
-                np.all(np.abs(self.alpha0 - self.alpha0[0]) <= _EQ_TOL)),
-            a4_common_alpha=bool(
-                np.all(np.abs(self.alpha - self.alpha[0]) <= _EQ_TOL)),
-        )
+        """The homogeneity flags for assumptions A1-A4 (derived once, at
+        construction)."""
+        return self._flags
 
     def alpha_sum(self):
         return float(np.sum(self.alpha))
 
     def common_alpha0(self):
         """The common beacon bearing offset; requires A3."""
-        if not self.flags().a3_common_alpha0:
+        if not self._flags.a3_common_alpha0:
             raise AssumptionError("A3 violated: alpha0 differs across agents")
         return float(self.alpha0[0])
 
     def common_alpha(self):
         """The common neighbor bearing offset; requires A4."""
-        if not self.flags().a4_common_alpha:
+        if not self._flags.a4_common_alpha:
             raise AssumptionError("A4 violated: alpha differs across agents")
         return float(self.alpha[0])
-
-
-@dataclass(frozen=True)
-class HomogeneityFlags:
-    """Which of the homogeneity assumptions hold for a parameter set."""
-
-    a1_equal_speed: bool
-    a2_equal_gains: bool
-    a3_common_alpha0: bool
-    a4_common_alpha: bool
 
 
 def require_shape_assumptions(params):
@@ -120,15 +124,18 @@ def require_shape_assumptions(params):
     are only meaningful to the full-space simulator.
     """
     flags = params.flags()
-    failed = []
+    failed = {}
     if not (flags.a1_equal_speed and abs(params.nu[0] - 1.0) <= _EQ_TOL):
-        failed.append("A1 (common unit speed)")
+        failed["A1"] = "common unit speed"
     if not flags.a2_equal_gains:
-        failed.append("A2 (equal gains mu_b = mu)")
+        failed["A2"] = "equal gains mu_b = mu"
     if not flags.a3_common_alpha0:
-        failed.append("A3 (common beacon bearing alpha0)")
+        failed["A3"] = "common beacon bearing alpha0"
     if failed:
-        raise AssumptionError("assumption(s) violated: " + ", ".join(failed))
+        raise AssumptionError(
+            "assumption(s) violated: "
+            + ", ".join(f"{name} ({what})" for name, what in failed.items()),
+            failed=tuple(failed))
 
 
 def require_analysis_assumptions(params):
@@ -136,7 +143,8 @@ def require_analysis_assumptions(params):
     require_shape_assumptions(params)
     if not params.flags().a4_common_alpha:
         raise AssumptionError(
-            "assumption(s) violated: A4 (common neighbor bearing alpha)")
+            "assumption(s) violated: A4 (common neighbor bearing alpha)",
+            failed=("A4",))
 
 
 def satisfies_a6(params):

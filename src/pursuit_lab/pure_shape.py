@@ -11,6 +11,7 @@ exist, an angular strip Delta is positively invariant and trajectories
 spiral outward toward a computable asymptotic heading offset.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -19,7 +20,7 @@ import numpy as np
 from .errors import (CollisionError, InconclusiveError,
                      PreconditionError, UndefinedManifoldError)
 from .full_space import WorldState, heading_from_angle
-from .numerics import DEFAULT_DT, rk4_step, wrap_angle
+from .numerics import DEFAULT_DT, rk4_integrate, wrap_angle
 from .params import (require_a6, require_analysis_assumptions, satisfies_a6)
 from .shape_space import EPS_COL
 
@@ -45,11 +46,6 @@ class PureShapeState:
     @property
     def n(self):
         return self.kappa_t.shape[0]
-
-    def copy(self):
-        return PureShapeState(self.kappa1, self.rho1, self.kappa_t.copy(),
-                              self.psi.copy(), self.phi_b.copy(),
-                              self.rho_t.copy(), self.rho_tb.copy())
 
     def to_vector(self):
         return np.concatenate([[self.kappa1, self.rho1], self.kappa_t,
@@ -119,12 +115,6 @@ def to_pure_shape(shape):
         rho_tb=shape.rho_b / shape.rho[0])
 
 
-def _recover_kappa(state):
-    """Per-agent kappa_i = kappa_1 + suffix sum of the kappa tilde chain."""
-    suffix = np.cumsum(state.kappa_t[::-1])[::-1]
-    return state.kappa1 + suffix
-
-
 def _phi_psi(state):
     """The auxiliary half-angle arguments Phi_i and Psi_i.
 
@@ -148,6 +138,16 @@ def a5_guard_values(state):
             float(np.min(np.abs(np.sin(phi / 2.0)))))
 
 
+@functools.lru_cache(maxsize=None)
+def _cyclic_neighbors(n):
+    """Index arrays of each agent's successor and predecessor: np.roll by
+    -1 and +1 as a gather, without np.roll's per-call overhead."""
+    nxt, prv = np.roll(np.arange(n), -1), np.roll(np.arange(n), 1)
+    nxt.setflags(write=False)
+    prv.setflags(write=False)
+    return nxt, prv
+
+
 def _rates_vector(vec, n, mu, lam, alpha, alpha0):
     """Packed-vector form of the transformed rates (integration hot path).
 
@@ -162,10 +162,11 @@ def _rates_vector(vec, n, mu, lam, alpha, alpha0):
     rho_t = vec[2 + 3 * n:2 + 4 * n]
     rho_tb = vec[2 + 4 * n:2 + 5 * n]
 
+    nxt, prv = _cyclic_neighbors(n)
     suffix = np.cumsum(kappa_t[::-1])[::-1]
     suffix_excl = np.concatenate([suffix[1:], [0.0]])
     kplus = 2.0 * kappa1 + kappa_t + 2.0 * suffix_excl
-    psi_next = np.roll(psi, -1)
+    psi_next = psi[nxt]
     half_phi = 0.5 * (kplus + psi_next)
     half_psi = 0.5 * (kappa_t - psi_next)
     s_half = np.sin(half_phi)
@@ -179,15 +180,15 @@ def _rates_vector(vec, n, mu, lam, alpha, alpha0):
                 + 2.0 * lam / rho1 * s_half[0] * c_psi[0])
     d_rho1 = -2.0 * squeeze[0]
 
-    phi_next = np.roll(phi_b, -1)
+    phi_next = phi_b[nxt]
     d_kappa_t = (-2.0 * mu * (
         (1.0 - lam) * np.sin(0.5 * kappa_t)
         * np.cos(0.5 * kplus - alpha)
         + lam * np.sin(0.5 * (phi_b - phi_next + kappa_t))
         * np.cos(0.5 * (phi_b + phi_next + kplus) - alpha0))
-        + 2.0 * lam / rho1 * (spread - np.roll(spread, -1)))
+        + 2.0 * lam / rho1 * (spread - spread[nxt]))
     d_rho_t = 2.0 / rho1 * (rho_t * squeeze[0] - squeeze)
-    d_psi = 2.0 / rho1 * (np.roll(spread, 1) - spread)
+    d_psi = 2.0 / rho1 * (spread[prv] - spread)
     beacon_arg = phi_b + kappa1 + suffix
     d_rho_tb = (2.0 * rho_tb * squeeze[0] - np.cos(beacon_arg)) / rho1
     d_phi_b = (np.sin(beacon_arg) / rho_tb - 2.0 * spread) / rho1
@@ -345,20 +346,13 @@ def integrate_reduced(kappa1, rho1, params, k, T, dt=DEFAULT_DT,
     """RK4 trajectory of the reduced dynamics.
 
     kappa1 is left unwrapped along the run (the field is 2*pi-periodic),
-    keeping the recorded curve continuous for portrait use.
+    keeping the recorded curve continuous for portrait use.  A scale
+    rho1 reaching zero raises :class:`CollisionError` carrying the time.
     """
-    fieldfn = reduced_field(params, k)
-    n_steps = int(round(T / dt))
-    y = np.array([float(kappa1), float(rho1)])
-    times = [0.0]
-    rows = [y.copy()]
-    for step in range(1, n_steps + 1):
-        y = rk4_step(fieldfn, y, dt)
-        if step % record_every == 0 or step == n_steps:
-            times.append(step * dt)
-            rows.append(y.copy())
-    rows = np.asarray(rows)
-    return np.asarray(times), rows[:, 0], rows[:, 1]
+    times, rows = rk4_integrate(reduced_field(params, k),
+                                [float(kappa1), float(rho1)], T, dt,
+                                record_every)
+    return times, rows[:, 0], rows[:, 1]
 
 
 @dataclass
@@ -536,7 +530,6 @@ def integrate_pure_shape(state0, params, T, dt=DEFAULT_DT, record_every=1):
     """
     require_analysis_assumptions(params)
     n = state0.n
-    n_steps = int(round(T / dt))
     mu, lam = params.mu, params.lam
     alpha, alpha0 = params.alpha[0], params.alpha0[0]
 
@@ -546,35 +539,24 @@ def integrate_pure_shape(state0, params, T, dt=DEFAULT_DT, record_every=1):
                                  pair=(0, 1))
         return _rates_vector(vec, n, mu, lam, alpha, alpha0)
 
-    vec = state0.copy().to_vector()
-    times = [0.0]
-    rows = [vec.copy()]
     flags = []
-    for step in range(1, n_steps + 1):
-        t = step * dt
-        try:
-            vec = rk4_step(field, vec, dt)
-        except CollisionError as err:
-            raise CollisionError(str(err), pair=err.pair, t=t) from None
-        state = PureShapeState.from_vector(vec, n)
-        state.kappa1 = float(wrap_angle(state.kappa1))
-        state.kappa_t = wrap_angle(state.kappa_t)
-        state.psi = wrap_angle(state.psi)
-        state.phi_b = wrap_angle(state.phi_b)
-        if (state.rho1 <= EPS_COL
-                or np.any(state.rho_t * state.rho1 <= EPS_COL)
-                or np.any(state.rho_tb * state.rho1 <= EPS_COL)):
+
+    def rewrap_and_guard(vec, t):
+        # packed layout: kappa1, rho1, then the kappa~, psi, phi_b angle
+        # blocks, then the rho~, rho~_b ratio blocks
+        vec[0] = wrap_angle(vec[0])
+        vec[2:2 + 3 * n] = wrap_angle(vec[2:2 + 3 * n])
+        if vec[1] <= EPS_COL or np.any(vec[2 + 3 * n:] * vec[1] <= EPS_COL):
             raise CollisionError("a range reached the collocation floor",
                                  t=t)
-        guards = a5_guard_values(state)
+        guards = a5_guard_values(PureShapeState.from_vector(vec, n))
         if min(guards) < A5_GUARD_TOL:
             flags.append((t, guards))
-        vec = state.to_vector()
-        if step % record_every == 0 or step == n_steps:
-            times.append(t)
-            rows.append(vec.copy())
-    return PureShapeTrajectory(t=np.asarray(times), states=np.asarray(rows),
-                               n=n, a5_flags=flags)
+        return vec
+
+    times, rows = rk4_integrate(field, state0.to_vector(), T, dt,
+                                record_every, rewrap_and_guard)
+    return PureShapeTrajectory(t=times, states=rows, n=n, a5_flags=flags)
 
 
 @dataclass(frozen=True)

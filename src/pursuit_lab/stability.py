@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EquilibriumNotFoundError, SingularModeError
-from .numerics import eig5, wrap_angle
+from .numerics import eig5, poly_roots, wrap_angle
 from .params import require_analysis_assumptions
 
 # Zero threshold for sin(m*pi/n) (mode geometry degenerates there).
@@ -318,17 +318,25 @@ def corollary_checks(params, m):
 class SpectrumReport:
     """Grouped eigenvalues of the linearization.
 
-    The constraint group holds the n pairs +/- j*mu*a plus the k = 0
-    zero root (2n + 1 in total, all on the imaginary axis within
-    tolerance); the informative group holds the remaining 3n - 1
-    eigenvalues, which decide stability.
+    ``by_mode[k]`` holds mode k's eigenvalues as a (constraint,
+    informative) pair of arrays; the constraint part is matched to the
+    targets +j*mu*a, -j*mu*a (and 0 at k = 0), in that order.  Over all
+    modes the constraint group holds 2n + 1 eigenvalues, all on the
+    imaginary axis within tolerance; the informative group holds the
+    remaining 3n - 1, which decide stability.
     """
 
     by_mode: list
-    constraint: np.ndarray
-    informative: np.ndarray
     diagnostics: list
     mu_a: float
+
+    @property
+    def constraint(self):
+        return np.concatenate([c for c, _ in self.by_mode])
+
+    @property
+    def informative(self):
+        return np.concatenate([i for _, i in self.by_mode])
 
     @property
     def ok(self):
@@ -346,16 +354,14 @@ def spectrum_report(params, m):
     mu_a = params.mu * co.a
     n = params.n
     diagnostics = []
-    constraint = []
-    informative = []
     by_mode = []
     for k in range(n):
         eigs = eig5(dk(blocks, k, n))
-        by_mode.append(eigs)
         targets = [1j * mu_a, -1j * mu_a]
         if k == 0:
             targets.append(0.0 + 0.0j)
         remaining = list(eigs)
+        constraint = []
         for target in targets:
             dist = [abs(z - target) for z in remaining]
             idx = int(np.argmin(dist))
@@ -374,24 +380,24 @@ def spectrum_report(params, m):
                 diagnostics.append(
                     f"k={k}: informative eigenvalue {z:.6g} is within "
                     "the imaginary-axis band (borderline)")
-            informative.append(z)
-    constraint = np.asarray(constraint)
-    informative = np.asarray(informative)
-    if constraint.size != 2 * n + 1 or informative.size != 3 * n - 1:
+        by_mode.append((np.asarray(constraint), np.asarray(remaining)))
+    report = SpectrumReport(by_mode=by_mode, diagnostics=diagnostics,
+                            mu_a=float(mu_a))
+    n_constraint = report.constraint.size
+    n_informative = report.informative.size
+    if n_constraint != 2 * n + 1 or n_informative != 3 * n - 1:
         diagnostics.append(
-            f"partition count mismatch: {constraint.size} constraint / "
-            f"{informative.size} informative eigenvalues")
-    return SpectrumReport(by_mode=by_mode, constraint=constraint,
-                          informative=informative, diagnostics=diagnostics,
-                          mu_a=float(mu_a))
+            f"partition count mismatch: {n_constraint} constraint / "
+            f"{n_informative} informative eigenvalues")
+    return report
 
 
-def format_stability_report(params, m):
+def format_stability_report(params, m, spectrum):
     """Per-mode report: cubic coefficients, condition values, cubic
-    roots, the grouped spectrum and the overall verdict."""
+    roots, the grouped spectrum (a :class:`SpectrumReport` of the same
+    parameters and winding) and the overall verdict."""
     co = abd(params, m)
     verdict = routh_necessary(params, m)
-    spectrum = spectrum_report(params, m)
     corollaries = corollary_checks(params, m)
     lines = []
     lines.append(f"stability analysis at winding m = {m} "
@@ -401,8 +407,7 @@ def format_stability_report(params, m):
     lines.append(f"alpha* = {co.alpha_star:.12g} rad "
                  f"({co.alpha_star / np.pi:.6f} pi), a = {co.a:.12g}, "
                  f"b = {co.b:.12g}, d = {co.d:.12g}")
-    from .numerics import poly_roots
-    for row, eigs in zip(verdict.rows, spectrum.by_mode):
+    for row, groups in zip(verdict.rows, spectrum.by_mode):
         cc = cubic_coeffs(params, m, row.k)
         cubic_roots = np.sort_complex(
             poly_roots(cc.polynomial(params.mu, co.a)))
@@ -421,7 +426,8 @@ def format_stability_report(params, m):
                                  for z in cubic_roots))
         lines.append("  eigenvalues: "
                      + ", ".join(f"{z.real:+.9f}{z.imag:+.9f}j"
-                                 for z in np.sort_complex(np.asarray(eigs))))
+                                 for z in np.sort_complex(
+                                     np.concatenate(groups))))
     lines.append("")
     lines.append(f"constraint group ({spectrum.constraint.size} on the "
                  "imaginary axis), informative group "
@@ -443,24 +449,15 @@ def format_stability_report(params, m):
     return "\n".join(lines) + "\n"
 
 
-def write_spectrum_csv(params, m, path):
-    """Spectrum CSV: one row per eigenvalue with its mode and group."""
-    spectrum = spectrum_report(params, m)
-    blocks, _ = block_triple(params, m)
+def write_spectrum_csv(spectrum, path):
+    """Spectrum CSV from a :class:`SpectrumReport`: one row per
+    eigenvalue with its mode and group."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# eigenvalues of the block-circulant linearization; "
                  "group is 'constraint' or 'informative'\n")
         fh.write("k,re,im,group\n")
-        mu_a = spectrum.mu_a
-        for k, eigs in enumerate(spectrum.by_mode):
-            targets = [1j * mu_a, -1j * mu_a] + ([0j] if k == 0 else [])
-            remaining = list(eigs)
-            matched = []
-            for target in targets:
-                idx = int(np.argmin([abs(z - target) for z in remaining]))
-                matched.append(remaining.pop(idx))
-            for z in matched:
+        for k, (constraint, informative) in enumerate(spectrum.by_mode):
+            for z in constraint:
                 fh.write(f"{k},{z.real:.12g},{z.imag:.12g},constraint\n")
-            for z in remaining:
+            for z in informative:
                 fh.write(f"{k},{z.real:.12g},{z.imag:.12g},informative\n")
-    return spectrum

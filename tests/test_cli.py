@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,25 @@ class TestParseConfig:
             cli.parse_config(f"{CONFIG_DIR}/fig2.cfg", "stability",
                              overrides=["stability.m=1"])
 
+    @pytest.mark.parametrize("override,key", [
+        ("nu=1.5", "nu"),
+        ("mu_b=2", "mu_b"),
+        ("alpha0=0.1, 0.2, 0.3", "alpha0"),
+        ("alpha=0.1, 0.2, 0.3", "alpha"),
+    ])
+    def test_assumption_error_names_key(self, tmp_path, capsys, override,
+                                        key):
+        code = cli.main(["stability", "--config",
+                         f"{CONFIG_DIR}/reference.cfg", "--out",
+                         str(tmp_path), "--override", override])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {key}: ")
+
+    def test_workers_key_rejected(self):
+        with pytest.raises(ConfigError, match="workers"):
+            cli.parse_config(f"{CONFIG_DIR}/sweep_alpha0.cfg", "sweep",
+                             overrides=["workers=2"])
+
     def test_seed_override_wins(self):
         cfg = cli.parse_config(f"{CONFIG_DIR}/reference.cfg", "shape-sim",
                                seed=77)
@@ -138,6 +159,104 @@ class TestRun:
         assert len(grid_rows) == 1 + 20
         assert (tmp_path / "traj_00.csv").exists()
         assert (tmp_path / "traj_03.csv").exists()
+
+
+# SHA-256 of every artifact of each shipped config/mode run at a short
+# horizon ``t`` (None: the mode has no horizon), recorded before the four
+# integrators shared one RK4 driver and one steering law.
+SHIPPED_OUTPUTS = [
+    (("fig2", "simulate", "1"), {
+        "manifest.txt":
+            "2838182d4acc729d348ce8de877b7e30ae1af12d8c73167b0532bf6d1904520e",
+        "trajectory.csv":
+            "078b6cfe9d74908090f31d15378d03f60bb5c79057401ca0f9a63b37d2eb6e89",
+    }),
+    (("fig4", "simulate", "0.2"), {
+        "manifest.txt":
+            "f82e97bca9e791037526d39ba4f086e0140a1b77b1c34848b58dfe39c0bea7ac",
+        "trajectory.csv":
+            "2ce103d912e7c586d0b0cd1df8a4ec4d2c95e456a32acd7ae0bd04ec2d7e382e",
+    }),
+    (("fig5", "pure-shape", "0.4"), {
+        "manifest.txt":
+            "00f285d5aff27129c639a341ab8e4fb8482db2173c0e929d94f992bd0843245c",
+        "pure_shape.csv":
+            "57b5f75844fc89c2acaf9d8f939187a2bcbb1fe442d7eb65122037ee18af65ce",
+        "pure_shape.txt":
+            "4ca33ef09a371482448167fe6ad525bacbd9d94c980822cfd1efe3a62b075032",
+    }),
+    (("fig5", "portrait", "2"), {
+        "grid.csv":
+            "843513fd454da75748071dfc068e55774ba3339b88b19f6cffc8b34bf8d5b968",
+        "manifest.txt":
+            "80d421298d0be63f2488c9ce1d4f2966e789b781f5ea8cbdbe978ce453d53c02",
+        "traj_00.csv":
+            "02546df442302f0497fc6f2771a99a348b9bc2d8cc146298475964839f783fa4",
+        "traj_01.csv":
+            "123dd354457a440b311f9c3eb5ea7b0733f25bb728f7ca1e06bec72f960c6a2e",
+        "traj_02.csv":
+            "6e4f0c85ce3570228699b3a2fb7d72ad6c7326290f0f190fc0127ae87c9b27c3",
+        "traj_03.csv":
+            "15a933ccdd0b069b191f81d62682d42b6b48da5f0f6dc3a31c9259a65f695cf6",
+    }),
+    (("reference", "simulate", "0.2"), {
+        "manifest.txt":
+            "0bbd5da14532119952cca973ef02baf5d32076d53d7056aa2cf108903beaac24",
+        "trajectory.csv":
+            "827d7244d662ae2e588878054e823639da4f68c9a30875fd1229b816539e23bd",
+    }),
+    (("reference", "shape-sim", "0.2"), {
+        "manifest.txt":
+            "6e9c762b71b5eca1e0981deb15b98c844bb64ea8c9513474915ee7cccad1c50c",
+        "shape.csv":
+            "7d5a969b836c387115ddf4b40efac46497d04f469cd4ccfd70850fe6576b48e1",
+    }),
+    (("reference", "equilibria", None), {
+        "equilibria.txt":
+            "452a986cce97ddf139abb6988e1ef717627d225a8642d7a75dede3a2f3ef54a0",
+        "manifest.txt":
+            "cbd98de0222002d32f6aaace5b3d80014fd0cfeb9ce7ce12293a8a8d73d80f33",
+    }),
+    (("reference", "stability", None), {
+        "manifest.txt":
+            "df28e9417ac1087ec3b3a84f1f3a2442dd2c0ebf2b203d6498276aae084d29df",
+        "spectrum.csv":
+            "99c6948fb8578a06a3f9e248ed4f0f42532a9f9ed21df92d3bc609a5f80552d9",
+        "stability.txt":
+            "8384e2eeec0a4e2731aea10341877ff9f89f964e61e741580e60ffe0abc19f4e",
+    }),
+    (("reference", "pure-shape", "0.4"), {
+        "manifest.txt":
+            "be2ecac3d32dfb674ca361f49030144b839ff17687cb3287e9cbc7c40d2000d3",
+        "pure_shape.csv":
+            "d439e93dcae6a46b66bf7bc3241765eafa5b351234b89582d9b54e874cfe552e",
+        "pure_shape.txt":
+            "177bfd52d4f46aaef0766900aa7e830490f1892b64bd7e573b5897e6e4d7d7da",
+    }),
+    (("sweep_alpha0", "sweep", None), {
+        "manifest.txt":
+            "824c5fe24fd623d9b143758ce7b13734190e88b58a3e738bdca4bd5019909568",
+        "sweep.csv":
+            "9c34a56658fb1dbf93a37ed393cee20edd820688d97952b2fa3c09b7b93aecfd",
+    }),
+]
+
+
+def test_shipped_outputs_unchanged(tmp_path):
+    changed = []
+    for (config, mode, t), expected in SHIPPED_OUTPUTS:
+        out = tmp_path / f"{config}_{mode}"
+        argv = [mode, "--config", f"{CONFIG_DIR}/{config}.cfg", "--out",
+                str(out)]
+        if t is not None:
+            argv += ["--override", f"t={t}"]
+        assert cli.main(argv) == 0
+        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in out.iterdir()}
+        assert sorted(got) == sorted(expected)
+        changed += [f"{config} {mode}: {name}" for name in expected
+                    if got[name] != expected[name]]
+    assert not changed
 
 
 class TestMainExitCodes:

@@ -6,11 +6,10 @@ from pursuit_lab import (ControlParams, extract_shape, random_world,
 from pursuit_lab import constraint_residuals
 from pursuit_lab.equilibria import embed_world
 from pursuit_lab.errors import CollisionError
-from pursuit_lab.full_space import (WorldState,
-                                    cb_component, control_profile,
+from pursuit_lab.full_space import (WorldState, control_profile,
                                     extract_shape_trajectory,
-                                    steering_law, steering_law_shape,
-                                    world_derivative, write_trajectory_csv)
+                                    particle_rates, steering_law_shape,
+                                    write_trajectory_csv)
 from pursuit_lab.numerics import wrap_angle
 
 from conftest import reference_equilibrium
@@ -43,20 +42,25 @@ class TestSteeringLaw:
         assert abs(shape.kappa_b[0] - params.alpha0[0]) < 1e-12
         assert abs(wrap_angle(shape.theta[1] - np.pi - shape.kappa[0])) \
             < 1e-12
-        assert abs(steering_law(0, world, params)) < 1e-12
+        assert abs(control_profile(world, params)[0]) < 1e-12
 
     def test_equilibrium_turning_rate(self, reference_params):
         eq = reference_equilibrium(reference_params)
         world = embed_world(eq)
-        u = steering_law(0, world, reference_params)
+        u = control_profile(world, reference_params)[0]
         assert abs(u - 1.20711) < 1e-4
         assert abs(u - 1.0 / eq.rho_b) < 1e-10  # circling curvature 1/0.82843
 
     def test_small_lambda_limit_is_pure_pursuit(self):
         world = random_world(2, seed=5)
         near_zero = _two_agent_params(lam=1e-9)
-        u = steering_law(0, world, near_zero)
-        assert abs(u - cb_component(0, world, near_zero)) < 1e-6
+        u = control_profile(world, near_zero)[0]
+        # constant-bearing pursuit of agent 2 alone, from the shape
+        shape = extract_shape(world)
+        pursuit = (near_zero.mu * np.sin(shape.kappa[0] - near_zero.alpha[0])
+                   + (np.sin(shape.kappa[0]) + np.sin(shape.theta[1]))
+                   / shape.rho[0])
+        assert abs(u - pursuit) < 1e-6
 
     def test_vector_and_shape_forms_agree(self):
         rng = np.random.default_rng(9)
@@ -67,24 +71,24 @@ class TestSteeringLaw:
         for seed in range(8):
             world = random_world(4, seed=seed)
             shape = extract_shape(world)
+            profile = control_profile(world, params)
             for i in range(4):
-                assert abs(steering_law(i, world, params)
+                assert abs(profile[i]
                            - steering_law_shape(i, shape, params)) < 1e-10
-
-    def test_control_profile_matches_per_agent(self, reference_params):
-        world = random_world(3, seed=1)
-        profile = control_profile(world, reference_params)
-        for i in range(3):
-            assert abs(profile[i] - steering_law(i, world, reference_params)) \
-                < 1e-14
 
     def test_collocation_rejected(self):
         params = _two_agent_params()
         world = WorldState.from_polar([[0.0, 0.0], [1e-8, 0.0]], [0.0, 0.0],
                                       beacon=[0.0, 1.0])
         with pytest.raises(CollisionError) as err:
-            steering_law(0, world, params)
+            control_profile(world, params)
         assert err.value.pair == (0, 1)
+
+
+def _rates(world, params):
+    """World-state rates through the particle-model field."""
+    return particle_rates(world.positions, world.headings, world.beacon,
+                          params)
 
 
 class TestWorldDerivative:
@@ -92,36 +96,28 @@ class TestWorldDerivative:
         params = _two_agent_params()
         # mirror-symmetric pair: both agents see vanishing deviations
         world = _zero_control_world(params)
-        rates = world_derivative(world, params)
-        assert abs(rates.controls[0]) < 1e-12
-        assert np.max(np.abs(rates.d_headings[0])) < 1e-12
-        assert np.allclose(rates.d_positions, world.headings, atol=0)
+        d_positions, d_headings = _rates(world, params)
+        assert np.max(np.abs(d_headings[0])) < 1e-12
+        assert np.allclose(d_positions, world.headings, atol=0)
 
     def test_frame_orthogonality_infinitesimal(self, reference_params):
         world = random_world(3, seed=2)
-        rates = world_derivative(world, reference_params)
-        assert np.max(np.abs(np.sum(rates.d_headings * world.headings,
-                                    axis=1))) == 0.0
-        assert np.max(np.abs(np.sum(rates.d_normals * world.normals,
+        _, d_headings = _rates(world, reference_params)
+        assert np.max(np.abs(np.sum(d_headings * world.headings,
                                     axis=1))) == 0.0
 
     def test_equilibrium_distances_frozen(self, reference_params):
         eq = reference_equilibrium(reference_params)
         world = embed_world(eq)
-        rates = world_derivative(world, reference_params)
+        d_positions, _ = _rates(world, reference_params)
         for i in range(3):
             for j in range(i + 1, 3):
                 gap = world.positions[i] - world.positions[j]
-                dgap = rates.d_positions[i] - rates.d_positions[j]
+                dgap = d_positions[i] - d_positions[j]
                 assert abs(gap @ dgap) / np.linalg.norm(gap) < 1e-10
             gap = world.positions[i] - world.beacon
-            assert abs(gap @ rates.d_positions[i]) / np.linalg.norm(gap) \
+            assert abs(gap @ d_positions[i]) / np.linalg.norm(gap) \
                 < 1e-10
-
-    def test_beacon_fixed(self, reference_params):
-        world = random_world(3, seed=4)
-        assert np.array_equal(
-            world_derivative(world, reference_params).d_beacon, np.zeros(2))
 
 
 class TestExtractShape:

@@ -7,8 +7,9 @@ from pursuit_lab import (asymptote_prediction, equilibrium_shape,
                          invariant_region_check, lift, manifold_spec,
                          pure_shape_derivative, reduced_derivative,
                          reduced_equilibrium, to_pure_shape)
-from pursuit_lab.errors import (AssumptionError, InconclusiveError,
-                                PreconditionError, UndefinedManifoldError)
+from pursuit_lab.errors import (AssumptionError, CollisionError,
+                                InconclusiveError, PreconditionError,
+                                UndefinedManifoldError)
 from pursuit_lab.numerics import wrap_angle
 from pursuit_lab.pure_shape import (GridSpec, a5_guard_values,
                                     _reduced_rho_rate,
@@ -352,3 +353,22 @@ class TestPortraitAndGuards:
         traj = integrate_pure_shape(st, reference_params, T=20.0, dt=5e-3,
                                     record_every=100)
         assert len(traj.a5_flags) > 0
+
+
+class TestCollisionTime:
+    # heading inward from a small scale: rho1 reaches zero at t ~ 0.03
+    KAPPA1 = -0.5
+    RHO1 = 0.05
+
+    def test_pure_shape_collision_carries_time(self, reference_params):
+        st, _ = lift(manifold_spec(3, 1), kappa1=self.KAPPA1, rho1=self.RHO1)
+        with pytest.raises(CollisionError) as err:
+            integrate_pure_shape(st, reference_params, T=1.0, dt=1e-3)
+        assert err.value.t is not None and 0.0 < err.value.t < 0.1
+
+    def test_reduced_collision_carries_time(self, reference_params):
+        with pytest.raises(CollisionError) as err:
+            integrate_reduced(self.KAPPA1, self.RHO1, reference_params, 1,
+                              T=1.0, dt=1e-3)
+        assert err.value.t is not None and 0.0 < err.value.t < 0.1
+        assert err.value.pair == (0, 1)

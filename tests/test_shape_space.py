@@ -138,8 +138,9 @@ class TestIntegrateShape:
                                   reference_params)
         shape.rho_b[:] = 2e-6  # just above the floor, closing inward fails
         shape.kappa_b[:] = 0.0  # rho_b' = -1
-        with pytest.raises(CollisionError):
+        with pytest.raises(CollisionError) as err:
             integrate_shape(shape, reference_params, T=1.0, dt=1e-3)
+        assert err.value.t is not None and 0.0 < err.value.t < 1e-2
 
     def test_cyclic_relabelling_symmetry(self, reference_params):
         # A1-A4 hold, so rotating agent labels maps trajectories to
