@@ -24,7 +24,7 @@ import numpy as np
 from . import equilibria, full_space, pure_shape, shape_space, stability
 from .errors import (AssumptionError, ConfigError, DegenerateAlphaSumError,
                      PursuitLabError)
-from .numerics import DEFAULT_DT
+from .numerics import DEFAULT_DT, step_count
 from .params import (ControlParams, require_analysis_assumptions,
                      require_shape_assumptions)
 
@@ -237,6 +237,10 @@ def parse_config(path, mode, overrides=(), out_dir="out", seed=None):
                    else _get(section, "seed", 0) or 0)
     cfg.T = _positive(_get(section, "t", 20.0), "t")
     cfg.dt = _positive(_get(section, "dt", DEFAULT_DT), "dt")
+    try:
+        step_count(cfg.T, cfg.dt)
+    except ValueError as err:
+        raise ConfigError(f"t: {err}") from None
     cfg.record_every = int(_positive(_get(section, "record_every", 1),
                                      "record_every", kind=int))
 

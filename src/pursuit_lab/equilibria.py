@@ -20,7 +20,7 @@ import numpy as np
 from .errors import (DegenerateAlphaSumError, DegenerateBranchError,
                      EnumerationSizeError)
 from .full_space import WorldState, heading_from_angle
-from .numerics import wrap_angle
+from .numerics import cyclic_neighbors, wrap_angle
 from .params import require_shape_assumptions
 from .shape_space import ShapeState
 
@@ -127,7 +127,7 @@ def _build_equilibrium(branch, a_star, direction, params, margins, marginal):
     sigma = np.asarray(branch.sigma, dtype=float)
     kappa = wrap_angle((1.0 - sigma) * (np.pi / 2.0)
                        + sigma * a_star + params.alpha)
-    theta = wrap_angle(np.pi - np.roll(kappa, 1))
+    theta = wrap_angle(np.pi - kappa[cyclic_neighbors(params.n)[1]])
     c1 = margins[0]
     rho_b = params.lam / (params.mu * c1)
     rho = 2.0 * rho_b * margins[1:]

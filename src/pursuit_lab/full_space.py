@@ -6,8 +6,9 @@ frame (heading x_i of unit length, normal y_i = x_i rotated by +pi/2);
 the steering control u_i is the path curvature.  The feedback is a convex
 combination of constant-bearing pursuit of the next agent in the cycle
 and constant-bearing tracking of a fixed beacon.  The law is written once,
-in vector form over any leading axes; the scalar shape form is kept as a
-test oracle and agrees with it to roundoff.
+on the x/y components of positions and headings over any leading axes;
+the scalar shape form is kept as a test oracle and agrees with it to
+roundoff.
 """
 
 from dataclasses import dataclass
@@ -15,24 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CollisionError
-from .numerics import DEFAULT_DT, rk4_integrate, wrap_angle
+from .numerics import (DEFAULT_DT, cyclic_neighbors, rk4_integrate,
+                       wrap_angle)
 from .shape_space import EPS_COL, ShapeState
-
-
-_ROT90 = np.array([-1.0, 1.0])
-
-
-def rot90(v):
-    """Rotate planar vectors by +pi/2 (counter-clockwise)."""
-    return np.asarray(v, dtype=float)[..., ::-1] * _ROT90
-
-
-def rotate(v, angle):
-    """Rotate planar vectors by the given angle(s), counter-clockwise."""
-    c = np.cos(angle)
-    s = np.sin(angle)
-    return np.stack((c * v[..., 0] - s * v[..., 1],
-                     s * v[..., 0] + c * v[..., 1]), axis=-1)
 
 
 def heading_from_angle(angle):
@@ -76,27 +62,32 @@ def random_world(n, seed, side=4.0, beacon=(0.0, 0.0)):
     return WorldState.from_polar(positions, angles, beacon=beacon)
 
 
-def _chase_geometry(positions, beacon):
-    """Distances and unit bearings to the pursued neighbor and beacon.
+def _chase_geometry(px, py, beacon):
+    """Range and unit bearings to the pursued neighbor and the beacon.
 
-    positions: (..., n, 2); beacon: (2,).  Raises CollisionError on any
-    collocated pair (pursued neighbor or beacon), identifying the pair.
+    px, py: (..., n) position components; beacon: (2,).  Returns the
+    components of the unit line of sight to the next agent, its range,
+    and the components of the unit line of sight to the beacon.  Raises CollisionError on any collocated
+    pair (pursued neighbor or beacon), identifying the pair.
     """
-    n = positions.shape[-2]
-    d_next = np.roll(positions, -1, axis=-2) - positions
-    rho = np.hypot(d_next[..., 0], d_next[..., 1])
+    n = px.shape[-1]
+    nxt, _ = cyclic_neighbors(n)
+    dx = px[..., nxt] - px
+    dy = py[..., nxt] - py
+    rho = np.hypot(dx, dy)
     if np.any(rho <= EPS_COL):
         i = int(np.argmax(rho <= EPS_COL)) % n
         raise CollisionError(
             f"agents {i + 1} and {(i + 1) % n + 1} are collocated",
             pair=(i, (i + 1) % n))
-    d_b = beacon - positions
-    rho_b = np.hypot(d_b[..., 0], d_b[..., 1])
+    bx = beacon[0] - px
+    by = beacon[1] - py
+    rho_b = np.hypot(bx, by)
     if np.any(rho_b <= EPS_COL):
         i = int(np.argmax(rho_b <= EPS_COL)) % n
         raise CollisionError(f"agent {i + 1} is collocated with the beacon",
                              pair=(i, "beacon"))
-    return d_next / rho[..., None], rho, d_b / rho_b[..., None], rho_b
+    return dx / rho, dy / rho, rho, bx / rho_b, by / rho_b
 
 
 def _controls(positions, headings, beacon, params):
@@ -104,15 +95,26 @@ def _controls(positions, headings, beacon, params):
     combination of constant-bearing pursuit of the next agent and
     constant-bearing tracking of the beacon.
 
-    positions/headings: (..., n, 2); returns (..., n).
+    positions/headings: (..., n, 2); returns (..., n).  Written on x/y
+    components: the normal y (the heading x turned by +pi/2) is
+    (-x_1, x_0), y turned by a bearing a is (c y_0 - s y_1, s y_0 + c y_1)
+    with c, s = cos a, sin a, and a dot product is a_0 b_0 + a_1 b_1.
     """
-    los, rho, e_b, _ = _chase_geometry(positions, beacon)
-    y = rot90(headings)
-    vel = params.nu[:, None] * headings
-    rel_vel = vel - np.roll(vel, -1, axis=-2)
-    u_cb = (params.mu * np.sum(rotate(y, params.alpha) * los, axis=-1)
-            + np.sum(los * rot90(rel_vel), axis=-1) / (params.nu * rho))
-    u_b = params.mu_b * np.sum(rotate(y, params.alpha0) * e_b, axis=-1)
+    hx = headings[..., 0]
+    hy = headings[..., 1]
+    lx, ly, rho, ex, ey = _chase_geometry(positions[..., 0],
+                                          positions[..., 1], beacon)
+    ca, sa, cb, sb = params._bearing_trig
+    nu = params.nu
+    nxt, _ = cyclic_neighbors(params.n)
+    ny = -hy                          # y_0; y_1 is hx
+    vx = nu * hx
+    vy = nu * hy
+    wx = vx - vx[..., nxt]            # velocity relative to the next agent
+    wy = vy - vy[..., nxt]
+    u_cb = (params.mu * ((ca * ny - sa * hx) * lx + (sa * ny + ca * hx) * ly)
+            + (ly * wx - lx * wy) / (nu * rho))
+    u_b = params.mu_b * ((cb * ny - sb * hx) * ex + (sb * ny + cb * hx) * ey)
     return (1.0 - params.lam) * u_cb + params.lam * u_b
 
 
@@ -140,10 +142,17 @@ def control_profile(world, params):
 
 
 def particle_rates(positions, headings, beacon, params):
-    """Particle-model rates r' = nu x, x' = nu u y (beacon fixed)."""
-    u = _controls(positions, headings, beacon, params)
-    return (params.nu[:, None] * headings,
-            (params.nu * u)[:, None] * rot90(headings))
+    """Particle-model rates r' = nu x, x' = nu u y (beacon fixed).
+
+    positions/headings: (..., n, 2); returns one (2, ..., n, 2) array
+    stacking r' and x'.
+    """
+    u = params.nu * _controls(positions, headings, beacon, params)
+    rates = np.empty((2,) + headings.shape)
+    np.multiply(params.nu[:, None], headings, out=rates[0])
+    np.multiply(u, -headings[..., 1], out=rates[1, ..., 0])
+    np.multiply(u, headings[..., 0], out=rates[1, ..., 1])
+    return rates
 
 
 @dataclass
@@ -179,10 +188,8 @@ def simulate(world0, params, T, dt=DEFAULT_DT, record_every=1):
     beacon = world0.beacon.copy()
 
     def field(vec):
-        d_pos, d_head = particle_rates(vec[:2 * n].reshape(n, 2),
-                                       vec[2 * n:].reshape(n, 2), beacon,
-                                       params)
-        return np.concatenate([d_pos.ravel(), d_head.ravel()])
+        state = vec.reshape(2, n, 2)
+        return particle_rates(state[0], state[1], beacon, params).ravel()
 
     def renormalize(vec, t):
         head = vec[2 * n:].reshape(n, 2)
@@ -210,11 +217,12 @@ def _shape_arrays(positions, headings, beacon):
 
     positions/headings: (..., n, 2); beacon: (2,).
     """
+    nxt, prv = cyclic_neighbors(positions.shape[-2])
     h_ang = np.arctan2(headings[..., 1], headings[..., 0])
-    d_next = np.roll(positions, -1, axis=-2) - positions
+    d_next = positions[..., nxt, :] - positions
     rho = np.hypot(d_next[..., 0], d_next[..., 1])
     kappa = wrap_angle(np.arctan2(d_next[..., 1], d_next[..., 0]) - h_ang)
-    d_prev = np.roll(positions, 1, axis=-2) - positions
+    d_prev = positions[..., prv, :] - positions
     theta = wrap_angle(np.arctan2(d_prev[..., 1], d_prev[..., 0]) - h_ang)
     d_b = beacon - positions
     rho_b = np.hypot(d_b[..., 0], d_b[..., 1])
@@ -228,7 +236,8 @@ def extract_shape(world):
     Raises CollisionError when a monitored range sits at the collocation
     floor (the bearings would be undefined).
     """
-    _chase_geometry(world.positions, world.beacon)
+    _chase_geometry(world.positions[..., 0], world.positions[..., 1],
+                    world.beacon)
     rho, kappa, theta, rho_b, kappa_b = _shape_arrays(
         world.positions, world.headings, world.beacon)
     return ShapeState(rho=rho, kappa=kappa, theta=theta, rho_b=rho_b,

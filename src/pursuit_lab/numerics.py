@@ -1,7 +1,8 @@
 """Shared numerical kernels.
 
 The fixed-step RK4 step and the one driver loop every integrator runs
-through, angle normalization, polynomial root finding
+through, the step count of a horizon, cyclic neighbour indices, angle
+normalization, polynomial root finding
 (Aberth-Ehrlich simultaneous iteration) and eigenvalues of 5x5 complex
 matrices via the characteristic polynomial.  All functions are pure.
 
@@ -13,12 +14,52 @@ Conventions used package-wide:
 * angles are stored wrapped to (-pi, pi] and compared circularly.
 """
 
+import functools
+
 import numpy as np
 
 from .errors import CollisionError, IntegrationError, NumericError
 
 # Default fixed step for all integrations (deterministic, reproducible).
 DEFAULT_DT = 1e-3
+# Relative distance of T / dt from a whole number accepted as a whole
+# step count (absorbs the roundoff of decimal horizons and steps).
+_HORIZON_TOL = 1e-9
+
+
+def step_count(T, dt):
+    """The number of fixed steps dt that lands exactly on the horizon T.
+
+    Raises ValueError, naming T and dt, when dt is not positive, when
+    T / dt rounds to zero steps, or when T / dt is more than a relative
+    1e-9 off a whole number (the run would stop short of, or past, T).
+    """
+    if not dt > 0.0:
+        raise ValueError("dt must be positive")
+    ratio = T / dt
+    steps = int(round(ratio))
+    if steps < 1:
+        raise ValueError(f"horizon T = {T:g} rounds to no step of "
+                         f"dt = {dt:g}")
+    if abs(ratio - steps) > _HORIZON_TOL * ratio:
+        raise ValueError(f"horizon T = {T:g} is not a whole number of "
+                         f"steps dt = {dt:g} (T / dt = {ratio:.12g})")
+    return steps
+
+
+@functools.lru_cache(maxsize=None)
+def cyclic_neighbors(n):
+    """Read-only index arrays of each agent's successor and predecessor
+    in the cycle of n agents.
+
+    Gathering ``x[..., nxt]`` equals ``np.roll(x, -1, axis=-1)`` (and
+    ``prv`` a roll by +1) bit for bit, without np.roll's per-call
+    overhead.
+    """
+    nxt, prv = np.roll(np.arange(n), -1), np.roll(np.arange(n), 1)
+    nxt.setflags(write=False)
+    prv.setflags(write=False)
+    return nxt, prv
 
 
 def wrap_angle(theta):
@@ -67,7 +108,9 @@ def rk4_step(field, state, dt):
 def rk4_integrate(field, y0, T, dt, record_every=1, post_step=None):
     """Fixed-step RK4 trajectory of an autonomous field.
 
-    Runs ``round(T / dt)`` steps from ``y0``.  After each step the state
+    Runs ``step_count(T, dt)`` steps from ``y0``, so the last sample
+    sits exactly at T (a horizon that is not a whole number of steps is
+    rejected with ValueError).  After each step the state
     must be finite (else :class:`NumericError`); then ``post_step(y, t)``,
     when given, returns the state to carry on with (re-wrapped,
     renormalized, checked).  The state is sampled at t = 0, every
@@ -80,7 +123,7 @@ def rk4_integrate(field, y0, T, dt, record_every=1, post_step=None):
     times : ndarray, shape (m,)
     samples : ndarray, shape (m, len(y0))
     """
-    n_steps = int(round(T / dt))
+    n_steps = step_count(T, dt)
     y = np.array(y0, dtype=float)
     times = [0.0]
     samples = [y.copy()]

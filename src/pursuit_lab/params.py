@@ -1,6 +1,7 @@
 """System and controller parameters, plus the homogeneity assumptions
 (A1-A4, A6) that gate the analysis modules."""
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,6 +95,13 @@ class ControlParams:
         """Convenience constructor with common beacon gain mu_b = mu."""
         return cls(n=n, mu=mu, lam=lam, alpha=alpha, alpha0=alpha0,
                    mu_b=mu, nu=nu)
+
+    @functools.cached_property
+    def _bearing_trig(self):
+        """cos and sin of alpha and alpha0, for the steering law's bearing
+        rotations; computed on first use, once per parameter set."""
+        return (np.cos(self.alpha), np.sin(self.alpha),
+                np.cos(self.alpha0), np.sin(self.alpha0))
 
     def flags(self):
         """The homogeneity flags for assumptions A1-A4 (derived once, at

@@ -11,7 +11,6 @@ exist, an angular strip Delta is positively invariant and trajectories
 spiral outward toward a computable asymptotic heading offset.
 """
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -20,7 +19,8 @@ import numpy as np
 from .errors import (CollisionError, InconclusiveError,
                      PreconditionError, UndefinedManifoldError)
 from .full_space import WorldState, heading_from_angle
-from .numerics import DEFAULT_DT, rk4_integrate, wrap_angle
+from .numerics import (DEFAULT_DT, cyclic_neighbors, rk4_integrate,
+                       wrap_angle)
 from .params import (require_a6, require_analysis_assumptions, satisfies_a6)
 from .shape_space import EPS_COL
 
@@ -85,9 +85,10 @@ def pure_constraint_residuals(state):
     constraints: the closure angle (mod 2*pi) and the per-agent real and
     imaginary consistency defects in the length ratios."""
     closure = float(wrap_angle(np.sum(np.pi - state.psi)))
-    phi_next = np.roll(state.phi_b, -1)
-    psi_next = np.roll(state.psi, -1)
-    rho_tb_next = np.roll(state.rho_tb, -1)
+    nxt, _ = cyclic_neighbors(state.n)
+    phi_next = state.phi_b[nxt]
+    psi_next = state.psi[nxt]
+    rho_tb_next = state.rho_tb[nxt]
     turn = phi_next - psi_next
     g1 = (state.rho_t - state.rho_tb * np.cos(state.phi_b)
           - rho_tb_next * np.cos(turn))
@@ -108,7 +109,8 @@ def to_pure_shape(shape):
     return PureShapeState(
         kappa1=float(shape.kappa[0]),
         rho1=float(shape.rho[0]),
-        kappa_t=wrap_angle(shape.kappa - np.roll(shape.kappa, -1)),
+        kappa_t=wrap_angle(shape.kappa
+                           - shape.kappa[cyclic_neighbors(shape.n)[0]]),
         psi=wrap_angle(shape.theta - shape.kappa),
         phi_b=wrap_angle(shape.kappa_b - shape.kappa),
         rho_t=shape.rho / shape.rho[0],
@@ -126,7 +128,7 @@ def _phi_psi(state):
     suffix_excl = np.concatenate(
         [np.cumsum(state.kappa_t[::-1])[::-1][1:], [0.0]])
     kplus = 2.0 * state.kappa1 + state.kappa_t + 2.0 * suffix_excl
-    psi_next = np.roll(state.psi, -1)
+    psi_next = state.psi[cyclic_neighbors(state.n)[0]]
     return kplus, kplus + psi_next, state.kappa_t - psi_next
 
 
@@ -136,16 +138,6 @@ def a5_guard_values(state):
     return (float(np.min(np.abs(np.cos(phi / 2.0)))),
             float(np.min(np.abs(np.cos(psi / 2.0)))),
             float(np.min(np.abs(np.sin(phi / 2.0)))))
-
-
-@functools.lru_cache(maxsize=None)
-def _cyclic_neighbors(n):
-    """Index arrays of each agent's successor and predecessor: np.roll by
-    -1 and +1 as a gather, without np.roll's per-call overhead."""
-    nxt, prv = np.roll(np.arange(n), -1), np.roll(np.arange(n), 1)
-    nxt.setflags(write=False)
-    prv.setflags(write=False)
-    return nxt, prv
 
 
 def _rates_vector(vec, n, mu, lam, alpha, alpha0):
@@ -162,7 +154,7 @@ def _rates_vector(vec, n, mu, lam, alpha, alpha0):
     rho_t = vec[2 + 3 * n:2 + 4 * n]
     rho_tb = vec[2 + 4 * n:2 + 5 * n]
 
-    nxt, prv = _cyclic_neighbors(n)
+    nxt, prv = cyclic_neighbors(n)
     suffix = np.cumsum(kappa_t[::-1])[::-1]
     suffix_excl = np.concatenate([suffix[1:], [0.0]])
     kplus = 2.0 * kappa1 + kappa_t + 2.0 * suffix_excl

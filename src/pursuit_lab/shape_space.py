@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CollisionError, ConstraintDriftError
-from .numerics import DEFAULT_DT, rk4_integrate, wrap_angle
+from .numerics import DEFAULT_DT, cyclic_neighbors, rk4_integrate, wrap_angle
 from .params import require_shape_assumptions
 
 # Hard collocation floor (length units); distances at or below it abort.
@@ -92,9 +92,10 @@ class ConstraintResiduals:
 def constraint_residuals(shape):
     """Evaluate g0 (mod 2*pi, reduced to (-pi, pi]) and the per-agent
     consistency residuals g1_i, g2_i."""
-    kappa_next_b = np.roll(shape.kappa_b, -1)
-    rho_next_b = np.roll(shape.rho_b, -1)
-    theta_next = np.roll(shape.theta, -1)
+    nxt, _ = cyclic_neighbors(shape.n)
+    kappa_next_b = shape.kappa_b[nxt]
+    rho_next_b = shape.rho_b[nxt]
+    theta_next = shape.theta[nxt]
     g0 = float(wrap_angle(np.sum(np.pi + shape.kappa - theta_next)))
     rot_i = shape.kappa_b - shape.kappa
     rot_next = kappa_next_b - theta_next
@@ -121,7 +122,8 @@ def _shape_rates(shape, params):
     lam = params.lam
     alpha0 = params.alpha0[0]
 
-    theta_next = np.roll(shape.theta, -1)
+    nxt, prv = cyclic_neighbors(shape.n)
+    theta_next = shape.theta[nxt]
     sk = np.sin(shape.kappa)
     lead = (sk + np.sin(theta_next)) / shape.rho
 
@@ -129,7 +131,7 @@ def _shape_rates(shape, params):
     d_kappa = (-mu * ((1.0 - lam) * np.sin(shape.kappa - params.alpha)
                       + lam * np.sin(shape.kappa_b - alpha0))
                + lam * lead)
-    d_theta = d_kappa - lead + np.roll(lead, 1)
+    d_theta = d_kappa - lead + lead[prv]
     d_rho_b = -np.cos(shape.kappa_b)
     d_kappa_b = d_kappa - lead + np.sin(shape.kappa_b) / shape.rho_b
     return ShapeRates(rho=d_rho, kappa=d_kappa, theta=d_theta,

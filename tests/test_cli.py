@@ -272,6 +272,18 @@ class TestMainExitCodes:
                          "--out", str(tmp_path), "--override", "lambda=1.0"])
         assert code == 2
 
+    def test_horizon_below_one_step_exit_code(self, tmp_path, capsys):
+        code = cli.main(["simulate", "--config",
+                         f"{CONFIG_DIR}/reference.cfg", "--out",
+                         str(tmp_path), "--override", "t=0.0004"])
+        assert code == 2
+        assert "t: horizon T = 0.0004" in capsys.readouterr().err
+
+    def test_inexact_horizon_names_t(self):
+        with pytest.raises(ConfigError, match="^t: horizon T = 1 "):
+            cli.parse_config(f"{CONFIG_DIR}/reference.cfg", "simulate",
+                             overrides=["t=1", "dt=0.3"])
+
     def test_precondition_exit_code(self, tmp_path, capsys):
         # m = 3 makes sin(m*pi/n) = 0 for n = 3: singular mode
         code = cli.main(["stability", "--config",

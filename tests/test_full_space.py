@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pursuit_lab import (ControlParams, extract_shape, random_world,
                          simulate)
@@ -83,6 +84,97 @@ class TestSteeringLaw:
         with pytest.raises(CollisionError) as err:
             control_profile(world, params)
         assert err.value.pair == (0, 1)
+
+
+class TestLeadingAxes:
+    def _batch(self, n=5, size=4):
+        worlds = [random_world(n, seed=seed) for seed in range(size)]
+        return worlds, WorldState(np.stack([w.positions for w in worlds]),
+                                  np.stack([w.headings for w in worlds]),
+                                  worlds[0].beacon)
+
+    def test_batch_rows_match_single_worlds(self):
+        rng = np.random.default_rng(3)
+        params = ControlParams(
+            n=5, mu=1.1, lam=0.3, alpha=rng.uniform(-1, 1, 5),
+            alpha0=rng.uniform(-1, 1, 5), mu_b=rng.uniform(0.5, 2.0, 5),
+            nu=rng.uniform(0.5, 2.0, 5))
+        worlds, batch = self._batch()
+        profile = control_profile(batch, params)
+        assert profile.shape == (4, 5)
+        for b, world in enumerate(worlds):
+            assert np.array_equal(profile[b], control_profile(world, params))
+
+    def test_collision_in_later_member_names_pair(self):
+        params = ControlParams.homogeneous(5, alpha=0.2, alpha0=0.4)
+        _, batch = self._batch()
+        batch.positions[2, 4] = batch.positions[2, 0]
+        with pytest.raises(CollisionError) as err:
+            control_profile(batch, params)
+        assert err.value.pair == (4, 0)
+        assert "agents 5 and 1" in str(err.value)
+
+    def test_beacon_collision_in_later_member_names_agent(self):
+        params = ControlParams.homogeneous(5, alpha=0.2, alpha0=0.4)
+        _, batch = self._batch()
+        batch.positions[3, 1] = batch.beacon
+        with pytest.raises(CollisionError) as err:
+            control_profile(batch, params)
+        assert err.value.pair == (1, "beacon")
+
+
+def _random_case(seed, n):
+    """A world away from collocation plus heterogeneous parameters."""
+    rng = np.random.default_rng(seed)
+    while True:
+        world = random_world(n, seed=int(rng.integers(2**32)))
+        shape = extract_shape(world)
+        if min(shape.rho.min(), shape.rho_b.min()) > 0.2:
+            break
+    params = ControlParams(
+        n=n, mu=float(rng.uniform(0.2, 3.0)),
+        lam=float(rng.uniform(0.05, 0.95)), alpha=rng.uniform(-3, 3, n),
+        alpha0=rng.uniform(-3, 3, n), mu_b=rng.uniform(0.2, 3.0, n),
+        nu=rng.uniform(0.2, 3.0, n))
+    return world, params
+
+
+_PROPERTY = settings(derandomize=True, deadline=None, max_examples=50)
+
+
+class TestLawProperties:
+    @_PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 9),
+           angle=st.floats(-np.pi, np.pi),
+           shift=st.tuples(st.floats(-50, 50), st.floats(-50, 50)))
+    def test_rigid_motion_invariance(self, seed, n, angle, shift):
+        world, params = _random_case(seed, n)
+        c, s = np.cos(angle), np.sin(angle)
+        rot = np.array([[c, -s], [s, c]])
+        moved = WorldState(world.positions @ rot.T + shift,
+                           world.headings @ rot.T,
+                           rot @ world.beacon + shift)
+        assert np.max(np.abs(control_profile(moved, params)
+                             - control_profile(world, params))) < 1e-9
+
+    @_PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 9),
+           k=st.integers(1, 8))
+    def test_cyclic_relabelling_equivariance(self, seed, n, k):
+        world, params = _random_case(seed, n)
+        k %= n
+
+        def relabel(a):
+            return np.roll(a, -k, axis=0)
+
+        shifted = ControlParams(
+            n=n, mu=params.mu, lam=params.lam, alpha=relabel(params.alpha),
+            alpha0=relabel(params.alpha0), mu_b=relabel(params.mu_b),
+            nu=relabel(params.nu))
+        moved = WorldState(relabel(world.positions),
+                           relabel(world.headings), world.beacon)
+        assert np.array_equal(control_profile(moved, shifted),
+                              relabel(control_profile(world, params)))
 
 
 def _rates(world, params):

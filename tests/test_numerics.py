@@ -3,8 +3,9 @@ import pytest
 from scipy.linalg import expm
 
 from pursuit_lab.errors import IntegrationError, NumericError
-from pursuit_lab.numerics import (characteristic_polynomial, eig5, poly_roots,
-                                  rk4_step, wrap_angle)
+from pursuit_lab.numerics import (characteristic_polynomial, cyclic_neighbors,
+                                  eig5, poly_roots, rk4_integrate, rk4_step,
+                                  step_count, wrap_angle)
 
 from conftest import multiset_distance
 
@@ -65,6 +66,40 @@ class TestRK4:
 
         with pytest.raises(IntegrationError, match="index 1"):
             rk4_step(bad, np.zeros(3), 0.1)
+
+
+class TestHorizon:
+    @pytest.mark.parametrize("T,dt,steps", [
+        (100.0, 1e-2, 10000), (20.0, 1e-3, 20000), (0.1, 1e-2, 10),
+        (5.0, 0.01, 500), (0.5, 1e-3, 500), (0.6, 0.2, 3),
+    ])
+    def test_whole_horizons(self, T, dt, steps):
+        assert step_count(T, dt) == steps
+
+    @pytest.mark.parametrize("T,dt", [(1.0, 0.3), (1e-4, 1e-3)])
+    def test_inexact_or_empty_horizon_rejected(self, T, dt):
+        with pytest.raises(ValueError, match=f"T = {T:g}.*dt = {dt:g}"):
+            rk4_integrate(lambda s: -s, np.array([1.0]), T, dt)
+
+    def test_last_sample_lands_on_horizon(self):
+        times, _ = rk4_integrate(lambda s: -s, np.array([1.0]), 0.6, 0.2,
+                                 record_every=2)
+        assert times.size == 3
+        assert abs(times[-1] - 0.6) < 1e-15
+
+
+class TestCyclicNeighbors:
+    def test_gather_equals_roll(self):
+        x = np.random.default_rng(0).normal(size=(3, 7))
+        nxt, prv = cyclic_neighbors(7)
+        assert np.array_equal(x[..., nxt], np.roll(x, -1, axis=-1))
+        assert np.array_equal(x[..., prv], np.roll(x, 1, axis=-1))
+
+    def test_cached_and_read_only(self):
+        nxt, prv = cyclic_neighbors(5)
+        assert cyclic_neighbors(5)[0] is nxt
+        with pytest.raises(ValueError):
+            prv[0] = 1
 
 
 class TestPolyRoots:
