@@ -12,7 +12,6 @@ of the counter-clockwise conditions.
 """
 
 import enum
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +51,13 @@ class BranchAssignment:
         return "".join("+" if s == 1 else "-" for s in self.sigma)
 
 
+def _wrapped_alpha_star(m, M, n, alpha_sum):
+    """alpha* = ((m + M - n) pi - sum alpha) / (2M - n), wrapped, for
+    windings m and +1 counts M (integers or integer arrays) with
+    2M - n != 0."""
+    return wrap_angle(((m + M - n) * np.pi - alpha_sum) / (2 * M - n))
+
+
 def alpha_star(branch, params):
     """Common bearing offset kappa_i - alpha_i on a branch, wrapped.
 
@@ -61,13 +67,11 @@ def alpha_star(branch, params):
     if not params.flags().a3_common_alpha0:
         from .errors import AssumptionError
         raise AssumptionError("A3 violated: alpha0 differs across agents")
-    two_m_n = 2 * branch.M - branch.n
-    if two_m_n == 0:
+    if 2 * branch.M - branch.n == 0:
         raise DegenerateBranchError(
             "branch has 2M - n = 0; no isolated alpha*")
-    m, M, n = branch.m, branch.M, branch.n
-    value = ((m + M - n) * np.pi - params.alpha_sum()) / two_m_n
-    return float(wrap_angle(value))
+    return float(_wrapped_alpha_star(branch.m, branch.M, branch.n,
+                                     params.alpha_sum()))
 
 
 @dataclass
@@ -165,29 +169,49 @@ def enumerate_equilibria(params, direction=1, include_marginal=False):
             "sin(sum alpha_i) = 0: branch enumeration is unclassified; "
             "see classify_degenerate for the 2M - n = 0 branches")
 
-    alpha0 = params.alpha0[0]
-    found = []
-    for sigma in itertools.product((-1, 1), repeat=n):
-        branch_m = [BranchAssignment(sigma=sigma, m=m) for m in range(2 * n)]
-        if 2 * branch_m[0].M - n == 0:
-            continue
-        seen = []
-        for branch in branch_m:
-            a_star = alpha_star(branch, params)
-            if any(abs(wrap_angle(a_star - prev)) < 1e-12 for prev in seen):
-                continue
-            seen.append(a_star)
-            c1 = (params.lam * np.cos(alpha0)
-                  + (1.0 - params.lam) * direction * np.sin(a_star))
-            c2 = direction * np.sin(a_star + np.asarray(sigma) * params.alpha)
-            margins = np.concatenate([[c1], c2])
-            marginal = bool(np.min(np.abs(margins)) < MARGINAL_BAND)
-            accepted = bool(np.all(margins > STRICT_MARGIN)) and not marginal
-            if accepted or (marginal and include_marginal
-                            and np.all(margins > 0.0)):
-                found.append(_build_equilibrium(branch, a_star, direction,
-                                                params, margins, marginal))
-    return found
+    # sign patterns in itertools.product((-1, 1), repeat=n) order, less
+    # the 2M - n = 0 rows
+    bits = (np.arange(2 ** n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    M = bits.sum(axis=1)
+    keep = 2 * M - n != 0
+    sigma, M = bits[keep] * 2 - 1, M[keep]
+    turn = sigma * params.alpha
+    c1_base = params.lam * np.cos(params.alpha0[0])
+    c1_gain = (1.0 - params.lam) * direction
+    alpha_sum = params.alpha_sum()
+
+    # one pass over all sign patterns per winding; a pattern's alpha* is
+    # screened only when no earlier screened winding of it gave the
+    # same wrapped value
+    screened = []
+    hits = []
+    for m in range(2 * n):
+        a_star = _wrapped_alpha_star(m, M, n, alpha_sum)
+        fresh = np.ones(a_star.shape, dtype=bool)
+        for prev, prev_fresh in screened:
+            fresh &= ~(prev_fresh
+                       & (np.abs(wrap_angle(a_star - prev)) < 1e-12))
+        screened.append((a_star, fresh))
+        rows = np.flatnonzero(fresh)
+        a_fresh = a_star[rows]
+        c1 = c1_base + c1_gain * np.sin(a_fresh)
+        c2 = np.sin(a_fresh[:, None] + turn[rows])
+        c2 *= direction
+        margins = np.concatenate([c1[:, None], c2], axis=1)
+        marginal = np.abs(margins).min(axis=1) < MARGINAL_BAND
+        take = (margins > STRICT_MARGIN).all(axis=1) & ~marginal
+        if include_marginal:
+            take |= marginal & (margins > 0.0).all(axis=1)
+        hits += zip(rows[take].tolist(), [m] * int(take.sum()),
+                    a_fresh[take].tolist(), margins[take],
+                    marginal[take].tolist())
+
+    # sigma in product order, then m ascending
+    hits.sort(key=lambda hit: hit[:2])
+    return [_build_equilibrium(
+                BranchAssignment(sigma=tuple(sigma[row].tolist()), m=m),
+                a_star, direction, params, margins, marginal)
+            for row, m, a_star, margins, marginal in hits]
 
 
 def equilibrium_shape(eq, params):

@@ -29,8 +29,8 @@ def heading_from_angle(angle):
 class WorldState:
     """Positions and frames of n agents plus the fixed beacon."""
 
-    positions: np.ndarray  # (n, 2)
-    headings: np.ndarray   # (n, 2), unit rows
+    positions: np.ndarray  # (..., n, 2)
+    headings: np.ndarray   # (..., n, 2), unit rows
     beacon: np.ndarray     # (2,)
     t: float = 0.0
 
@@ -41,7 +41,7 @@ class WorldState:
 
     @property
     def n(self):
-        return self.positions.shape[0]
+        return self.positions.shape[-2]
 
     @classmethod
     def from_polar(cls, positions, heading_angles, beacon=(0.0, 0.0), t=0.0):

@@ -3,14 +3,17 @@
 The fixed-step RK4 step and the one driver loop every integrator runs
 through, the step count of a horizon, cyclic neighbour indices, angle
 normalization, polynomial root finding
-(Aberth-Ehrlich simultaneous iteration) and eigenvalues of 5x5 complex
-matrices via the characteristic polynomial.  All functions are pure.
+(Aberth-Ehrlich simultaneous iteration) and eigenvalues of stacked 5x5
+complex matrices via the characteristic polynomial.  All functions are
+pure.
 
 Conventions used package-wide:
 
 * state vectors are 1-D float arrays of fixed length;
-* polynomials are 1-D complex coefficient arrays, highest degree first,
-  with a nonzero leading coefficient;
+* polynomials are complex coefficient arrays along the last axis,
+  highest degree first, with a nonzero leading coefficient; leading
+  axes stack independent polynomials (or matrices, for the eigenvalue
+  kernels), each computed exactly as it would be alone;
 * angles are stored wrapped to (-pi, pi] and compared circularly.
 """
 
@@ -146,9 +149,14 @@ def rk4_integrate(field, y0, T, dt, record_every=1, post_step=None):
 
 
 def _horner(coeffs, z):
-    v = np.full_like(z, coeffs[0])
-    for c in coeffs[1:]:
-        v = v * z + c
+    """Values of the polynomials ``coeffs`` (..., d+1) at the points
+    ``z`` (..., r), row by row."""
+    # out-of-place products: numpy's in-place complex multiply of a
+    # length-1 array can round differently from the out-of-place one
+    v = np.empty_like(z)
+    v[...] = coeffs[..., :1]
+    for i in range(1, coeffs.shape[-1]):
+        v = v * z + coeffs[..., i:i + 1]
     return v
 
 
@@ -207,8 +215,87 @@ def _polish_clusters(coeffs, roots, scale):
     return out
 
 
+def _aberth(c, residual_tol, max_iter, step_tol):
+    """Aberth-Ehrlich sweeps on the monic rows ``c`` (B, n+1), n >= 2.
+
+    Every row runs its own iteration: it stops updating at the sweep
+    where its own residual or step test passes, so it takes exactly the
+    sweeps it would take alone.  Raises NumericError if any row is still
+    iterating after ``max_iter`` sweeps.
+    """
+    n = c.shape[1] - 1
+    dc = c[:, :-1] * np.arange(n, 0, -1)
+    radius = 1.0 + np.max(np.abs(c[:, 1:]), axis=1)
+    angles = 2.0 * np.pi * (np.arange(n) + 0.25) / n + 0.4
+    z = radius[:, None] * np.exp(1j * angles)
+    # the rows still iterating: their indices into z, current estimates,
+    # residual tolerances and coefficients
+    live, za, tol = np.arange(c.shape[0]), z.copy(), residual_tol
+
+    def freeze(stop):
+        nonlocal live, za, tol, c, dc
+        z[live[stop]] = za[stop]
+        keep = ~stop
+        live, za, tol = live[keep], za[keep], tol[keep]
+        c, dc = c[keep], dc[keep]
+        return keep
+
+    for _ in range(max_iter):
+        pv = _horner(c, za)
+        converged = np.abs(pv).max(axis=1) <= tol
+        if converged.any():
+            pv = pv[freeze(converged)]
+            if not live.size:
+                break
+        dv = _horner(dc, za)
+        dv = np.where(dv == 0, 1e-300, dv)
+        w = pv / dv
+        diff = za[:, :, None] - za[:, None, :]
+        diff.reshape(live.size, n * n)[:, ::n + 1] = np.inf
+        s = (1.0 / diff).sum(axis=2)
+        denom = 1.0 - w * s
+        denom = np.where(np.abs(denom) < 1e-300, 1.0, denom)
+        delta = w / denom
+        za = za - delta
+        done = (np.abs(delta).max(axis=1)
+                <= step_tol * (1.0 + np.abs(za).max(axis=1)))
+        if done.any():
+            freeze(done)
+            if not live.size:
+                break
+    if live.size:
+        raise NumericError(
+            f"polynomial root iteration did not converge in {max_iter} sweeps"
+        )
+    return z
+
+
+def _deflated_roots(c, zero_roots, scale, max_iter, step_tol):
+    """Roots of the monic rows ``c`` (B, n+1), n >= 1, followed by
+    ``zero_roots`` exact zeros (the deflated trailing zero
+    coefficients)."""
+    zeros = np.zeros((c.shape[0], zero_roots), dtype=complex)
+    if c.shape[1] == 2:
+        return np.concatenate([-c[:, 1:], zeros], axis=1)
+    roots = np.concatenate(
+        [_aberth(c, 1e-13 * scale, max_iter, step_tol), zeros], axis=1)
+    full = np.concatenate([c, zeros], axis=1)
+    polish_scale = 1.0 + np.max(np.abs(full), axis=1)
+    # Only a row with two roots inside twice the cluster radius of
+    # _polish_clusters can have a cluster; the others are left as they are.
+    radius = 1e-2 * (1.0 + np.max(np.abs(roots), axis=1))
+    gap = np.abs(roots[:, :, None] - roots[:, None, :])
+    diag = np.arange(roots.shape[1])
+    gap[:, diag, diag] = np.inf
+    for row in np.flatnonzero(
+            (gap < 2.0 * radius[:, None, None]).any(axis=(1, 2))):
+        roots[row] = _polish_clusters(full[row], roots[row],
+                                      float(polish_scale[row]))
+    return roots
+
+
 def poly_roots(coeffs, max_iter=500, step_tol=1e-14):
-    """All complex roots (with multiplicity) of a polynomial.
+    """All complex roots (with multiplicity) of polynomials.
 
     Aberth-Ehrlich simultaneous iteration; initial estimates sit on a
     circle inside the Cauchy root bound with an angular offset that breaks
@@ -217,102 +304,79 @@ def poly_roots(coeffs, max_iter=500, step_tol=1e-14):
 
     Parameters
     ----------
-    coeffs : array_like
-        Complex coefficients, highest degree first; leading entry nonzero.
+    coeffs : array_like, shape (..., d+1)
+        Complex coefficients, highest degree first; leading entry
+        nonzero.  Leading axes hold independent polynomials, each solved
+        exactly as it would be alone.
 
     Returns
     -------
-    ndarray
-        ``degree`` complex roots, residuals below
+    ndarray, shape (..., d)
+        The complex roots of each polynomial, residuals below
         ``1e-9 * (1 + max |coefficient|)``.
 
     Raises
     ------
     NumericError
-        If the iteration has not converged after ``max_iter`` sweeps.
+        If any polynomial has not converged after ``max_iter`` sweeps.
     """
-    c = np.atleast_1d(np.asarray(coeffs, dtype=complex))
-    if c.ndim != 1 or c.size < 2:
+    c = np.asarray(coeffs, dtype=complex)
+    if c.ndim < 1 or c.shape[-1] < 2:
         raise ValueError("polynomial degree must be at least 1")
-    if c[0] == 0:
+    if np.any(c[..., 0] == 0):
         raise ValueError("leading coefficient must be nonzero")
-    scale = 1.0 + float(np.max(np.abs(c)))
-    c = c / c[0]
+    lead, deg = c.shape[:-1], c.shape[-1] - 1
+    c = c.reshape(-1, deg + 1)
+    scale = 1.0 + np.max(np.abs(c), axis=1)
+    c = c / c[:, :1]
 
     # Exact zero roots deflate immediately (keeps multiple roots at the
-    # origin from slowing the simultaneous iteration).
-    zero_roots = 0
-    while c.size > 1 and c[-1] == 0:
-        zero_roots += 1
-        c = c[:-1]
-    n = c.size - 1
-    if n == 0:
-        return np.zeros(zero_roots, dtype=complex)
-    if n == 1:
-        return np.concatenate([[-c[1]], np.zeros(zero_roots, dtype=complex)])
-
-    dc = c[:-1] * np.arange(n, 0, -1)
-    radius = 1.0 + float(np.max(np.abs(c[1:])))
-    angles = 2.0 * np.pi * (np.arange(n) + 0.25) / n + 0.4
-    z = radius * np.exp(1j * angles)
-
-    residual_tol = 1e-13 * scale
-    for _ in range(max_iter):
-        pv = _horner(c, z)
-        if np.max(np.abs(pv)) <= residual_tol:
-            break
-        dv = _horner(dc, z)
-        dv = np.where(dv == 0, 1e-300, dv)
-        w = pv / dv
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, np.inf)
-        s = (1.0 / diff).sum(axis=1)
-        denom = 1.0 - w * s
-        denom = np.where(np.abs(denom) < 1e-300, 1.0, denom)
-        delta = w / denom
-        z = z - delta
-        if np.max(np.abs(delta)) <= step_tol * (1.0 + np.max(np.abs(z))):
-            break
-    else:
-        raise NumericError(
-            f"polynomial root iteration did not converge in {max_iter} sweeps"
-        )
-    roots = np.concatenate([z, np.zeros(zero_roots, dtype=complex)])
-    full = np.concatenate([c, np.zeros(zero_roots, dtype=complex)])
-    return _polish_clusters(full, roots, 1.0 + float(np.max(np.abs(full))))
+    # origin from slowing the simultaneous iteration); rows are solved in
+    # groups of equal deflated degree.
+    zero_roots = np.cumprod(c[:, ::-1] == 0, axis=1).sum(axis=1)
+    roots = np.empty((c.shape[0], deg), dtype=complex)
+    for zeros in range(deg):
+        rows = np.flatnonzero(zero_roots == zeros)
+        if rows.size:
+            roots[rows] = _deflated_roots(c[rows, :deg + 1 - zeros], zeros,
+                                          scale[rows], max_iter, step_tol)
+    roots[zero_roots == deg] = 0.0
+    return roots.reshape(lead + (deg,))
 
 
 def characteristic_polynomial(matrix):
-    """Characteristic polynomial of a square complex matrix.
+    """Characteristic polynomials of square complex matrices.
 
     Faddeev-LeVerrier recurrence; exact in exact arithmetic, no
-    eigendecomposition involved.  Coefficients highest degree first,
-    monic.
+    eigendecomposition involved.  A (..., k, k) stack gives (..., k+1)
+    coefficients, highest degree first, monic.
     """
     a = np.asarray(matrix, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise ValueError("matrix must be square")
-    k = a.shape[0]
-    coeffs = np.empty(k + 1, dtype=complex)
-    coeffs[0] = 1.0
+    k = a.shape[-1]
+    coeffs = np.empty(a.shape[:-2] + (k + 1,), dtype=complex)
+    coeffs[..., 0] = 1.0
     mk = np.zeros_like(a)
     eye = np.eye(k)
     for j in range(1, k + 1):
-        mk = a @ (mk + coeffs[j - 1] * eye)
-        coeffs[j] = -np.trace(mk) / j
+        mk = a @ (mk + coeffs[..., j - 1, None, None] * eye)
+        coeffs[..., j] = -np.trace(mk, axis1=-2, axis2=-1) / j
     return coeffs
 
 
 def eig5(matrix):
-    """The 5 eigenvalues of a 5x5 complex matrix.
+    """The 5 eigenvalues of each 5x5 complex matrix of a (..., 5, 5)
+    stack, as a (..., 5) array.
 
     Computed as the roots of the characteristic polynomial with the
     Aberth-Ehrlich solver; backward error at working precision for the
-    well-conditioned fixed-size blocks this package produces.
+    well-conditioned fixed-size blocks this package produces.  Raises
+    NumericError when any member has a non-finite entry.
     """
     a = np.asarray(matrix, dtype=complex)
-    if a.shape != (5, 5):
-        raise ValueError("eig5 expects a 5x5 matrix")
-    if not np.all(np.isfinite(a.view(float))):
+    if a.shape[-2:] != (5, 5):
+        raise ValueError("eig5 expects 5x5 matrices")
+    if not np.isfinite(a).all():
         raise NumericError("matrix has non-finite entries")
     return poly_roots(characteristic_polynomial(a))

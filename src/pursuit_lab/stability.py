@@ -151,10 +151,17 @@ def block_triple(params, m):
 
 
 def dk(blocks, k, n):
-    """Mode block D_k = A0 + w^k A1 + w^-k A-1, w = exp(2 pi j / n)."""
-    if not 0 <= k < n:
+    """Mode block D_k = A0 + w^k A1 + w^-k A-1, w = exp(2 pi j / n).
+
+    ``k`` is a mode index or an array of them; an array of shape s gives
+    the stack of blocks, shape s + (5, 5).
+    """
+    k = np.asarray(k)
+    if np.any((k < 0) | (k >= n)):
         raise ValueError("mode index k must satisfy 0 <= k < n")
-    w = np.exp(2j * np.pi * k / n)
+    # the phase is a real division: dividing the complex 2 pi j k by n
+    # would multiply by a rounded 1/n and move w in the last bit
+    w = np.exp(1j * (2.0 * np.pi * k / n))[..., None, None]
     return blocks.A0.astype(complex) + w * blocks.A1 + np.conj(w) * blocks.Am1
 
 
@@ -355,8 +362,7 @@ def spectrum_report(params, m):
     n = params.n
     diagnostics = []
     by_mode = []
-    for k in range(n):
-        eigs = eig5(dk(blocks, k, n))
+    for k, eigs in enumerate(eig5(dk(blocks, np.arange(n), n))):
         targets = [1j * mu_a, -1j * mu_a]
         if k == 0:
             targets.append(0.0 + 0.0j)

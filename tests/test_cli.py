@@ -259,6 +259,42 @@ def test_shipped_outputs_unchanged(tmp_path):
     assert not changed
 
 
+# SHA-256 of the analysis artifacts at larger n than the shipped
+# configs reach, recorded before the spectrum and the branch screen were
+# batched: n = 50 exercises every mode-block root of unity, n = 7 gives
+# 2**7 sign patterns.
+LARGER_N_OUTPUTS = [
+    (("stability", "n=50"), {
+        "manifest.txt":
+            "14601b4f35f982d3d3b35073c0da13501cedf8f4c212ed70254b24db01b57692",
+        "spectrum.csv":
+            "9929e758e3ca397e121bff5724e221b746d6229bc47b2a9c8a118d5d16ec4d00",
+        "stability.txt":
+            "5d3c9607c45e238a4974ba3acb04238911b9d1fb38c374c0bbaa25adbb9b2665",
+    }),
+    (("equilibria", "n=7"), {
+        "equilibria.txt":
+            "a7a41ce3bb6fd02db7eca0c164a2c3090eda483f814ee1f4ebc62b9007d119fc",
+        "manifest.txt":
+            "34743ce2efe524f098c7a5583f5dcff757df1ed38646fcc8c20ea24cf337cfec",
+    }),
+]
+
+
+def test_larger_n_analysis_outputs_unchanged(tmp_path):
+    changed = []
+    for (mode, override), expected in LARGER_N_OUTPUTS:
+        out = tmp_path / mode
+        assert cli.main([mode, "--config", f"{CONFIG_DIR}/reference.cfg",
+                         "--out", str(out), "--override", override]) == 0
+        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in out.iterdir()}
+        assert sorted(got) == sorted(expected)
+        changed += [f"{mode} {override}: {name}" for name in expected
+                    if got[name] != expected[name]]
+    assert not changed
+
+
 class TestMainExitCodes:
     def test_success(self, tmp_path, capsys):
         code = cli.main(["equilibria", "--config",

@@ -1,10 +1,15 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pursuit_lab import (ControlParams, alpha_star, classify_degenerate,
                          constraint_residuals, enumerate_equilibria,
                          equilibrium_shape, extract_shape, shape_derivative)
-from pursuit_lab.equilibria import (BranchAssignment, DegenerateClass,
+from pursuit_lab.equilibria import (ALPHA_SUM_TOL, MARGINAL_BAND,
+                                    STRICT_MARGIN, BranchAssignment,
+                                    DegenerateClass, _build_equilibrium,
                                     common_curvature, embed_world,
                                     format_equilibrium_report)
 from pursuit_lab.errors import (DegenerateAlphaSumError,
@@ -112,6 +117,100 @@ class TestEnumerate:
                                            alpha0=0.2)
         with pytest.raises(EnumerationSizeError):
             enumerate_equilibria(params, direction=1)
+
+
+def _per_candidate_enumeration(params, direction, include_marginal):
+    """Reference screen: one candidate (sigma, m) at a time, in
+    itertools.product order of sigma, then m ascending."""
+    alpha0 = params.alpha0[0]
+    found = []
+    for sigma in itertools.product((-1, 1), repeat=params.n):
+        branch_m = [BranchAssignment(sigma=sigma, m=m)
+                    for m in range(2 * params.n)]
+        if 2 * branch_m[0].M - params.n == 0:
+            continue
+        seen = []
+        for branch in branch_m:
+            a_star = alpha_star(branch, params)
+            if any(abs(wrap_angle(a_star - prev)) < 1e-12 for prev in seen):
+                continue
+            seen.append(a_star)
+            c1 = (params.lam * np.cos(alpha0)
+                  + (1.0 - params.lam) * direction * np.sin(a_star))
+            c2 = direction * np.sin(a_star + np.asarray(sigma) * params.alpha)
+            margins = np.concatenate([[c1], c2])
+            marginal = bool(np.min(np.abs(margins)) < MARGINAL_BAND)
+            accepted = bool(np.all(margins > STRICT_MARGIN)) and not marginal
+            if accepted or (marginal and include_marginal
+                            and np.all(margins > 0.0)):
+                found.append(_build_equilibrium(branch, a_star, direction,
+                                                params, margins, marginal))
+    return found
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64),
+                                                 b.view(np.uint64))
+
+
+class TestScreenOracle:
+    """The vectorised screen reproduces the per-candidate screen bit for
+    bit: same branches in the same order, same values."""
+
+    def _check(self, params, direction, include_marginal):
+        if abs(np.sin(params.alpha_sum())) <= ALPHA_SUM_TOL:
+            with pytest.raises(DegenerateAlphaSumError):
+                enumerate_equilibria(params, direction, include_marginal)
+            return
+        expected = _per_candidate_enumeration(params, direction,
+                                              include_marginal)
+        got = enumerate_equilibria(params, direction, include_marginal)
+        assert [(e.branch.sigma, e.branch.m) for e in got] \
+            == [(e.branch.sigma, e.branch.m) for e in expected]
+        for g, e in zip(got, expected):
+            assert all(type(s) is int for s in g.branch.sigma)
+            assert type(g.alpha_star) is float
+            assert _same_bits(g.alpha_star, e.alpha_star)
+            assert g.direction == e.direction
+            assert g.marginal is e.marginal
+            for name in ("kappa", "theta", "rho", "rho_b", "margins"):
+                assert _same_bits(getattr(g, name), getattr(e, name)), name
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8),
+           kind=st.sampled_from(["common", "special", "heterogeneous"]),
+           direction=st.sampled_from([1, -1]),
+           include_marginal=st.booleans())
+    def test_matches_per_candidate_screen(self, seed, n, kind, direction,
+                                          include_marginal):
+        rng = np.random.default_rng(seed)
+        if kind == "heterogeneous":
+            alpha = rng.uniform(-np.pi, np.pi, n)
+        elif kind == "special":
+            # rational multiples of pi put candidates in the marginal band
+            alpha = np.pi * int(rng.integers(-5, 6)) / int(
+                rng.choice([3, 4, 6, 12]))
+        else:
+            alpha = float(rng.uniform(-np.pi, np.pi))
+        params = ControlParams.homogeneous(
+            n, mu=float(rng.uniform(0.2, 3.0)),
+            lam=float(rng.uniform(0.05, 0.95)), alpha=alpha,
+            alpha0=float(rng.uniform(-np.pi, np.pi)))
+        self._check(params, direction, include_marginal)
+
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_marginal_branches_of_even_n(self, n):
+        # even n skips the 2M - n = 0 patterns; alpha = pi/6 puts some
+        # branches in the marginal band
+        params = ControlParams.homogeneous(n, mu=1.0, lam=0.5,
+                                           alpha=np.pi / 6, alpha0=np.pi / 4)
+        found = enumerate_equilibria(params, 1, include_marginal=True)
+        assert any(eq.marginal for eq in found)
+        assert all(2 * eq.branch.M != n for eq in found)
+        for direction in (1, -1):
+            for include_marginal in (False, True):
+                self._check(params, direction, include_marginal)
 
 
 class TestEmbedding:

@@ -93,6 +93,12 @@ class TestLeadingAxes:
                                   np.stack([w.headings for w in worlds]),
                                   worlds[0].beacon)
 
+    def test_agent_count_of_stacked_world(self):
+        world = WorldState(np.zeros((4, 5, 2)), np.zeros((4, 5, 2)),
+                           np.zeros(2))
+        assert world.n == 5
+        assert self._batch(n=3, size=6)[1].n == 3
+
     def test_batch_rows_match_single_worlds(self):
         rng = np.random.default_rng(3)
         params = ControlParams(

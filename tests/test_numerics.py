@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from pursuit_lab import ControlParams
 from pursuit_lab.errors import IntegrationError, NumericError
 from pursuit_lab.numerics import (characteristic_polynomial, cyclic_neighbors,
                                   eig5, poly_roots, rk4_integrate, rk4_step,
                                   step_count, wrap_angle)
+from pursuit_lab.stability import block_triple, dk
 
 from conftest import multiset_distance
 
@@ -171,7 +173,6 @@ class TestEig5:
         assert multiset_distance(eig5(m), [1, 2, 3, 4, 5]) < 1e-10
 
     def test_reference_mode_zero_block(self, reference_params):
-        from pursuit_lab.stability import block_triple, dk
         blocks, _ = block_triple(reference_params, 1)
         eigs = eig5(dk(blocks, 0, 3))
         expected = [0.0, 1.20711j, -1.20711j,
@@ -201,3 +202,116 @@ class TestEig5:
     def test_wrong_shape_rejected(self):
         with pytest.raises(ValueError):
             eig5(np.eye(4))
+
+
+def _bits(a):
+    return np.asarray(a).view(np.uint64)
+
+
+def _sweeps(matrix):
+    """Sweeps the root iteration of one matrix takes on its own."""
+    coeffs = characteristic_polynomial(matrix)
+    for max_iter in range(1, 100):
+        try:
+            poly_roots(coeffs, max_iter=max_iter)
+            return max_iter
+        except NumericError:
+            pass
+    raise AssertionError("no convergence within 100 sweeps")
+
+
+class TestStacks:
+    """Leading axes: every member is computed exactly as alone."""
+
+    def _stack(self):
+        params = ControlParams.homogeneous(7, mu=1.3, lam=0.4,
+                                           alpha=np.pi / 6, alpha0=np.pi / 4)
+        blocks, _ = block_triple(params, 1)
+        rng = np.random.default_rng(5)
+        return np.stack([
+            dk(blocks, 2, 7),                    # generic mode block
+            np.diag([0.0, 1.0, 2.0, 3.0, 4.0]),  # deflates a zero root
+            np.eye(5),                           # quintuple-root polish
+            dk(blocks, 0, 7),
+            rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)),
+            np.diag([1.0, 2.0, 3.0, 4.0, 5.0]),
+        ]).astype(complex)
+
+    def test_rows_converge_at_different_sweeps(self):
+        assert len({_sweeps(m) for m in self._stack()}) > 1
+
+    def test_eig5_rows_equal_single_calls(self):
+        stack = self._stack()
+        single = np.stack([eig5(m) for m in stack])
+        assert np.array_equal(_bits(eig5(stack)), _bits(single))
+
+    def test_any_leading_shape(self):
+        stack = self._stack().reshape(2, 3, 5, 5)
+        eigs = eig5(stack)
+        assert eigs.shape == (2, 3, 5)
+        for i in range(2):
+            for j in range(3):
+                assert np.array_equal(_bits(eigs[i, j]),
+                                      _bits(eig5(stack[i, j])))
+
+    def test_max_iter_counts_per_row(self):
+        stack = self._stack()
+        coeffs = characteristic_polynomial(stack)
+        most = max(_sweeps(m) for m in stack)
+        roots = poly_roots(coeffs, max_iter=most)
+        assert np.array_equal(_bits(roots), _bits(eig5(stack)))
+        with pytest.raises(NumericError):
+            poly_roots(coeffs, max_iter=most - 1)
+
+    def test_poly_rows_equal_single_calls(self):
+        rng = np.random.default_rng(6)
+        rows = rng.normal(size=(8, 5)) + 1j * rng.normal(size=(8, 5))
+        rows[1, -1] = 0.0       # one zero root
+        rows[2, -3:] = 0.0      # deflates to degree 1
+        rows[3, 1:] = 0.0       # all roots at the origin
+        rows[4] = np.poly([1.0, 1.0, 1.0, 2.0])   # triple-root polish
+        rows[5] = np.poly([0.5j, 0.5j, -1.0, 2.0])
+        single = np.stack([poly_roots(r) for r in rows])
+        assert np.array_equal(_bits(poly_roots(rows)), _bits(single))
+
+    def test_charpoly_rows_equal_single_calls(self):
+        stack = self._stack()
+        single = np.stack([characteristic_polynomial(m) for m in stack])
+        assert np.array_equal(_bits(characteristic_polynomial(stack)),
+                              _bits(single))
+
+    def test_nonfinite_member_rejected(self):
+        stack = self._stack()
+        stack[3, 1, 2] = np.nan
+        with pytest.raises(NumericError):
+            eig5(stack)
+
+    def test_one_sweep_rejected(self):
+        coeffs = characteristic_polynomial(self._stack())
+        with pytest.raises(NumericError):
+            poly_roots(coeffs, max_iter=1)
+
+    def test_wrong_block_size_rejected(self):
+        with pytest.raises(ValueError):
+            eig5(np.zeros((3, 4, 4)))
+
+    def test_zero_leading_coefficient_in_any_row_rejected(self):
+        with pytest.raises(ValueError):
+            poly_roots([[1.0, 2.0, 3.0], [0.0, 1.0, 2.0]])
+
+    @pytest.mark.parametrize("n", [17, 50])
+    def test_mode_block_stack(self, n):
+        params = ControlParams.homogeneous(n, mu=1.0, lam=0.5,
+                                           alpha=np.pi / 6, alpha0=np.pi / 4)
+        blocks, _ = block_triple(params, 1)
+        stack = dk(blocks, np.arange(n), n)
+        assert np.array_equal(
+            _bits(stack), _bits(np.stack([dk(blocks, k, n)
+                                          for k in range(n)])))
+        # the root of unity as the scalar formula on Python numbers gives
+        # it (a real division by n), not as a complex array division
+        for k in range(n):
+            w = np.exp(2j * np.pi * k / n)
+            expected = (blocks.A0.astype(complex) + w * blocks.A1
+                        + np.conj(w) * blocks.Am1)
+            assert np.array_equal(_bits(stack[k]), _bits(expected))
