@@ -475,7 +475,7 @@ def run(cfg):
     return [cfg.out_dir / name for name in artifacts]
 
 
-def _sweep_item(cfg, value):
+def _sweep_params(cfg, value):
     base = cfg.params
     kwargs = dict(n=base.n, mu=base.mu, lam=base.lam, alpha=base.alpha,
                   alpha0=base.alpha0, mu_b=base.mu_b, nu=base.nu)
@@ -485,21 +485,33 @@ def _sweep_item(cfg, value):
         kwargs["alpha"] = value
     else:
         kwargs["lam"] = value
-    try:
-        params = ControlParams(**kwargs)
-        verdict = stability.routh_necessary(params, cfg.m)
-        spectrum = stability.spectrum_report(params, cfg.m)
-        return (True, verdict.overall,
-                format(spectrum.max_informative_real(), ".12g"))
-    except (PursuitLabError, ValueError):
-        return (False, False, "nan")
+    return ControlParams(**kwargs)
 
 
 def _run_sweep(cfg):
+    """One row per sample: existence, the Routh verdict and the largest
+    informative real part.  The spectra of all existing samples come
+    from one stacked eigen-solve; a sample that is rejected, has no
+    equilibrium or whose own solve fails reads as non-existent."""
     values = np.linspace(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_samples)
+    verdicts = {}
+    for idx, value in enumerate(values):
+        try:
+            params = _sweep_params(cfg, value)
+            verdicts[idx] = (params,
+                             stability.routh_necessary(params, cfg.m).overall)
+        except (PursuitLabError, ValueError):
+            pass
+    spectra = dict(zip(verdicts, stability.spectrum_reports(
+        [params for params, _ in verdicts.values()], cfg.m)))
     rows = []
     for idx, value in enumerate(values):
-        exists, verdict, worst = _sweep_item(cfg, value)
+        spectrum = spectra.get(idx)
+        if spectrum is None:
+            exists, verdict, worst = False, False, "nan"
+        else:
+            exists, verdict = True, verdicts[idx][1]
+            worst = format(spectrum.max_informative_real(), ".12g")
         rows.append((idx, format(value, ".12g"), int(exists), int(verdict),
                      worst))
     return rows

@@ -75,7 +75,8 @@ def _chase_geometry(px, py, beacon):
     dx = px[..., nxt] - px
     dy = py[..., nxt] - py
     rho = np.hypot(dx, dy)
-    if np.any(rho <= EPS_COL):
+    # fmin skips NaN, so this decides as np.any(rho <= EPS_COL) does
+    if np.fmin.reduce(rho, axis=None) <= EPS_COL:
         i = int(np.argmax(rho <= EPS_COL)) % n
         raise CollisionError(
             f"agents {i + 1} and {(i + 1) % n + 1} are collocated",
@@ -83,7 +84,7 @@ def _chase_geometry(px, py, beacon):
     bx = beacon[0] - px
     by = beacon[1] - py
     rho_b = np.hypot(bx, by)
-    if np.any(rho_b <= EPS_COL):
+    if np.fmin.reduce(rho_b, axis=None) <= EPS_COL:
         i = int(np.argmax(rho_b <= EPS_COL)) % n
         raise CollisionError(f"agent {i + 1} is collocated with the beacon",
                              pair=(i, "beacon"))

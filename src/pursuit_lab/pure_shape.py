@@ -27,8 +27,6 @@ from .shape_space import EPS_COL
 # A5 guard: |cos(Phi/2)|, |cos(Psi/2)| or |sin(Phi/2)| below this is
 # flagged (the manifold derivation divides by these quantities).
 A5_GUARD_TOL = 1e-6
-# Manifold-membership tolerance for classification.
-MEMBERSHIP_TOL = 1e-7
 
 
 @dataclass
@@ -229,9 +227,6 @@ class ManifoldSpec:
             float(np.max(np.abs(state.rho_t - 1.0))),
             float(np.max(np.abs(state.rho_tb - self.rho_tb_const))),
         ])
-
-    def contains(self, state, tol=MEMBERSHIP_TOL):
-        return bool(np.max(self.residuals(state)) < tol)
 
 
 def manifold_spec(n, k):
@@ -538,7 +533,8 @@ def integrate_pure_shape(state0, params, T, dt=DEFAULT_DT, record_every=1):
         # blocks, then the rho~, rho~_b ratio blocks
         vec[0] = wrap_angle(vec[0])
         vec[2:2 + 3 * n] = wrap_angle(vec[2:2 + 3 * n])
-        if vec[1] <= EPS_COL or np.any(vec[2 + 3 * n:] * vec[1] <= EPS_COL):
+        if (vec[1] <= EPS_COL
+                or np.fmin.reduce(vec[2 + 3 * n:] * vec[1]) <= EPS_COL):
             raise CollisionError("a range reached the collocation floor",
                                  t=t)
         guards = a5_guard_values(PureShapeState.from_vector(vec, n))

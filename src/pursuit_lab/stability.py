@@ -11,11 +11,11 @@ stability, mode by mode.  The gain mu only scales the spectrum, so the
 verdict is mu-independent.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import EquilibriumNotFoundError, SingularModeError
+from .errors import EquilibriumNotFoundError, NumericError, SingularModeError
 from .numerics import eig5, poly_roots, wrap_angle
 from .params import require_analysis_assumptions
 
@@ -63,7 +63,8 @@ class CubicCoefficients:
     """Real/imaginary coefficient pairs of the mode-k cubic factor.
 
     The `_t` members are the real (tilde) parts and the `_h` members the
-    imaginary (hat) parts; at k = 0 every hat entry and e_t vanish.
+    imaginary (hat) parts; at k = 0 every hat entry and e_t vanish.  For
+    an array of modes ``k`` every member is an array of that shape.
     """
 
     c_t: float
@@ -74,6 +75,12 @@ class CubicCoefficients:
     e_h: float
     k: int
 
+    def modes(self):
+        """The single-mode coefficients of each entry, in order."""
+        columns = (np.asarray(getattr(self, f.name)).ravel().tolist()
+                   for f in fields(self))
+        return [CubicCoefficients(*mode) for mode in zip(*columns)]
+
     def polynomial(self, mu, a):
         """Monic cubic factor, highest degree first."""
         return np.array([
@@ -82,6 +89,18 @@ class CubicCoefficients:
             mu ** 2 * a * (self.d_t + 1j * self.d_h),
             mu ** 3 * a ** 2 * (self.e_t - 1j * self.e_h),
         ], dtype=complex)
+
+
+def _pow2(x):
+    """x squared through libm ``pow``, element by element, as the scalar
+    ``x ** 2`` forms it; ``x * x`` and ``np.square`` round differently on
+    about 1 input in 1,000."""
+    return np.float_power(x, 2.0)
+
+
+def _single(x):
+    """A 0-d result (one mode) as a Python scalar; arrays pass through."""
+    return np.asarray(x).item() if np.ndim(x) == 0 else x
 
 
 def abd(params, m):
@@ -123,10 +142,13 @@ def block_triple(params, m):
     column; A-1 couples to the previous agent solely through the theta
     row.
     """
-    co = abd(params, m)
+    return _block_triple(params, abd(params, m))
+
+
+def _block_triple(params, co):
     lam = params.lam
     mu = params.mu
-    angle = m * np.pi / params.n
+    angle = co.m * np.pi / params.n
     sin_m = np.sin(angle)
     q1 = 0.5 * mu ** 2 * co.a ** 2 / sin_m
     q2 = 0.5 * mu * co.a / np.tan(angle)
@@ -208,23 +230,31 @@ def cubic_coeffs(params, m, k):
 
     The quintic splits as (x^2 + mu^2 a^2) times a complex cubic; the
     six coefficients below are trigonometric in k*pi/n and carry no mu.
+    ``k`` is a mode index (Python float members) or an array of them
+    (array members of the same shape).
     """
-    co = abd(params, m)
-    lam = params.lam
+    return _cubic(params, abd(params, m), k)
+
+
+def _cubic(params, co, k):
     n = params.n
+    k = np.asarray(k)
+    angle = k * np.pi / n
+    sk = np.sin(angle)
+    ck = np.cos(angle)
+    sk2 = _pow2(sk)
+    lam = params.lam
     a, b, d = co.a, co.b, co.d
-    cot_m = 1.0 / np.tan(m * np.pi / n)
-    sk = np.sin(k * np.pi / n)
-    ck = np.cos(k * np.pi / n)
+    cot_m = 1.0 / np.tan(co.m * np.pi / n)
     cos_star = np.cos(co.alpha_star)
     return CubicCoefficients(
-        c_t=float(b + a * (1.0 - lam) * sk ** 2 * cot_m),
-        c_h=float(a * (1.0 - lam) * sk * ck * cot_m),
-        d_t=float(d * sk ** 2 + lam * a * ck ** 2),
-        d_h=float((lam * a - d) * sk * ck),
-        e_t=float((1.0 - lam) * cos_star * sk ** 2),
-        e_h=float((1.0 - lam) * cos_star * sk * ck),
-        k=k)
+        c_t=_single(b + a * (1.0 - lam) * sk2 * cot_m),
+        c_h=_single(a * (1.0 - lam) * sk * ck * cot_m),
+        d_t=_single(d * sk2 + lam * a * _pow2(ck)),
+        d_h=_single((lam * a - d) * sk * ck),
+        e_t=_single((1.0 - lam) * cos_star * sk2),
+        e_h=_single((1.0 - lam) * cos_star * sk * ck),
+        k=_single(k))
 
 
 @dataclass(frozen=True)
@@ -244,18 +274,24 @@ class RouthVerdict:
     ``overall`` is the conjunction over all applicable conditions.  The
     third condition is identically zero at k = 0 (every hat coefficient
     vanishes there) and is treated as vacuous for that mode; conditions
-    1-2 at k = 0 reduce to b > 0 given a > 0.
+    1-2 at k = 0 reduce to b > 0 given a > 0.  ``cubic`` is the table of
+    all modes' cubic coefficients the values were computed from.
     """
 
     rows: list
     overall: bool
     notes: list = field(default_factory=list)
+    cubic: CubicCoefficients = None
 
 
 def routh_conditions(params, m, k):
-    """The three Theorem-style condition values for mode k."""
+    """The three Theorem-style condition values for mode k (floats), or
+    for an array of modes (three arrays of its shape)."""
     co = abd(params, m)
-    cc = cubic_coeffs(params, m, k)
+    return tuple(_single(v) for v in _routh(co, _cubic(params, co, k)))
+
+
+def _routh(co, cc):
     a = co.a
     c_t, c_h, d_t, d_h, e_t, e_h = (cc.c_t, cc.c_h, cc.d_t, cc.d_h,
                                     cc.e_t, cc.e_h)
@@ -263,25 +299,27 @@ def routh_conditions(params, m, k):
     cond2 = c_t * (c_t * d_t - a * e_t) - d_h * (c_t * c_h + a * d_h)
     gamma = c_t * (c_t * d_t - c_h * d_h) - a * (d_h * d_h + c_t * e_t)
     lam_k = c_t * (c_h * e_t - c_t * e_h) + a * d_h * e_t
-    cond3 = gamma ** 2 * e_t + gamma * lam_k * d_h - lam_k ** 2 * c_t
-    return float(cond1), float(cond2), float(cond3)
+    cond3 = _pow2(gamma) * e_t + gamma * lam_k * d_h - _pow2(lam_k) * c_t
+    return cond1, cond2, cond3
 
 
 def routh_necessary(params, m):
-    """Evaluate the necessary stability conditions for every mode."""
-    rows = []
-    notes = []
-    for k in range(params.n):
-        values = routh_conditions(params, m, k)
-        applicable = (True, True, k != 0)
-        passed = all(v > 0.0 for v, app in zip(values, applicable) if app)
-        rows.append(RouthConditionRow(k=k, values=values,
-                                      applicable=applicable, passed=passed))
-        if k == 0:
-            notes.append("k=0: third condition is identically zero "
-                         "(vacuous); conditions 1-2 amount to b > 0")
-    return RouthVerdict(rows=rows, overall=all(r.passed for r in rows),
-                        notes=notes)
+    """Evaluate the necessary stability conditions for every mode, from
+    one ``abd`` and one array pass over all n modes."""
+    co = abd(params, m)
+    cc = _cubic(params, co, np.arange(params.n))
+    cond1, cond2, cond3 = _routh(co, cc)
+    third = cond3 > 0.0
+    third[0] = True
+    passed = (cond1 > 0.0) & (cond2 > 0.0) & third
+    values = zip(cond1.tolist(), cond2.tolist(), cond3.tolist())
+    rows = [RouthConditionRow(k=k, values=v,
+                              applicable=(True, True, k != 0), passed=p)
+            for k, (v, p) in enumerate(zip(values, passed.tolist()))]
+    notes = ["k=0: third condition is identically zero (vacuous); "
+             "conditions 1-2 amount to b > 0"]
+    return RouthVerdict(rows=rows, overall=bool(passed.all()), notes=notes,
+                        cubic=cc)
 
 
 @dataclass
@@ -301,13 +339,16 @@ class CorollaryReport:
 
 def corollary_checks(params, m):
     """The k = 0 shortcut (b > 0) and, for even n, the k = n/2 trio."""
-    co = abd(params, m)
+    return _corollaries(params, abd(params, m))
+
+
+def _corollaries(params, co):
     report_even = params.n % 2 == 0
     even_values = ()
     even_passed = True
     if report_even:
         lam = params.lam
-        cot_m = 1.0 / np.tan(m * np.pi / params.n)
+        cot_m = 1.0 / np.tan(co.m * np.pi / params.n)
         cos_star = np.cos(co.alpha_star)
         v1 = cos_star
         v2 = (lam * np.sin(params.common_alpha0())
@@ -356,46 +397,101 @@ class SpectrumReport:
 def spectrum_report(params, m):
     """Full 5n spectrum from the mode blocks, partitioned into the
     constraint and informative groups."""
-    blocks, _ = block_triple(params, m)
     co = abd(params, m)
-    mu_a = params.mu * co.a
-    n = params.n
+    return _group_spectrum(eig5(_mode_blocks(params, co)), params.mu * co.a)
+
+
+def spectrum_reports(samples, m):
+    """Spectrum reports of several parameter sets at one winding, from a
+    single eigen-solve over all their mode blocks.
+
+    Each entry equals ``spectrum_report(params, m)``; it is None where
+    that set's own solve raises NumericError, and such a set leaves the
+    other entries unchanged.  Errors of ``abd`` propagate.
+    """
+    cos = [abd(params, m) for params in samples]
+    stacks = [_mode_blocks(params, co) for params, co in zip(samples, cos)]
+    if not stacks:
+        return []
+    try:
+        eigs = np.split(eig5(np.concatenate(stacks)),
+                        np.cumsum([len(s) for s in stacks])[:-1])
+    except NumericError:
+        eigs = []
+        for stack in stacks:
+            try:
+                eigs.append(eig5(stack))
+            except NumericError:
+                eigs.append(None)
+    return [None if e is None else _group_spectrum(e, params.mu * co.a)
+            for e, params, co in zip(eigs, samples, cos)]
+
+
+def _mode_blocks(params, co):
+    blocks, _ = _block_triple(params, co)
+    return dk(blocks, np.arange(params.n), params.n)
+
+
+# Row j: the positions 0-4 other than j, in order.
+_OTHERS = np.array([[i for i in range(5) if i != j] for j in range(5)])
+# Sort keys of untaken positions: after the three targets, in order.
+_FREE_KEY = np.arange(3, 8)[None, :]
+
+
+def _group_spectrum(eigs, mu_a):
+    """Partition the (n, 5) mode eigenvalues into a SpectrumReport.
+
+    In each mode the constraint targets take, in order, the nearest
+    eigenvalue not yet taken (the first on a tie); the rest are
+    informative.  Distances are ``hypot`` of the difference, which equals
+    the scalar ``abs(z - target)``; ``np.abs`` on a complex array rounds
+    differently.
+    """
+    n = len(eigs)
+    rows = np.arange(n)
+    targets = (1j * mu_a, -1j * mu_a, 0.0 + 0.0j)
+    diff = eigs[..., None] - np.array(targets)
+    dist = np.hypot(diff.real, diff.imag)
+    up = dist[..., 0].argmin(axis=-1)
+    others = _OTHERS[up]
+    down = others[rows, dist[rows[:, None], others, 1].argmin(axis=-1)]
+    free = [i for i in range(5) if i != up[0] and i != down[0]]
+    zero = free[int(dist[0, free, 2].argmin())]
+    # constraint positions first, in target order, then the rest in order
+    key = np.repeat(_FREE_KEY, n, axis=0)
+    key[rows, up] = 0
+    key[rows, down] = 1
+    key[0, zero] = 2
+    grouped = eigs[rows[:, None], key.argsort(axis=-1)]
+    by_mode = [(grouped[0, :3], grouped[0, 3:])]
+    by_mode += zip(grouped[1:, :2], grouped[1:, 2:])
+
+    # modes that may need a diagnostic; the messages repeat the exact tests
+    tol = _MATCH_TOL * (1.0 + mu_a)
+    gaps = (dist[rows, up, 0], dist[rows, down, 1], dist[0, zero, 2])
+    flagged = ((key < 3) != (np.abs(eigs.real) < IMAG_AXIS_TOL)).any(axis=-1)
+    flagged |= (gaps[0] > tol) | (gaps[1] > tol)
+    flagged[0] |= gaps[2] > tol
     diagnostics = []
-    by_mode = []
-    for k, eigs in enumerate(eig5(dk(blocks, np.arange(n), n))):
-        targets = [1j * mu_a, -1j * mu_a]
-        if k == 0:
-            targets.append(0.0 + 0.0j)
-        remaining = list(eigs)
-        constraint = []
-        for target in targets:
-            dist = [abs(z - target) for z in remaining]
-            idx = int(np.argmin(dist))
-            z = remaining.pop(idx)
-            if dist[idx] > _MATCH_TOL * (1.0 + mu_a):
+    for k in np.flatnonzero(flagged):
+        matched, rest = by_mode[k]
+        for target, z, gap in zip(targets, matched,
+                                  (gaps[0][k], gaps[1][k], gaps[2])):
+            if gap > tol:
                 diagnostics.append(
                     f"k={k}: nearest eigenvalue to constraint root "
-                    f"{target:.6g} is {dist[idx]:.3e} away")
+                    f"{target:.6g} is {gap:.3e} away")
             if abs(z.real) >= IMAG_AXIS_TOL:
                 diagnostics.append(
                     f"k={k}: constraint eigenvalue {z:.6g} is off the "
                     f"imaginary axis (|Re| >= {IMAG_AXIS_TOL:.0e})")
-            constraint.append(z)
-        for z in remaining:
+        for z in rest:
             if abs(z.real) < IMAG_AXIS_TOL:
                 diagnostics.append(
                     f"k={k}: informative eigenvalue {z:.6g} is within "
                     "the imaginary-axis band (borderline)")
-        by_mode.append((np.asarray(constraint), np.asarray(remaining)))
-    report = SpectrumReport(by_mode=by_mode, diagnostics=diagnostics,
-                            mu_a=float(mu_a))
-    n_constraint = report.constraint.size
-    n_informative = report.informative.size
-    if n_constraint != 2 * n + 1 or n_informative != 3 * n - 1:
-        diagnostics.append(
-            f"partition count mismatch: {n_constraint} constraint / "
-            f"{n_informative} informative eigenvalues")
-    return report
+    return SpectrumReport(by_mode=by_mode, diagnostics=diagnostics,
+                          mu_a=float(mu_a))
 
 
 def format_stability_report(params, m, spectrum):
@@ -404,7 +500,10 @@ def format_stability_report(params, m, spectrum):
     parameters and winding) and the overall verdict."""
     co = abd(params, m)
     verdict = routh_necessary(params, m)
-    corollaries = corollary_checks(params, m)
+    corollaries = _corollaries(params, co)
+    cubics = verdict.cubic.modes()
+    cubic_roots = np.sort_complex(poly_roots(np.stack(
+        [cc.polynomial(params.mu, co.a) for cc in cubics])))
     lines = []
     lines.append(f"stability analysis at winding m = {m} "
                  f"(counter-clockwise leftmost branch)")
@@ -413,10 +512,8 @@ def format_stability_report(params, m, spectrum):
     lines.append(f"alpha* = {co.alpha_star:.12g} rad "
                  f"({co.alpha_star / np.pi:.6f} pi), a = {co.a:.12g}, "
                  f"b = {co.b:.12g}, d = {co.d:.12g}")
-    for row, groups in zip(verdict.rows, spectrum.by_mode):
-        cc = cubic_coeffs(params, m, row.k)
-        cubic_roots = np.sort_complex(
-            poly_roots(cc.polynomial(params.mu, co.a)))
+    for row, cc, roots, groups in zip(verdict.rows, cubics, cubic_roots,
+                                      spectrum.by_mode):
         lines.append("")
         lines.append(f"mode k = {row.k}: "
                      + ("PASS" if row.passed else "FAIL"))
@@ -429,7 +526,7 @@ def format_stability_report(params, m, spectrum):
         lines.append(f"  conditions: {conds}")
         lines.append("  cubic roots: "
                      + ", ".join(f"{z.real:+.9f}{z.imag:+.9f}j"
-                                 for z in cubic_roots))
+                                 for z in roots))
         lines.append("  eigenvalues: "
                      + ", ".join(f"{z.real:+.9f}{z.imag:+.9f}j"
                                  for z in np.sort_complex(

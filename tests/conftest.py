@@ -26,6 +26,16 @@ def multiset_distance(a, b):
     return float(cost[rows, cols].max())
 
 
+def same_bits(a, b):
+    """True when a and b have the same shape and dtype and the same bit
+    pattern in every element, so -0.0 and +0.0 differ."""
+    a, b = np.asarray(a), np.asarray(b)
+    if a.shape != b.shape or a.dtype != b.dtype:
+        return False
+    return np.array_equal(np.ascontiguousarray(a).reshape(-1).view(np.uint64),
+                          np.ascontiguousarray(b).reshape(-1).view(np.uint64))
+
+
 @pytest.fixture
 def reference_params():
     """n=3, mu=1, lambda=1/2, alpha=pi/6, alpha0=pi/4 (winding m=1)."""

@@ -3,8 +3,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from pursuit_lab import cli
-from pursuit_lab.errors import ConfigError
+from pursuit_lab import (ControlParams, cli, routh_necessary,
+                         spectrum_report)
+from pursuit_lab.errors import ConfigError, NumericError
 
 CONFIG_DIR = __file__.rsplit("/", 2)[0] + "/configs"
 
@@ -293,6 +294,72 @@ def test_larger_n_analysis_outputs_unchanged(tmp_path):
         changed += [f"{mode} {override}: {name}" for name in expected
                     if got[name] != expected[name]]
     assert not changed
+
+
+# SHA-256 of sweep runs that mix existing rows with rejected ones,
+# recorded before the sweep became one pass over a stacked eigen-solve:
+# a lambda range whose endpoints ControlParams rejects, an alpha range at
+# n = 10, and n = 50 with 96 samples.
+SWEEP_OUTPUTS = [
+    (("parameter=lambda", "start=0", "stop=1", "samples=41"), {
+        "manifest.txt":
+            "edc0e66fd00860fd82b269ddab0a8974cbeb7b7b63006bf8632fe8e69556e1af",
+        "sweep.csv":
+            "ea37de8e68da4ff08b6fb5dde8a424bafdb349e0163b5c102be8f73b05a91995",
+    }),
+    (("parameter=alpha", "start=-pi", "stop=pi", "samples=48", "n=10"), {
+        "manifest.txt":
+            "91f8c6c5e7368ed29d0d0a9d0fb11848b769a8cb46311693b8fa1bb0e4b34c7e",
+        "sweep.csv":
+            "6fab5f76f0b8058254e7fec0ce1b031430cb0eb18d9fb41b74481df58a416bf5",
+    }),
+    (("samples=96", "n=50"), {
+        "manifest.txt":
+            "8c2e4a84d69d90ff264f4a2dd631702a60d5deebba119dfc03dd1be1f156bc3e",
+        "sweep.csv":
+            "2e1e74e8ee8ea82cc688560a74d2692a956ebcad4e3a3ef25c12c38b8ac78029",
+    }),
+]
+
+
+@pytest.mark.parametrize("overrides,expected", SWEEP_OUTPUTS,
+                         ids=["lambda", "alpha-n10", "n50"])
+def test_sweep_outputs_unchanged(tmp_path, overrides, expected):
+    argv = ["sweep", "--config", f"{CONFIG_DIR}/sweep_alpha0.cfg", "--out",
+            str(tmp_path)]
+    for item in overrides:
+        argv += ["--override", item]
+    assert cli.main(argv) == 0
+    rows = (tmp_path / "sweep.csv").read_text().splitlines()[2:]
+    assert {row.split(",")[2] for row in rows} == {"0", "1"}
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in tmp_path.iterdir()}
+    assert got == expected
+
+
+def test_sweep_failed_solve_reads_nonexistent(tmp_path):
+    # at lambda = 1/32 the root iteration of mode k = 1 does not converge;
+    # that sample reads as non-existent and the other rows are computed
+    # as on their own
+    config = tmp_path / "sweep.cfg"
+    config.write_text("[system]\nn = 31\nmu = 3\nlambda = 0.5\nalpha = -1\n"
+                      "alpha0 = 0\n\n[sweep]\nparameter = lambda\n"
+                      "start = 0.03125\nstop = 0.5\nsamples = 4\nm = 1\n")
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", str(config), "--out",
+                     str(out)]) == 0
+    rows = (out / "sweep.csv").read_text().splitlines()[2:]
+    assert rows[0] == "0,0.03125,0,0,nan"
+    for idx, lam in enumerate(np.linspace(0.03125, 0.5, 4)):
+        params = ControlParams.homogeneous(31, mu=3.0, lam=lam, alpha=-1.0,
+                                           alpha0=0.0)
+        if idx == 0:
+            with pytest.raises(NumericError):
+                spectrum_report(params, 1)
+            continue
+        worst = spectrum_report(params, 1).max_informative_real()
+        verdict = int(routh_necessary(params, 1).overall)
+        assert rows[idx] == f"{idx},{lam:.12g},1,{verdict},{worst:.12g}"
 
 
 class TestMainExitCodes:

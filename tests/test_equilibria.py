@@ -16,7 +16,7 @@ from pursuit_lab.errors import (DegenerateAlphaSumError,
                                 DegenerateBranchError, EnumerationSizeError)
 from pursuit_lab.numerics import wrap_angle
 
-from conftest import reference_equilibrium
+from conftest import reference_equilibrium, same_bits
 
 
 class TestAlphaStar:
@@ -148,12 +148,6 @@ def _per_candidate_enumeration(params, direction, include_marginal):
     return found
 
 
-def _same_bits(a, b):
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    return a.shape == b.shape and np.array_equal(a.view(np.uint64),
-                                                 b.view(np.uint64))
-
-
 class TestScreenOracle:
     """The vectorised screen reproduces the per-candidate screen bit for
     bit: same branches in the same order, same values."""
@@ -171,11 +165,11 @@ class TestScreenOracle:
         for g, e in zip(got, expected):
             assert all(type(s) is int for s in g.branch.sigma)
             assert type(g.alpha_star) is float
-            assert _same_bits(g.alpha_star, e.alpha_star)
+            assert same_bits(g.alpha_star, e.alpha_star)
             assert g.direction == e.direction
             assert g.marginal is e.marginal
             for name in ("kappa", "theta", "rho", "rho_b", "margins"):
-                assert _same_bits(getattr(g, name), getattr(e, name)), name
+                assert same_bits(getattr(g, name), getattr(e, name)), name
 
     @settings(derandomize=True, deadline=None, max_examples=100)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8),

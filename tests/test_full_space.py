@@ -13,7 +13,7 @@ from pursuit_lab.full_space import (WorldState, control_profile,
                                     write_trajectory_csv)
 from pursuit_lab.numerics import wrap_angle
 
-from conftest import reference_equilibrium
+from conftest import reference_equilibrium, same_bits
 
 
 def _two_agent_params(lam=0.5, alpha=0.3, alpha0=0.7):
@@ -109,7 +109,7 @@ class TestLeadingAxes:
         profile = control_profile(batch, params)
         assert profile.shape == (4, 5)
         for b, world in enumerate(worlds):
-            assert np.array_equal(profile[b], control_profile(world, params))
+            assert same_bits(profile[b], control_profile(world, params))
 
     def test_collision_in_later_member_names_pair(self):
         params = ControlParams.homogeneous(5, alpha=0.2, alpha0=0.4)
@@ -119,6 +119,15 @@ class TestLeadingAxes:
             control_profile(batch, params)
         assert err.value.pair == (4, 0)
         assert "agents 5 and 1" in str(err.value)
+
+    def test_collision_next_to_nan_member_still_raises(self):
+        params = ControlParams.homogeneous(5, alpha=0.2, alpha0=0.4)
+        _, batch = self._batch()
+        batch.positions[0, 2] = np.nan
+        batch.positions[2, 4] = batch.positions[2, 0]
+        with pytest.raises(CollisionError) as err:
+            control_profile(batch, params)
+        assert err.value.pair == (4, 0)
 
     def test_beacon_collision_in_later_member_names_agent(self):
         params = ControlParams.homogeneous(5, alpha=0.2, alpha0=0.4)

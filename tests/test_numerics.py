@@ -9,7 +9,7 @@ from pursuit_lab.numerics import (characteristic_polynomial, cyclic_neighbors,
                                   step_count, wrap_angle)
 from pursuit_lab.stability import block_triple, dk
 
-from conftest import multiset_distance
+from conftest import multiset_distance, same_bits
 
 
 class TestWrapAngle:
@@ -204,10 +204,6 @@ class TestEig5:
             eig5(np.eye(4))
 
 
-def _bits(a):
-    return np.asarray(a).view(np.uint64)
-
-
 def _sweeps(matrix):
     """Sweeps the root iteration of one matrix takes on its own."""
     coeffs = characteristic_polynomial(matrix)
@@ -243,7 +239,7 @@ class TestStacks:
     def test_eig5_rows_equal_single_calls(self):
         stack = self._stack()
         single = np.stack([eig5(m) for m in stack])
-        assert np.array_equal(_bits(eig5(stack)), _bits(single))
+        assert same_bits(eig5(stack), single)
 
     def test_any_leading_shape(self):
         stack = self._stack().reshape(2, 3, 5, 5)
@@ -251,15 +247,14 @@ class TestStacks:
         assert eigs.shape == (2, 3, 5)
         for i in range(2):
             for j in range(3):
-                assert np.array_equal(_bits(eigs[i, j]),
-                                      _bits(eig5(stack[i, j])))
+                assert same_bits(eigs[i, j], eig5(stack[i, j]))
 
     def test_max_iter_counts_per_row(self):
         stack = self._stack()
         coeffs = characteristic_polynomial(stack)
         most = max(_sweeps(m) for m in stack)
         roots = poly_roots(coeffs, max_iter=most)
-        assert np.array_equal(_bits(roots), _bits(eig5(stack)))
+        assert same_bits(roots, eig5(stack))
         with pytest.raises(NumericError):
             poly_roots(coeffs, max_iter=most - 1)
 
@@ -272,13 +267,12 @@ class TestStacks:
         rows[4] = np.poly([1.0, 1.0, 1.0, 2.0])   # triple-root polish
         rows[5] = np.poly([0.5j, 0.5j, -1.0, 2.0])
         single = np.stack([poly_roots(r) for r in rows])
-        assert np.array_equal(_bits(poly_roots(rows)), _bits(single))
+        assert same_bits(poly_roots(rows), single)
 
     def test_charpoly_rows_equal_single_calls(self):
         stack = self._stack()
         single = np.stack([characteristic_polynomial(m) for m in stack])
-        assert np.array_equal(_bits(characteristic_polynomial(stack)),
-                              _bits(single))
+        assert same_bits(characteristic_polynomial(stack), single)
 
     def test_nonfinite_member_rejected(self):
         stack = self._stack()
@@ -305,13 +299,12 @@ class TestStacks:
                                            alpha=np.pi / 6, alpha0=np.pi / 4)
         blocks, _ = block_triple(params, 1)
         stack = dk(blocks, np.arange(n), n)
-        assert np.array_equal(
-            _bits(stack), _bits(np.stack([dk(blocks, k, n)
-                                          for k in range(n)])))
+        assert same_bits(stack,
+                         np.stack([dk(blocks, k, n) for k in range(n)]))
         # the root of unity as the scalar formula on Python numbers gives
         # it (a real division by n), not as a complex array division
         for k in range(n):
             w = np.exp(2j * np.pi * k / n)
             expected = (blocks.A0.astype(complex) + w * blocks.A1
                         + np.conj(w) * blocks.Am1)
-            assert np.array_equal(_bits(stack[k]), _bits(expected))
+            assert same_bits(stack[k], expected)

@@ -1,17 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from pursuit_lab import (ControlParams, abd, block_triple, char_poly,
                          corollary_checks, cubic_coeffs, dk, routh_necessary,
-                         shape_derivative, spectrum_report)
+                         shape_derivative, spectrum_report, stability)
 from pursuit_lab import equilibrium_shape
 from pursuit_lab.errors import (AssumptionError, EquilibriumNotFoundError,
-                                SingularModeError)
+                                NumericError, SingularModeError)
 from pursuit_lab.numerics import characteristic_polynomial, eig5
 from pursuit_lab.shape_space import ShapeState
-from pursuit_lab.stability import assemble_block_circulant
+from pursuit_lab.stability import (_group_spectrum, assemble_block_circulant,
+                                   routh_conditions)
 
-from conftest import multiset_distance, reference_equilibrium
+from conftest import multiset_distance, reference_equilibrium, same_bits
 
 
 def _random_admissible(rng):
@@ -302,3 +304,251 @@ class TestJacobian:
         blocks, _ = block_triple(reference_params, 1)
         assert np.max(np.abs(jac - assemble_block_circulant(blocks, n))) \
             < 1e-5
+
+
+# The per-mode scalar forms that the array code replaced, kept as oracles:
+# the array forms must reproduce them bit for bit.
+
+def _oracle_cubic(params, m, k):
+    co = abd(params, m)
+    lam = params.lam
+    n = params.n
+    a, b, d = co.a, co.b, co.d
+    cot_m = 1.0 / np.tan(m * np.pi / n)
+    sk = np.sin(k * np.pi / n)
+    ck = np.cos(k * np.pi / n)
+    cos_star = np.cos(co.alpha_star)
+    return (float(b + a * (1.0 - lam) * sk ** 2 * cot_m),
+            float(a * (1.0 - lam) * sk * ck * cot_m),
+            float(d * sk ** 2 + lam * a * ck ** 2),
+            float((lam * a - d) * sk * ck),
+            float((1.0 - lam) * cos_star * sk ** 2),
+            float((1.0 - lam) * cos_star * sk * ck))
+
+
+def _oracle_routh(params, m, k):
+    a = abd(params, m).a
+    c_t, c_h, d_t, d_h, e_t, e_h = _oracle_cubic(params, m, k)
+    cond1 = c_t
+    cond2 = c_t * (c_t * d_t - a * e_t) - d_h * (c_t * c_h + a * d_h)
+    gamma = c_t * (c_t * d_t - c_h * d_h) - a * (d_h * d_h + c_t * e_t)
+    lam_k = c_t * (c_h * e_t - c_t * e_h) + a * d_h * e_t
+    cond3 = gamma ** 2 * e_t + gamma * lam_k * d_h - lam_k ** 2 * c_t
+    return float(cond1), float(cond2), float(cond3)
+
+
+def _oracle_grouping(eigs_by_mode, mu_a):
+    diagnostics = []
+    by_mode = []
+    for k, eigs in enumerate(eigs_by_mode):
+        targets = [1j * mu_a, -1j * mu_a]
+        if k == 0:
+            targets.append(0.0 + 0.0j)
+        remaining = list(eigs)
+        constraint = []
+        for target in targets:
+            dist = [abs(z - target) for z in remaining]
+            idx = int(np.argmin(dist))
+            z = remaining.pop(idx)
+            if dist[idx] > 1e-6 * (1.0 + mu_a):
+                diagnostics.append(
+                    f"k={k}: nearest eigenvalue to constraint root "
+                    f"{target:.6g} is {dist[idx]:.3e} away")
+            if abs(z.real) >= 1e-6:
+                diagnostics.append(
+                    f"k={k}: constraint eigenvalue {z:.6g} is off the "
+                    f"imaginary axis (|Re| >= 1e-06)")
+            constraint.append(z)
+        for z in remaining:
+            if abs(z.real) < 1e-6:
+                diagnostics.append(
+                    f"k={k}: informative eigenvalue {z:.6g} is within "
+                    "the imaginary-axis band (borderline)")
+        by_mode.append((np.asarray(constraint), np.asarray(remaining)))
+    return by_mode, diagnostics
+
+
+def _assert_grouping_matches(report, eigs, mu_a):
+    by_mode, diagnostics = _oracle_grouping(eigs, mu_a)
+    assert len(report.by_mode) == len(by_mode)
+    for (c, i), (c_ref, i_ref) in zip(report.by_mode, by_mode):
+        assert same_bits(c, c_ref) and same_bits(i, i_ref)
+    assert report.diagnostics == diagnostics
+
+
+def _check_against_oracles(params, m):
+    n = params.n
+    expected = [_oracle_routh(params, m, k) for k in range(n)]
+    table = cubic_coeffs(params, m, np.arange(n))
+    for k in range(n):
+        ref = _oracle_cubic(params, m, k)
+        single = cubic_coeffs(params, m, k)
+        got = (single.c_t, single.c_h, single.d_t, single.d_h, single.e_t,
+               single.e_h)
+        assert all(type(v) is float for v in got) and single.k == k
+        assert same_bits(got, ref)
+        assert same_bits([table.c_t[k], table.c_h[k], table.d_t[k],
+                          table.d_h[k], table.e_t[k], table.e_h[k]], ref)
+        assert same_bits(routh_conditions(params, m, k), expected[k])
+    assert same_bits(np.stack(routh_conditions(params, m, np.arange(n)),
+                              axis=-1), expected)
+    verdict = routh_necessary(params, m)
+    passed = []
+    for k, row in enumerate(verdict.rows):
+        applicable = (True, True, k != 0)
+        passed.append(all(v > 0.0 for v, app in zip(expected[k], applicable)
+                          if app))
+        assert row.k == k and row.applicable == applicable
+        assert same_bits(row.values, expected[k])
+        assert row.passed is passed[-1]
+    assert verdict.overall is all(passed)
+    blocks, _ = block_triple(params, m)
+    try:
+        eigs = eig5(dk(blocks, np.arange(n), n))
+    except NumericError:
+        # a mode whose root iteration does not converge fails the report
+        with pytest.raises(NumericError):
+            spectrum_report(params, m)
+        assert stability.spectrum_reports([params], m) == [None]
+        return None
+    report = spectrum_report(params, m)
+    _assert_grouping_matches(report, eigs, params.mu * abd(params, m).a)
+    return report
+
+
+class TestArrayFormsMatchScalarOracles:
+    """One abd per winding and all modes in one array pass reproduce the
+    per-mode scalar code bit for bit: coefficients, condition values,
+    verdicts, eigenvalue groups and diagnostics."""
+
+    @settings(derandomize=True, deadline=None, max_examples=80)
+    @given(n=st.integers(2, 60), m_frac=st.floats(0.0, 1.0),
+           mu=st.floats(0.1, 10.0), lam=st.floats(0.01, 0.99),
+           alpha=st.floats(-np.pi, np.pi), alpha0=st.floats(-np.pi, np.pi))
+    def test_random_parameters(self, n, m_frac, mu, lam, alpha, alpha0):
+        m = min(n - 1, 1 + int(m_frac * (n - 1)))
+        params = ControlParams.homogeneous(n, mu=mu, lam=lam, alpha=alpha,
+                                           alpha0=alpha0)
+        try:
+            abd(params, m)
+        except (EquilibriumNotFoundError, SingularModeError):
+            assume(False)
+        _check_against_oracles(params, m)
+
+    def test_pow_trap(self):
+        # here gamma ** 2 (libm pow) and gamma * gamma round apart at k = 1,
+        # so an array square would move the third condition
+        params = ControlParams.homogeneous(3, mu=1.0, lam=0.32, alpha=-2.06,
+                                           alpha0=-0.44)
+        cc = cubic_coeffs(params, 1, 1)
+        a = abd(params, 1).a
+        gamma = (cc.c_t * (cc.c_t * cc.d_t - cc.c_h * cc.d_h)
+                 - a * (cc.d_h * cc.d_h + cc.c_t * cc.e_t))
+        lam_k = (cc.c_t * (cc.c_h * cc.e_t - cc.c_t * cc.e_h)
+                 + a * cc.d_h * cc.e_t)
+        squared = (gamma * gamma * cc.e_t + gamma * lam_k * cc.d_h
+                   - lam_k * lam_k * cc.c_t)
+        assert squared != _oracle_routh(params, 1, 1)[2]
+        _check_against_oracles(params, 1)
+
+    def test_borderline_informative_eigenvalue(self):
+        # alpha0 = -pi/3 makes b = 0 up to rounding: the k = 0 informative
+        # pair sits on the imaginary axis
+        params = ControlParams.homogeneous(3, mu=1.0, lam=0.5,
+                                           alpha=np.pi / 6,
+                                           alpha0=-np.pi / 3)
+        report = _check_against_oracles(params, 1)
+        assert any("borderline" in d for d in report.diagnostics)
+
+    def test_distance_rounding(self):
+        # the scalar abs puts `near` one ulp closer to +j*mu_a than `far`;
+        # np.abs on the complex array rounds both distances to 0.3 and
+        # would take `far`, the first of the tie
+        mu_a = 1.25
+        near = -0.27702262952889956 + 1.1348546017901973j
+        far = 0.09498683451561417 + 0.9654345395718178j
+        assert abs(near - 1j * mu_a) < abs(far - 1j * mu_a)
+        eigs = np.array([[far, near, -1.25j, 0.0, -1.0 + 0.5j],
+                         [far, near, -1.25j, -2.0, -1.0 + 0.5j]])
+        report = _group_spectrum(eigs, mu_a)
+        assert report.by_mode[1][0][0] == near
+        _assert_grouping_matches(report, eigs, mu_a)
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(n=st.integers(2, 12), mu_a=st.floats(0.01, 5.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_synthetic_spectra(self, n, mu_a, seed):
+        # eigenvalues at, near and far from the targets, on and off the
+        # axis, with repeated values, so ties and every diagnostic occur
+        rng = np.random.default_rng(seed)
+        pool = np.array([1j * mu_a, -1j * mu_a, 0.0, -0.0 + 0.0j,
+                         1j * mu_a + 1e-7, -1j * mu_a + 1e-3, 0.5e-6 + 2j,
+                         -1.0 + 1j, 2.0 - 0.5j])
+        eigs = np.where(rng.random((n, 5)) < 0.6,
+                        rng.choice(pool, size=(n, 5)),
+                        rng.normal(size=(n, 5)) + 1j * rng.normal(size=(n, 5)))
+        _assert_grouping_matches(_group_spectrum(eigs, mu_a), eigs, mu_a)
+
+
+class TestSingleMode:
+    def test_single_mode_is_python_floats(self, reference_params):
+        cc = cubic_coeffs(reference_params, 1, 2)
+        assert type(cc.k) is int and type(cc.c_t) is float
+        assert all(type(v) is float
+                   for v in routh_conditions(reference_params, 1, 2))
+
+    def test_any_integer_k_as_the_scalar_form(self, reference_params):
+        ks = np.array([-1, 3, 7])
+        table = cubic_coeffs(reference_params, 1, ks)
+        values = np.stack(routh_conditions(reference_params, 1, ks), axis=-1)
+        for i, k in enumerate(ks.tolist()):
+            ref = _oracle_cubic(reference_params, 1, k)
+            assert same_bits([getattr(table, name)[i] for name in
+                              ("c_t", "c_h", "d_t", "d_h", "e_t", "e_h")],
+                             ref)
+            assert same_bits(values[i], _oracle_routh(reference_params, 1, k))
+
+    def test_modes_of_a_table(self, reference_params):
+        table = cubic_coeffs(reference_params, 1, np.arange(3))
+        assert table.modes() == [cubic_coeffs(reference_params, 1, k)
+                                 for k in range(3)]
+
+
+class TestSpectrumReports:
+    def _samples(self):
+        return [ControlParams.homogeneous(n, mu=1.0, lam=lam, alpha=np.pi / 6,
+                                          alpha0=alpha0)
+                for n, lam, alpha0 in [(3, 0.5, np.pi / 4), (5, 0.3, 0.2),
+                                       (3, 0.7, -0.4), (8, 0.5, 1.0)]]
+
+    def _assert_same(self, got, expected):
+        assert got.diagnostics == expected.diagnostics
+        assert same_bits(got.mu_a, expected.mu_a)
+        for (c, i), (c_ref, i_ref) in zip(got.by_mode, expected.by_mode,
+                                          strict=True):
+            assert same_bits(c, c_ref) and same_bits(i, i_ref)
+
+    def test_entries_equal_single_reports(self):
+        samples = self._samples()
+        for got, params in zip(stability.spectrum_reports(samples, 1),
+                               samples, strict=True):
+            self._assert_same(got, spectrum_report(params, 1))
+        assert stability.spectrum_reports([], 1) == []
+
+    def test_failed_solve_reads_none_and_leaves_others(self, monkeypatch):
+        samples = self._samples()
+        expected = [spectrum_report(params, 1) for params in samples]
+        blocks, _ = block_triple(samples[2], 1)
+        poison = dk(blocks, 1, 3)
+        solve = stability.eig5
+
+        def failing(stack):
+            if any(np.array_equal(b, poison) for b in stack):
+                raise NumericError("no convergence")
+            return solve(stack)
+
+        monkeypatch.setattr(stability, "eig5", failing)
+        got = stability.spectrum_reports(samples, 1)
+        assert got[2] is None
+        for i in (0, 1, 3):
+            self._assert_same(got[i], expected[i])
