@@ -16,7 +16,7 @@ import configparser
 import hashlib
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -233,8 +233,8 @@ def parse_config(path, mode, overrides=(), out_dir="out", seed=None):
 
     section = parser[mode] if parser.has_section(mode) else None
     cfg = RunConfig(mode=mode, params=params, out_dir=Path(out_dir))
-    cfg.seed = int(seed if seed is not None
-                   else _get(section, "seed", 0) or 0)
+    cfg.seed = _number(seed if seed is not None
+                       else _get(section, "seed", 0) or 0, "seed", kind=int)
     cfg.T = _positive(_get(section, "t", 20.0), "t")
     cfg.dt = _positive(_get(section, "dt", DEFAULT_DT), "dt")
     try:
@@ -251,9 +251,9 @@ def parse_config(path, mode, overrides=(), out_dir="out", seed=None):
                 f"initial: expected random|equilibrium|manifold, got "
                 f"{cfg.initial!r}")
         if cfg.initial == "equilibrium":
-            cfg.m = int(_require(section, "m", mode))
+            cfg.m = _number(_require(section, "m", mode), "m", kind=int)
         if cfg.initial == "manifold":
-            cfg.k = int(_require(section, "k", mode))
+            cfg.k = _number(_require(section, "k", mode), "k", kind=int)
             cfg.kappa1 = parse_angle(_require(section, "kappa1", mode),
                                      "kappa1")
             cfg.rho1 = _positive(_require(section, "rho1", mode), "rho1")
@@ -262,34 +262,28 @@ def parse_config(path, mode, overrides=(), out_dir="out", seed=None):
         if cfg.direction not in ("ccw", "cw", "both"):
             raise ConfigError("direction: expected ccw|cw|both")
     elif mode == "stability":
-        try:
-            cfg.m = int(_require(section, "m", mode))
-        except ValueError:
-            raise ConfigError("m: expected an integer") from None
+        cfg.m = _number(_require(section, "m", mode), "m", kind=int)
     elif mode == "pure-shape":
-        try:
-            cfg.k = int(_require(section, "k", mode))
-        except ValueError:
-            raise ConfigError("k: expected an integer") from None
+        cfg.k = _number(_require(section, "k", mode), "k", kind=int)
         cfg.kappa1 = parse_angle(_get(section, "kappa1", "0"), "kappa1")
         cfg.rho1 = _positive(_get(section, "rho1", 1.0), "rho1")
     elif mode == "portrait":
-        try:
-            cfg.k = int(_require(section, "k", mode))
-        except ValueError:
-            raise ConfigError("k: expected an integer") from None
+        cfg.k = _number(_require(section, "k", mode), "k", kind=int)
         try:
             cfg.grid = pure_shape.GridSpec(
                 kappa_min=parse_angle(_require(section, "kappa_min", mode),
                                       "kappa_min"),
                 kappa_max=parse_angle(_require(section, "kappa_max", mode),
                                       "kappa_max"),
-                kappa_samples=int(_require(section, "kappa_samples", mode)),
+                kappa_samples=_number(
+                    _require(section, "kappa_samples", mode),
+                    "kappa_samples", kind=int),
                 rho_min=_positive(_require(section, "rho_min", mode),
                                   "rho_min"),
                 rho_max=_positive(_get(section, "rho_max", 50.0),
                                   "rho_max"),
-                rho_samples=int(_require(section, "rho_samples", mode)))
+                rho_samples=_number(_require(section, "rho_samples", mode),
+                                    "rho_samples", kind=int))
         except ValueError as err:
             raise ConfigError(f"portrait grid: {err}") from None
         seeds = []
@@ -313,10 +307,7 @@ def parse_config(path, mode, overrides=(), out_dir="out", seed=None):
         cfg.sweep_stop = parse_angle(_get(section, "stop", "pi"), "stop")
         cfg.sweep_samples = int(_positive(_get(section, "samples", 16),
                                           "samples", kind=int))
-        try:
-            cfg.m = int(_require(section, "m", mode))
-        except ValueError:
-            raise ConfigError("m: expected an integer") from None
+        cfg.m = _number(_require(section, "m", mode), "m", kind=int)
 
     canon = [f"mode={mode}", f"seed={cfg.seed}"]
     for name in sorted(parser.sections()):
@@ -419,10 +410,10 @@ def run(cfg):
                      "manifold; residual = max deviation from the manifold "
                      "constants\n")
             fh.write("t,kappa1,rho1,manifold_residual\n")
-            for i in range(traj.t.size):
-                res = float(np.max(spec.residuals(traj.state_at(i))))
-                fh.write(f"{traj.t[i]:.12g},{traj.kappa1[i]:.12g},"
-                         f"{traj.rho1[i]:.12g},{res:.12g}\n")
+            worst = np.max(spec.residuals(traj.states), axis=-1)
+            for t, kappa1, rho1, res in zip(traj.t, traj.kappa1, traj.rho1,
+                                            worst):
+                fh.write(f"{t:.12g},{kappa1:.12g},{rho1:.12g},{res:.12g}\n")
         artifacts.append(out.name)
         summary = cfg.out_dir / "pure_shape.txt"
         lines = [f"manifold k = {cfg.k} of n = {cfg.params.n}",
@@ -475,29 +466,19 @@ def run(cfg):
     return [cfg.out_dir / name for name in artifacts]
 
 
-def _sweep_params(cfg, value):
-    base = cfg.params
-    kwargs = dict(n=base.n, mu=base.mu, lam=base.lam, alpha=base.alpha,
-                  alpha0=base.alpha0, mu_b=base.mu_b, nu=base.nu)
-    if cfg.sweep_parameter == "alpha0":
-        kwargs["alpha0"] = value
-    elif cfg.sweep_parameter == "alpha":
-        kwargs["alpha"] = value
-    else:
-        kwargs["lam"] = value
-    return ControlParams(**kwargs)
-
-
 def _run_sweep(cfg):
     """One row per sample: existence, the Routh verdict and the largest
     informative real part.  The spectra of all existing samples come
     from one stacked eigen-solve; a sample that is rejected, has no
     equilibrium or whose own solve fails reads as non-existent."""
     values = np.linspace(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_samples)
+    field = "lam" if cfg.sweep_parameter == "lambda" else cfg.sweep_parameter
     verdicts = {}
     for idx, value in enumerate(values):
         try:
-            params = _sweep_params(cfg, value)
+            # replace() re-runs the validation, which rejects e.g. the
+            # endpoints of a lambda sweep
+            params = replace(cfg.params, **{field: value})
             verdicts[idx] = (params,
                              stability.routh_necessary(params, cfg.m).overall)
         except (PursuitLabError, ValueError):

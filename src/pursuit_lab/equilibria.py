@@ -243,11 +243,6 @@ def embed_world(eq, beacon=(0.0, 0.0), base_angle=0.0):
                       beacon=beacon)
 
 
-def common_curvature(eq):
-    """The common turning rate gamma = 2 sin(kappa_i)/rho_i of the orbit."""
-    return 2.0 * np.sin(eq.kappa) / eq.rho
-
-
 def format_equilibrium_report(equilibria, params, direction_label=None):
     """Human-readable report, one record per equilibrium."""
     lines = []

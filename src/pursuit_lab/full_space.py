@@ -119,24 +119,6 @@ def _controls(positions, headings, beacon, params):
     return (1.0 - params.lam) * u_cb + params.lam * u_b
 
 
-def steering_law_shape(i, shape, params):
-    """The steering law of agent i evaluated from scalar shape variables.
-
-    Test oracle for the vector form; the two agree to 1e-10 at any valid
-    state.
-    """
-    n = shape.n
-    j = (i + 1) % n
-    speed_ratio = params.nu[j] / params.nu[i]
-    return float(
-        params.lam * params.mu_b[i]
-        * np.sin(shape.kappa_b[i] - params.alpha0[i])
-        + (1.0 - params.lam) * params.mu
-        * np.sin(shape.kappa[i] - params.alpha[i])
-        + (1.0 - params.lam) / shape.rho[i]
-        * (np.sin(shape.kappa[i]) + speed_ratio * np.sin(shape.theta[j])))
-
-
 def control_profile(world, params):
     """Curvature commands for all agents of a world state."""
     return _controls(world.positions, world.headings, world.beacon, params)

@@ -53,45 +53,14 @@ class PureShapeState:
     @classmethod
     def from_vector(cls, vec, n):
         vec = np.asarray(vec, dtype=float)
-        parts = np.split(vec[2:], 5)
-        return cls(kappa1=float(vec[0]), rho1=float(vec[1]),
-                   kappa_t=parts[0].copy(), psi=parts[1].copy(),
-                   phi_b=parts[2].copy(), rho_t=parts[3].copy(),
-                   rho_tb=parts[4].copy())
+        return cls(float(vec[0]), float(vec[1]),
+                   *_blocks(vec.copy(), n))
 
 
-@dataclass
-class PureShapeRates:
-    """Time derivatives of all pure-shape fields."""
-
-    kappa1: float
-    rho1: float
-    kappa_t: np.ndarray
-    psi: np.ndarray
-    phi_b: np.ndarray
-    rho_t: np.ndarray
-    rho_tb: np.ndarray
-
-    def to_vector(self):
-        return np.concatenate([[self.kappa1, self.rho1], self.kappa_t,
-                               self.psi, self.phi_b, self.rho_t,
-                               self.rho_tb])
-
-
-def pure_constraint_residuals(state):
-    """Residuals of the transformed cycle-closure and consistency
-    constraints: the closure angle (mod 2*pi) and the per-agent real and
-    imaginary consistency defects in the length ratios."""
-    closure = float(wrap_angle(np.sum(np.pi - state.psi)))
-    nxt, _ = cyclic_neighbors(state.n)
-    phi_next = state.phi_b[nxt]
-    psi_next = state.psi[nxt]
-    rho_tb_next = state.rho_tb[nxt]
-    turn = phi_next - psi_next
-    g1 = (state.rho_t - state.rho_tb * np.cos(state.phi_b)
-          - rho_tb_next * np.cos(turn))
-    g2 = state.rho_tb * np.sin(state.phi_b) + rho_tb_next * np.sin(turn)
-    return closure, g1, g2
+def _blocks(vec, n):
+    """The kappa~, psi, phi_b, rho~ and rho~_b blocks (..., 5, n) of packed
+    states (..., 2 + 5n): kappa1, rho1, then five blocks of n entries."""
+    return vec[..., 2:].reshape(vec.shape[:-1] + (5, n))
 
 
 def to_pure_shape(shape):
@@ -115,50 +84,42 @@ def to_pure_shape(shape):
         rho_tb=shape.rho_b / shape.rho[0])
 
 
-def _phi_psi(state):
-    """The auxiliary half-angle arguments Phi_i and Psi_i.
+def _half_angles(kappa1, kappa_t, psi):
+    """kappa_i+, the half-angles Phi_i/2 and Psi_i/2, and the suffix sums
+    kappa~_i + ... + kappa~_n.
 
     kappa_i+ is formed from the suffix-sum identity (empty sum for the
     last agent) rather than by rolling recovered kappa values: the
     half-angle expressions are only 4*pi-periodic, and the identity form
     keeps them consistent for any wrapped representatives of kappa~.
     """
-    suffix_excl = np.concatenate(
-        [np.cumsum(state.kappa_t[::-1])[::-1][1:], [0.0]])
-    kplus = 2.0 * state.kappa1 + state.kappa_t + 2.0 * suffix_excl
-    psi_next = state.psi[cyclic_neighbors(state.n)[0]]
-    return kplus, kplus + psi_next, state.kappa_t - psi_next
+    suffix = np.cumsum(kappa_t[::-1])[::-1]
+    kplus = 2.0 * kappa1 + kappa_t + 2.0 * np.concatenate([suffix[1:], [0.0]])
+    psi_next = psi[cyclic_neighbors(kappa_t.shape[0])[0]]
+    return kplus, 0.5 * (kplus + psi_next), 0.5 * (kappa_t - psi_next), suffix
+
+
+def _a5_guards(kappa1, kappa_t, psi):
+    _, half_phi, half_psi, _ = _half_angles(kappa1, kappa_t, psi)
+    return (float(np.min(np.abs(np.cos(half_phi)))),
+            float(np.min(np.abs(np.cos(half_psi)))),
+            float(np.min(np.abs(np.sin(half_phi)))))
 
 
 def a5_guard_values(state):
     """Min |cos(Phi/2)|, |cos(Psi/2)|, |sin(Phi/2)| over agents."""
-    _, phi, psi = _phi_psi(state)
-    return (float(np.min(np.abs(np.cos(phi / 2.0)))),
-            float(np.min(np.abs(np.cos(psi / 2.0)))),
-            float(np.min(np.abs(np.sin(phi / 2.0)))))
+    return _a5_guards(state.kappa1, state.kappa_t, state.psi)
 
 
 def _rates_vector(vec, n, mu, lam, alpha, alpha0):
-    """Packed-vector form of the transformed rates (integration hot path).
-
-    Layout matches PureShapeState.to_vector: kappa1, rho1, then the
-    kappa~, psi, phi_b, rho~, rho~_b blocks.
-    """
+    """Packed-vector form of the transformed rates (integration hot path),
+    in the packed layout of the state."""
     kappa1 = vec[0]
     rho1 = vec[1]
-    kappa_t = vec[2:2 + n]
-    psi = vec[2 + n:2 + 2 * n]
-    phi_b = vec[2 + 2 * n:2 + 3 * n]
-    rho_t = vec[2 + 3 * n:2 + 4 * n]
-    rho_tb = vec[2 + 4 * n:2 + 5 * n]
+    kappa_t, psi, phi_b, rho_t, rho_tb = _blocks(vec, n)
 
     nxt, prv = cyclic_neighbors(n)
-    suffix = np.cumsum(kappa_t[::-1])[::-1]
-    suffix_excl = np.concatenate([suffix[1:], [0.0]])
-    kplus = 2.0 * kappa1 + kappa_t + 2.0 * suffix_excl
-    psi_next = psi[nxt]
-    half_phi = 0.5 * (kplus + psi_next)
-    half_psi = 0.5 * (kappa_t - psi_next)
+    kplus, half_phi, half_psi, suffix = _half_angles(kappa1, kappa_t, psi)
     s_half = np.sin(half_phi)
     c_half = np.cos(half_phi)
     c_psi = np.cos(half_psi)
@@ -185,27 +146,20 @@ def _rates_vector(vec, n, mu, lam, alpha, alpha0):
     out = np.empty(2 + 5 * n)
     out[0] = d_kappa1
     out[1] = d_rho1
-    out[2:2 + n] = d_kappa_t
-    out[2 + n:2 + 2 * n] = d_psi
-    out[2 + 2 * n:2 + 3 * n] = d_phi_b
-    out[2 + 3 * n:2 + 4 * n] = d_rho_t
-    out[2 + 4 * n:2 + 5 * n] = d_rho_tb
+    _blocks(out, n)[:] = d_kappa_t, d_psi, d_phi_b, d_rho_t, d_rho_tb
     return out
 
 
 def pure_shape_derivative(state, params):
-    """Closed-loop rates of the transformed variables (requires A1-A4)."""
+    """Closed-loop rates of the transformed variables (requires A1-A4),
+    in the :class:`PureShapeState` layout (each field its rate)."""
     require_analysis_assumptions(params)
     if state.rho1 <= EPS_COL:
         raise CollisionError("rho_1 at or below collocation floor",
                              pair=(0, 1))
     vec = _rates_vector(state.to_vector(), state.n, params.mu, params.lam,
                         params.alpha[0], params.alpha0[0])
-    out = PureShapeState.from_vector(vec, state.n)
-    return PureShapeRates(kappa1=out.kappa1, rho1=out.rho1,
-                          kappa_t=out.kappa_t, psi=out.psi,
-                          phi_b=out.phi_b, rho_t=out.rho_t,
-                          rho_tb=out.rho_tb)
+    return PureShapeState.from_vector(vec, state.n)
 
 
 @dataclass(frozen=True)
@@ -218,15 +172,16 @@ class ManifoldSpec:
     phi_const: float
     rho_tb_const: float
 
-    def residuals(self, state):
-        """Max deviation from each defining constant family."""
-        return np.array([
-            float(np.max(np.abs(wrap_angle(state.kappa_t)))),
-            float(np.max(np.abs(wrap_angle(state.psi - self.psi_const)))),
-            float(np.max(np.abs(wrap_angle(state.phi_b - self.phi_const)))),
-            float(np.max(np.abs(state.rho_t - 1.0))),
-            float(np.max(np.abs(state.rho_tb - self.rho_tb_const))),
-        ])
+    def residuals(self, rows):
+        """Max deviation from each defining constant family (kappa~ = 0,
+        psi, phi_b, rho~ = 1, rho~_b) of packed states (..., 2 + 5n):
+        one row of five per state, shape (..., 5)."""
+        rows = np.asarray(rows, dtype=float)
+        constants = np.array([0.0, self.psi_const, self.phi_const, 1.0,
+                              self.rho_tb_const])
+        dev = _blocks(rows, self.n) - constants[:, None]
+        dev[..., :3, :] = wrap_angle(dev[..., :3, :])
+        return np.max(np.abs(dev), axis=-1)
 
 
 def manifold_spec(n, k):
@@ -272,6 +227,14 @@ def lift(spec, kappa1, rho1, beacon=(0.0, 0.0)):
     return pure, world
 
 
+def _require_manifold(params, k):
+    """The checks of every reduced-dynamics entry point: assumptions
+    A1-A4 and a manifold index k in 1..n-1."""
+    require_analysis_assumptions(params)
+    if not 1 <= k <= params.n - 1:
+        raise UndefinedManifoldError(f"k = {k} outside 1..{params.n - 1}")
+
+
 def _reduced_scalars(params, k):
     mu = params.mu
     lam = params.lam
@@ -283,9 +246,7 @@ def _reduced_scalars(params, k):
 
 def reduced_derivative(kappa1, rho1, params, k):
     """The 2-D reduced rates (kappa1', rho1') on M_k (requires A1-A4)."""
-    require_analysis_assumptions(params)
-    if not 1 <= k <= params.n - 1:
-        raise UndefinedManifoldError(f"k = {k} outside 1..{params.n - 1}")
+    _require_manifold(params, k)
     if not rho1 > 0.0:
         raise PreconditionError("rho1 must be positive")
     mu, lam, alpha, alpha0, kpn = _reduced_scalars(params, k)
@@ -304,16 +265,10 @@ def _reduced_rho_rate(kappa1, kpn):
     return 2.0 * math.sin(kappa1 - kpn) * math.sin(kpn)
 
 
-def _reduced_rho_rate_cos_form(kappa1, kpn):
-    return -math.cos(kappa1) + math.cos(kappa1 - 2.0 * kpn)
-
-
 def reduced_field(params, k):
     """Vector field for the reduced dynamics (validated once, then pure
     scalar math per call; suitable for tight integration loops)."""
-    require_analysis_assumptions(params)
-    if not 1 <= k <= params.n - 1:
-        raise UndefinedManifoldError(f"k = {k} outside 1..{params.n - 1}")
+    _require_manifold(params, k)
     mu, lam, alpha, alpha0, kpn = _reduced_scalars(params, k)
 
     def field(y):
@@ -380,9 +335,7 @@ def reduced_equilibrium(params, k):
     tags come from the closed-form sign test; otherwise from numeric
     linearization.
     """
-    require_analysis_assumptions(params)
-    if not 1 <= k <= params.n - 1:
-        raise UndefinedManifoldError(f"k = {k} outside 1..{params.n - 1}")
+    _require_manifold(params, k)
     mu, lam, alpha, alpha0, kpn = _reduced_scalars(params, k)
     denom = mu * ((1.0 - lam) * math.sin(kpn - alpha)
                   + lam * math.cos(alpha0))
@@ -395,21 +348,15 @@ def reduced_equilibrium(params, k):
         rp = reduced_params(params, k)
         sign = (math.sin(rp.gamma_kn * math.pi - rp.alpha0_plus)
                 * math.cos(rp.gamma_kn * math.pi + rp.alpha0_minus))
-        if abs(sign) < 1e-12:
-            for kap in (kpn, kpn + math.pi):
-                stable, tag = _linearized_tag(params, k, kap, rho1_star)
+        if not abs(sign) < 1e-12:
+            first_stable = sign < 0.0
+            for kap, stable in ((kpn, first_stable),
+                                (kpn + math.pi, not first_stable)):
                 results.append(ReducedEquilibrium(
                     kappa1=float(wrap_angle(kap)), rho1=rho1_star,
-                    stable=stable, tag=tag, method="linearization"))
+                    stable=stable, tag="stable" if stable else "unstable",
+                    method="a6-sign-test"))
             return results
-        first_stable = sign < 0.0
-        for kap, stable in ((kpn, first_stable),
-                            (kpn + math.pi, not first_stable)):
-            results.append(ReducedEquilibrium(
-                kappa1=float(wrap_angle(kap)), rho1=rho1_star,
-                stable=stable, tag="stable" if stable else "unstable",
-                method="a6-sign-test"))
-        return results
     for kap in (kpn, kpn + math.pi):
         stable, tag = _linearized_tag(params, k, kap, rho1_star)
         results.append(ReducedEquilibrium(
@@ -453,9 +400,7 @@ class RegionCheck:
 def invariant_region_check(params, k):
     """Evaluate the invariance condition for the strip
     Delta = (k*pi/n, k*pi/n + pi) x (0, inf)."""
-    require_analysis_assumptions(params)
-    if not 1 <= k <= params.n - 1:
-        raise UndefinedManifoldError(f"k = {k} outside 1..{params.n - 1}")
+    _require_manifold(params, k)
     _, lam, alpha, alpha0, kpn = _reduced_scalars(params, k)
     value = (1.0 - lam) * math.sin(kpn - alpha) + lam * math.cos(alpha0)
     return RegionCheck(holds=value <= 0.0, value=float(value), k=k,
@@ -537,7 +482,7 @@ def integrate_pure_shape(state0, params, T, dt=DEFAULT_DT, record_every=1):
                 or np.fmin.reduce(vec[2 + 3 * n:] * vec[1]) <= EPS_COL):
             raise CollisionError("a range reached the collocation floor",
                                  t=t)
-        guards = a5_guard_values(PureShapeState.from_vector(vec, n))
+        guards = _a5_guards(vec[0], *_blocks(vec, n)[:2])
         if min(guards) < A5_GUARD_TOL:
             flags.append((t, guards))
         return vec

@@ -40,37 +40,28 @@ class ShapeState:
 
     @property
     def n(self):
-        return self.rho.shape[0]
+        return self.rho.shape[-1]
 
-    def to_vector(self):
-        """Flatten agent-major: (rho_i, kappa_i, theta_i, rho_ib, kappa_ib)
-        per agent.  This block order is the linearization convention."""
+    def to_blocks(self):
+        """Agent-major blocks (..., n, 5): (rho_i, kappa_i, theta_i,
+        rho_ib, kappa_ib) per agent.  This block order is the
+        linearization convention."""
         return np.stack(
             [self.rho, self.kappa, self.theta, self.rho_b, self.kappa_b],
-            axis=1).ravel()
+            axis=-1)
+
+    def to_vector(self):
+        """The blocks flattened agent-major."""
+        return self.to_blocks().ravel()
 
     @classmethod
     def from_vector(cls, vec, n):
         blocks = np.asarray(vec, dtype=float).reshape(n, 5)
-        return cls(rho=blocks[:, 0].copy(), kappa=blocks[:, 1].copy(),
-                   theta=blocks[:, 2].copy(), rho_b=blocks[:, 3].copy(),
-                   kappa_b=blocks[:, 4].copy())
+        return cls(*(blocks[:, j].copy() for j in range(5)))
 
 
-@dataclass
-class ShapeRates:
+class ShapeRates(ShapeState):
     """Time derivatives of the five shape-variable families."""
-
-    rho: np.ndarray
-    kappa: np.ndarray
-    theta: np.ndarray
-    rho_b: np.ndarray
-    kappa_b: np.ndarray
-
-    def to_vector(self):
-        return np.stack(
-            [self.rho, self.kappa, self.theta, self.rho_b, self.kappa_b],
-            axis=1).ravel()
 
     def max_abs(self):
         return float(np.max(np.abs(self.to_vector())))
@@ -89,19 +80,34 @@ class ConstraintResiduals:
                    float(np.max(np.abs(self.g2))))
 
 
+def _residuals(blocks):
+    """g0 (mod 2*pi, reduced to (-pi, pi]) and the per-agent consistency
+    residuals g1_i, g2_i of shape blocks (..., n, 5): g0 has the leading
+    shape, g1 and g2 add the agent axis."""
+    nxt, _ = cyclic_neighbors(blocks.shape[-2])
+    rho, kappa, theta, rho_b, kappa_b = np.moveaxis(blocks, -1, 0)
+    theta_next = theta[..., nxt]
+    rho_next_b = rho_b[..., nxt]
+    g0 = wrap_angle(np.sum(np.pi + kappa - theta_next, axis=-1))
+    rot_i = kappa_b - kappa
+    rot_next = kappa_b[..., nxt] - theta_next
+    g1 = rho - rho_b * np.cos(rot_i) - rho_next_b * np.cos(rot_next)
+    g2 = rho_b * np.sin(rot_i) + rho_next_b * np.sin(rot_next)
+    return g0, g1, g2
+
+
+def _residual_summary(blocks):
+    """Columns g0, max|g1|, max|g2| of shape blocks (..., n, 5)."""
+    g0, g1, g2 = _residuals(blocks)
+    return np.stack([g0, np.max(np.abs(g1), axis=-1),
+                     np.max(np.abs(g2), axis=-1)], axis=-1)
+
+
 def constraint_residuals(shape):
     """Evaluate g0 (mod 2*pi, reduced to (-pi, pi]) and the per-agent
     consistency residuals g1_i, g2_i."""
-    nxt, _ = cyclic_neighbors(shape.n)
-    kappa_next_b = shape.kappa_b[nxt]
-    rho_next_b = shape.rho_b[nxt]
-    theta_next = shape.theta[nxt]
-    g0 = float(wrap_angle(np.sum(np.pi + shape.kappa - theta_next)))
-    rot_i = shape.kappa_b - shape.kappa
-    rot_next = kappa_next_b - theta_next
-    g1 = shape.rho - shape.rho_b * np.cos(rot_i) - rho_next_b * np.cos(rot_next)
-    g2 = shape.rho_b * np.sin(rot_i) + rho_next_b * np.sin(rot_next)
-    return ConstraintResiduals(g0=g0, g1=g1, g2=g2)
+    g0, g1, g2 = _residuals(shape.to_blocks())
+    return ConstraintResiduals(g0=float(g0), g1=g1, g2=g2)
 
 
 def shape_derivative(shape, params):
@@ -112,43 +118,52 @@ def shape_derivative(shape, params):
     range sits at or below the collocation floor.
     """
     require_shape_assumptions(params)
-    _check_ranges(shape)
-    return _shape_rates(shape, params)
+    blocks = shape.to_blocks()
+    _check_ranges(blocks)
+    return ShapeRates(*np.moveaxis(_rates(blocks, params), -1, 0))
 
 
-def _shape_rates(shape, params):
-    """The closed-loop rates without validation (integration hot path)."""
+def _rates(blocks, params):
+    """Closed-loop rates of shape blocks (..., n, 5), in the same layout,
+    without validation (integration hot path)."""
     mu = params.mu
     lam = params.lam
     alpha0 = params.alpha0[0]
 
-    nxt, prv = cyclic_neighbors(shape.n)
-    theta_next = shape.theta[nxt]
-    sk = np.sin(shape.kappa)
-    lead = (sk + np.sin(theta_next)) / shape.rho
+    nxt, prv = cyclic_neighbors(blocks.shape[-2])
+    rho, kappa, theta, rho_b, kappa_b = np.moveaxis(blocks, -1, 0)
+    theta_next = theta[..., nxt]
+    lead = (np.sin(kappa) + np.sin(theta_next)) / rho
 
-    d_rho = -(np.cos(shape.kappa) + np.cos(theta_next))
-    d_kappa = (-mu * ((1.0 - lam) * np.sin(shape.kappa - params.alpha)
-                      + lam * np.sin(shape.kappa_b - alpha0))
+    out = np.empty_like(blocks)
+    d_kappa = (-mu * ((1.0 - lam) * np.sin(kappa - params.alpha)
+                      + lam * np.sin(kappa_b - alpha0))
                + lam * lead)
-    d_theta = d_kappa - lead + lead[prv]
-    d_rho_b = -np.cos(shape.kappa_b)
-    d_kappa_b = d_kappa - lead + np.sin(shape.kappa_b) / shape.rho_b
-    return ShapeRates(rho=d_rho, kappa=d_kappa, theta=d_theta,
-                      rho_b=d_rho_b, kappa_b=d_kappa_b)
+    out[..., 0] = -(np.cos(kappa) + np.cos(theta_next))
+    out[..., 1] = d_kappa
+    out[..., 2] = d_kappa - lead + lead[..., prv]
+    out[..., 3] = -np.cos(kappa_b)
+    out[..., 4] = d_kappa - lead + np.sin(kappa_b) / rho_b
+    return out
 
 
-def _check_ranges(shape, t=None):
-    if np.any(shape.rho <= EPS_COL):
-        i = int(np.argmax(shape.rho <= EPS_COL))
+def _check_ranges(blocks, t=None):
+    """Raise :class:`CollisionError` naming the first chase range, else
+    the first beacon range, of the (n, 5) blocks at or below the floor.
+    One ``fmin`` over columns 0 and 3 (``::3``) decides; it skips a NaN,
+    so it decides as ``np.any(x <= EPS_COL)`` did."""
+    ranges = blocks[:, ::3]
+    if not np.fmin.reduce(ranges, axis=None) <= EPS_COL:
+        return
+    n = blocks.shape[0]
+    column, i = divmod(int(np.argmax(ranges.T <= EPS_COL)), n)
+    if column == 0:
         raise CollisionError(
             f"chase range rho_{i + 1} at or below collocation floor",
-            pair=(i, (i + 1) % shape.n), t=t)
-    if np.any(shape.rho_b <= EPS_COL):
-        i = int(np.argmax(shape.rho_b <= EPS_COL))
-        raise CollisionError(
-            f"beacon range rho_{i + 1}b at or below collocation floor",
-            pair=(i, "beacon"), t=t)
+            pair=(i, (i + 1) % n), t=t)
+    raise CollisionError(
+        f"beacon range rho_{i + 1}b at or below collocation floor",
+        pair=(i, "beacon"), t=t)
 
 
 @dataclass
@@ -187,38 +202,31 @@ def integrate_shape(shape0, params, T, dt=DEFAULT_DT, record_every=1,
     n = shape0.n
 
     def field(vec):
-        s = ShapeState.from_vector(vec, n)
-        _check_ranges(s)
-        return _shape_rates(s, params).to_vector()
+        blocks = vec.reshape(n, 5)
+        _check_ranges(blocks)
+        return _rates(blocks, params).ravel()
 
     def rewrap_and_check(vec, t):
-        state = ShapeState.from_vector(vec, n)
-        state.kappa = wrap_angle(state.kappa)
-        state.theta = wrap_angle(state.theta)
-        state.kappa_b = wrap_angle(state.kappa_b)
-        _check_ranges(state, t=t)
-        worst = constraint_residuals(state).max_abs()
+        blocks = vec.reshape(n, 5)
+        # the angle columns kappa, theta and kappa_b
+        blocks[:, [1, 2, 4]] = wrap_angle(blocks[:, [1, 2, 4]])
+        _check_ranges(blocks, t=t)
+        g0, max_g1, max_g2 = _residual_summary(blocks)
+        worst = max(abs(g0), max_g1, max_g2)
         if worst > drift_tol:
             raise ConstraintDriftError(
                 f"constraint residual {worst:.3e} exceeds {drift_tol:.1e} "
                 f"at t = {t:.6g}")
-        return state.to_vector()
+        return vec
 
     times, samples = rk4_integrate(field, shape0.to_vector(), T, dt,
                                    record_every, rewrap_and_check)
     stacked = samples.reshape(len(samples), n, 5)
-    # the driver keeps states only, so the recorded residual summary is
-    # re-evaluated on the recorded samples
-    res_rows = []
-    for vec in samples:
-        res = constraint_residuals(ShapeState.from_vector(vec, n))
-        res_rows.append([res.g0, np.max(np.abs(res.g1)),
-                         np.max(np.abs(res.g2))])
     return ShapeTrajectory(
         t=times,
         rho=stacked[:, :, 0], kappa=stacked[:, :, 1], theta=stacked[:, :, 2],
         rho_b=stacked[:, :, 3], kappa_b=stacked[:, :, 4],
-        residuals=np.asarray(res_rows))
+        residuals=_residual_summary(stacked))
 
 
 def write_shape_csv(traj, path, header_notes=()):

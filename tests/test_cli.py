@@ -296,6 +296,57 @@ def test_larger_n_analysis_outputs_unchanged(tmp_path):
     assert not changed
 
 
+# SHA-256 of shape-space and pure-shape runs at larger n than the
+# shipped configs reach, recorded before both integrators worked on the
+# packed state: n >= 8 takes the row-wise sums of the constraint
+# residuals through numpy's pairwise summation.
+PACKED_STATE_OUTPUTS = [
+    (("shape-sim", "reference", ("n=10", "t=0.2")), {
+        "manifest.txt":
+            "6fffe8b50c5c688f97ce3856b8d015104d101aa6c6046ec3fed4f5c2585ae070",
+        "shape.csv":
+            "1af197e2683953f5ad219202b31ca0ce95228d25bd4d2c1138a7b874a49a7f19",
+    }),
+    (("shape-sim", "reference", ("n=17", "seed=5", "t=0.2")), {
+        "manifest.txt":
+            "e69693895c4dae396120e4d8e178b6b0f49c416434a18142e88a9c153c4329e4",
+        "shape.csv":
+            "6d0b10860f62945a9106e40200a4febc0fa98af7f41989edc60933ffc0df1db7",
+    }),
+    (("pure-shape", "reference", ("n=10", "k=3", "t=0.4")), {
+        "manifest.txt":
+            "1acef8dab8a6cbbbe42885676403af88a8a91bb8a3da1d3e360e6f666bd19848",
+        "pure_shape.csv":
+            "2f50024b8a8dc1628c87ea4a666cd348c172e3f60073952158e4d2d2995bdd32",
+        "pure_shape.txt":
+            "7fdafc0c89f08bc6e0aa67423c66de6fd9d68c92e3998f5116e4cf691f663f39",
+    }),
+    (("pure-shape", "fig5", ("n=7", "k=5", "t=0.4")), {
+        "manifest.txt":
+            "0834ddcf0f3031d86f7ef9f397c4d4273aa69b3c0376bf01224f903a46b26c1e",
+        "pure_shape.csv":
+            "402e2697db9e535ed98c8e83d8b2f4c66839f51178a3f6ebaa2f0101966ce446",
+        "pure_shape.txt":
+            "4639fdfe5054756fc39e38da1d038c49c0ff9a561b79f1aea56dbc0bded8bea0",
+    }),
+]
+
+
+@pytest.mark.parametrize("run,expected", PACKED_STATE_OUTPUTS,
+                         ids=["shape-n10", "shape-n17", "pure-n10",
+                              "pure-fig5-n7"])
+def test_packed_state_outputs_unchanged(tmp_path, run, expected):
+    mode, config, overrides = run
+    argv = [mode, "--config", f"{CONFIG_DIR}/{config}.cfg", "--out",
+            str(tmp_path)]
+    for item in overrides:
+        argv += ["--override", item]
+    assert cli.main(argv) == 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in tmp_path.iterdir()}
+    assert got == expected
+
+
 # SHA-256 of sweep runs that mix existing rows with rejected ones,
 # recorded before the sweep became one pass over a stacked eigen-solve:
 # a lambda range whose endpoints ControlParams rejects, an alpha range at
@@ -386,6 +437,24 @@ class TestMainExitCodes:
         with pytest.raises(ConfigError, match="^t: horizon T = 1 "):
             cli.parse_config(f"{CONFIG_DIR}/reference.cfg", "simulate",
                              overrides=["t=1", "dt=0.3"])
+
+    @pytest.mark.parametrize("mode,config,overrides,key", [
+        ("simulate", "reference", ["seed=abc"], "seed"),
+        ("simulate", "reference", ["initial=equilibrium", "m=x"], "m"),
+        ("simulate", "reference",
+         ["initial=manifold", "k=x", "kappa1=0", "rho1=1"], "k"),
+        ("portrait", "fig5", ["kappa_samples=2.5"], "kappa_samples"),
+        ("portrait", "fig5", ["rho_samples=x"], "rho_samples"),
+    ], ids=["seed", "m", "k", "kappa_samples", "rho_samples"])
+    def test_non_integer_key_exit_code(self, tmp_path, capsys, mode,
+                                       config, overrides, key):
+        argv = [mode, "--config", f"{CONFIG_DIR}/{config}.cfg", "--out",
+                str(tmp_path)]
+        for item in overrides:
+            argv += ["--override", item]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {key}: expected an integer")
 
     def test_precondition_exit_code(self, tmp_path, capsys):
         # m = 3 makes sin(m*pi/n) = 0 for n = 3: singular mode

@@ -10,13 +10,18 @@ from pursuit_lab import (ControlParams, alpha_star, classify_degenerate,
 from pursuit_lab.equilibria import (ALPHA_SUM_TOL, MARGINAL_BAND,
                                     STRICT_MARGIN, BranchAssignment,
                                     DegenerateClass, _build_equilibrium,
-                                    common_curvature, embed_world,
+                                    embed_world,
                                     format_equilibrium_report)
 from pursuit_lab.errors import (DegenerateAlphaSumError,
                                 DegenerateBranchError, EnumerationSizeError)
 from pursuit_lab.numerics import wrap_angle
 
 from conftest import reference_equilibrium, same_bits
+
+
+def common_curvature(eq):
+    """The common turning rate gamma = 2 sin(kappa_i)/rho_i of the orbit."""
+    return 2.0 * np.sin(eq.kappa) / eq.rho
 
 
 class TestAlphaStar:

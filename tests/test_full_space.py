@@ -9,11 +9,29 @@ from pursuit_lab.equilibria import embed_world
 from pursuit_lab.errors import CollisionError
 from pursuit_lab.full_space import (WorldState, control_profile,
                                     extract_shape_trajectory,
-                                    particle_rates, steering_law_shape,
+                                    particle_rates,
                                     write_trajectory_csv)
 from pursuit_lab.numerics import wrap_angle
 
 from conftest import reference_equilibrium, same_bits
+
+
+def steering_law_shape(i, shape, params):
+    """The steering law of agent i evaluated from scalar shape variables.
+
+    Oracle for the vector form; the two agree to 1e-10 at any valid
+    state.
+    """
+    n = shape.n
+    j = (i + 1) % n
+    speed_ratio = params.nu[j] / params.nu[i]
+    return float(
+        params.lam * params.mu_b[i]
+        * np.sin(shape.kappa_b[i] - params.alpha0[i])
+        + (1.0 - params.lam) * params.mu
+        * np.sin(shape.kappa[i] - params.alpha[i])
+        + (1.0 - params.lam) / shape.rho[i]
+        * (np.sin(shape.kappa[i]) + speed_ratio * np.sin(shape.theta[j])))
 
 
 def _two_agent_params(lam=0.5, alpha=0.3, alpha0=0.7):

@@ -8,7 +8,7 @@ from pursuit_lab import equilibrium_shape
 from pursuit_lab.errors import AssumptionError, CollisionError
 from pursuit_lab.full_space import extract_shape_trajectory
 from pursuit_lab.numerics import wrap_angle
-from pursuit_lab.shape_space import ShapeState
+from pursuit_lab.shape_space import EPS_COL, ShapeState, _check_ranges
 
 from conftest import reference_equilibrium
 
@@ -156,3 +156,62 @@ class TestIntegrateShape:
             a = getattr(traj, f)[-1]
             b = getattr(traj_rolled, f)[-1]
             assert np.max(np.abs(np.roll(a, 1) - b)) < 1e-9
+
+
+def _any_guard(blocks):
+    """The range guard as two ``np.any`` checks, chase ranges first: the
+    (kind, agent) it names, or None."""
+    for kind, col in (("chase", 0), ("beacon", 3)):
+        low = blocks[:, col] <= EPS_COL
+        if np.any(low):
+            return kind, int(np.argmax(low))
+    return None
+
+
+class TestRangeGuard:
+    def _assert_decides_as_any(self, blocks):
+        n = blocks.shape[0]
+        expected = _any_guard(blocks)
+        if expected is None:
+            _check_ranges(blocks, t=0.5)
+            return False
+        kind, i = expected
+        with pytest.raises(CollisionError) as err:
+            _check_ranges(blocks, t=0.5)
+        if kind == "chase":
+            assert str(err.value).startswith(f"chase range rho_{i + 1} ")
+            assert err.value.pair == (i, (i + 1) % n)
+        else:
+            assert str(err.value).startswith(f"beacon range rho_{i + 1}b ")
+            assert err.value.pair == (i, "beacon")
+        assert err.value.t == 0.5
+        return True
+
+    def test_nan_next_to_collocated_range(self):
+        blocks = np.ones((3, 5))
+        blocks[:, 0] = [np.nan, 1e-7, 1.0]
+        assert self._assert_decides_as_any(blocks)
+        blocks[:, 0] = [1.0, np.nan, 1.0]
+        blocks[:, 3] = [np.nan, 1.0, EPS_COL]
+        assert self._assert_decides_as_any(blocks)
+        blocks[:, ::3] = np.nan
+        assert not self._assert_decides_as_any(blocks)
+
+    def test_decides_as_any_on_random_ranges(self):
+        rng = np.random.default_rng(11)
+        pool = [np.nan, 1e-7, EPS_COL, 2e-6, 1.0, 3.0, -np.inf]
+        weights = [0.2, 0.03, 0.03, 0.2, 0.3, 0.2, 0.04]
+        raised = 0
+        for _ in range(400):
+            n = int(rng.integers(2, 9))
+            blocks = rng.uniform(-np.pi, np.pi, (n, 5))
+            blocks[:, ::3] = rng.choice(pool, size=(n, 2), p=weights)
+            raised += self._assert_decides_as_any(blocks)
+        assert 50 < raised < 350
+
+    def test_shape_derivative_guard(self, reference_params):
+        shape = _valid_shape(2)
+        shape.rho[:] = [np.nan, 1.0, 1e-7]
+        with pytest.raises(CollisionError) as err:
+            shape_derivative(shape, reference_params)
+        assert err.value.pair == (2, 0)
