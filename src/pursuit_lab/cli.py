@@ -44,8 +44,9 @@ _MODE_KEYS = {
                  "rho_max", "rho_samples", "seeds", "t", "dt"},
     "sweep": {"parameter", "start", "stop", "samples", "m"},
 }
-# The homogeneity assumptions each mode requires, and the config key that
-# carries each assumption (named in the error).
+# The homogeneity assumptions each mode requires (simulate from an
+# equilibrium also requires A1-A3), and the config key that carries each
+# assumption (named in the error).
 _MODE_ASSUMPTIONS = {
     "shape-sim": require_shape_assumptions,
     "equilibria": require_shape_assumptions,
@@ -224,14 +225,18 @@ def parse_config(path, mode, overrides=(), out_dir="out", seed=None):
                                alpha0=alpha0, mu_b=mu_b, nu=nu)
     except ValueError as err:
         raise ConfigError(str(err)) from None
-    if mode in _MODE_ASSUMPTIONS:
+    section = parser[mode] if parser.has_section(mode) else None
+    initial = str(_get(section, "initial", "random")).strip()
+    gate = _MODE_ASSUMPTIONS.get(mode)
+    if mode == "simulate" and initial == "equilibrium":
+        gate = require_shape_assumptions
+    if gate is not None:
         try:
-            _MODE_ASSUMPTIONS[mode](params)
+            gate(params)
         except AssumptionError as err:
             raise ConfigError(f"{_ASSUMPTION_KEYS[err.failed[0]]}: mode "
                               f"{mode}: {err}") from None
 
-    section = parser[mode] if parser.has_section(mode) else None
     cfg = RunConfig(mode=mode, params=params, out_dir=Path(out_dir))
     cfg.seed = _number(seed if seed is not None
                        else _get(section, "seed", 0) or 0, "seed", kind=int)
@@ -245,7 +250,7 @@ def parse_config(path, mode, overrides=(), out_dir="out", seed=None):
                                      "record_every", kind=int))
 
     if mode in ("simulate", "shape-sim"):
-        cfg.initial = str(_get(section, "initial", "random")).strip()
+        cfg.initial = initial
         if cfg.initial not in ("random", "equilibrium", "manifold"):
             raise ConfigError(
                 f"initial: expected random|equilibrium|manifold, got "

@@ -59,14 +59,13 @@ def _wrapped_alpha_star(m, M, n, alpha_sum):
 
 
 def alpha_star(branch, params):
-    """Common bearing offset kappa_i - alpha_i on a branch, wrapped.
+    """Common bearing offset kappa_i - alpha_i on a branch, wrapped
+    (requires A1-A3, as :func:`enumerate_equilibria` does).
 
     Undefined (DegenerateBranchError) when 2M - n = 0; those branches are
     handled by :func:`classify_degenerate`.
     """
-    if not params.flags().a3_common_alpha0:
-        from .errors import AssumptionError
-        raise AssumptionError("A3 violated: alpha0 differs across agents")
+    require_shape_assumptions(params)
     if 2 * branch.M - branch.n == 0:
         raise DegenerateBranchError(
             "branch has 2M - n = 0; no isolated alpha*")

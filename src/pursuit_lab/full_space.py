@@ -20,6 +20,9 @@ from .numerics import (DEFAULT_DT, cyclic_neighbors, rk4_integrate,
                        wrap_angle)
 from .shape_space import EPS_COL, ShapeState
 
+# Side of the beacon-centered square random_world draws positions from.
+WORLD_SIDE = 4.0
+
 
 def heading_from_angle(angle):
     return np.stack((np.cos(angle), np.sin(angle)), axis=-1)
@@ -51,15 +54,14 @@ class WorldState:
                    beacon=np.asarray(beacon, dtype=float), t=t)
 
 
-def random_world(n, seed, side=4.0, beacon=(0.0, 0.0)):
+def random_world(n, seed):
     """Random bounded initial condition: positions uniform in a square of
-    the given side centered on the beacon, headings uniform on the circle.
-    The seed fully determines the world."""
+    side ``WORLD_SIDE`` centered on the beacon at the origin, headings
+    uniform on the circle.  The seed fully determines the world."""
     rng = np.random.default_rng(seed)
-    beacon = np.asarray(beacon, dtype=float)
-    positions = beacon + rng.uniform(-side / 2.0, side / 2.0, size=(n, 2))
+    positions = rng.uniform(-WORLD_SIDE / 2.0, WORLD_SIDE / 2.0, size=(n, 2))
     angles = rng.uniform(-np.pi, np.pi, size=n)
-    return WorldState.from_polar(positions, angles, beacon=beacon)
+    return WorldState.from_polar(positions, angles)
 
 
 def _chase_geometry(px, py, beacon):

@@ -28,6 +28,9 @@ DEFAULT_DT = 1e-3
 # Relative distance of T / dt from a whole number accepted as a whole
 # step count (absorbs the roundoff of decimal horizons and steps).
 _HORIZON_TOL = 1e-9
+# Aberth step test: a row stops once its largest step is below this,
+# relative to 1 + its largest root estimate.
+_STEP_TOL = 1e-14
 
 
 def step_count(T, dt):
@@ -215,7 +218,7 @@ def _polish_clusters(coeffs, roots, scale):
     return out
 
 
-def _aberth(c, residual_tol, max_iter, step_tol):
+def _aberth(c, residual_tol, max_iter):
     """Aberth-Ehrlich sweeps on the monic rows ``c`` (B, n+1), n >= 2.
 
     Every row runs its own iteration: it stops updating at the sweep
@@ -258,7 +261,7 @@ def _aberth(c, residual_tol, max_iter, step_tol):
         delta = w / denom
         za = za - delta
         done = (np.abs(delta).max(axis=1)
-                <= step_tol * (1.0 + np.abs(za).max(axis=1)))
+                <= _STEP_TOL * (1.0 + np.abs(za).max(axis=1)))
         if done.any():
             freeze(done)
             if not live.size:
@@ -270,7 +273,7 @@ def _aberth(c, residual_tol, max_iter, step_tol):
     return z
 
 
-def _deflated_roots(c, zero_roots, scale, max_iter, step_tol):
+def _deflated_roots(c, zero_roots, scale, max_iter):
     """Roots of the monic rows ``c`` (B, n+1), n >= 1, followed by
     ``zero_roots`` exact zeros (the deflated trailing zero
     coefficients)."""
@@ -278,7 +281,7 @@ def _deflated_roots(c, zero_roots, scale, max_iter, step_tol):
     if c.shape[1] == 2:
         return np.concatenate([-c[:, 1:], zeros], axis=1)
     roots = np.concatenate(
-        [_aberth(c, 1e-13 * scale, max_iter, step_tol), zeros], axis=1)
+        [_aberth(c, 1e-13 * scale, max_iter), zeros], axis=1)
     full = np.concatenate([c, zeros], axis=1)
     polish_scale = 1.0 + np.max(np.abs(full), axis=1)
     # Only a row with two roots inside twice the cluster radius of
@@ -294,7 +297,7 @@ def _deflated_roots(c, zero_roots, scale, max_iter, step_tol):
     return roots
 
 
-def poly_roots(coeffs, max_iter=500, step_tol=1e-14):
+def poly_roots(coeffs, max_iter=500):
     """All complex roots (with multiplicity) of polynomials.
 
     Aberth-Ehrlich simultaneous iteration; initial estimates sit on a
@@ -339,7 +342,7 @@ def poly_roots(coeffs, max_iter=500, step_tol=1e-14):
         rows = np.flatnonzero(zero_roots == zeros)
         if rows.size:
             roots[rows] = _deflated_roots(c[rows, :deg + 1 - zeros], zeros,
-                                          scale[rows], max_iter, step_tol)
+                                          scale[rows], max_iter)
     roots[zero_roots == deg] = 0.0
     return roots.reshape(lead + (deg,))
 

@@ -1,5 +1,7 @@
 """System and controller parameters, plus the homogeneity assumptions
-(A1-A4, A6) that gate the analysis modules."""
+(A1-A4, A6) that gate the analysis modules: the three ``require_*``
+gates are the only checks of them, and behind a gate the common values
+are read directly (``params.alpha[0]``, ``params.alpha0[0]``)."""
 
 import functools
 from dataclasses import dataclass, field
@@ -110,18 +112,6 @@ class ControlParams:
 
     def alpha_sum(self):
         return float(np.sum(self.alpha))
-
-    def common_alpha0(self):
-        """The common beacon bearing offset; requires A3."""
-        if not self._flags.a3_common_alpha0:
-            raise AssumptionError("A3 violated: alpha0 differs across agents")
-        return float(self.alpha0[0])
-
-    def common_alpha(self):
-        """The common neighbor bearing offset; requires A4."""
-        if not self._flags.a4_common_alpha:
-            raise AssumptionError("A4 violated: alpha differs across agents")
-        return float(self.alpha[0])
 
 
 def require_shape_assumptions(params):

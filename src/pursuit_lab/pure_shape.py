@@ -184,12 +184,17 @@ class ManifoldSpec:
         return np.max(np.abs(dev), axis=-1)
 
 
-def manifold_spec(n, k):
-    """Constants of M_k; defined for k in {1, ..., n-1} only."""
+def _check_manifold_index(n, k):
+    """The one manifold-index check: M_k needs k in {1, ..., n-1}."""
     if not 1 <= k <= n - 1:
         raise UndefinedManifoldError(
             f"manifold index k = {k} outside 1..{n - 1} (k = 0 and k = n "
             "leave the beacon ratio undefined)")
+
+
+def manifold_spec(n, k):
+    """Constants of M_k; defined for k in {1, ..., n-1} only."""
+    _check_manifold_index(n, k)
     return ManifoldSpec(
         n=n, k=k,
         psi_const=float((n - 2 * k) * np.pi / n),
@@ -197,10 +202,10 @@ def manifold_spec(n, k):
         rho_tb_const=float(1.0 / (2.0 * np.sin(k * np.pi / n))))
 
 
-def lift(spec, kappa1, rho1, beacon=(0.0, 0.0)):
+def lift(spec, kappa1, rho1):
     """A pure-shape state exactly on M_k plus a consistent world.
 
-    The embedding pins the beacon at the given point, places agent 1 at
+    The embedding pins the beacon at the origin, places agent 1 at
     position angle 0 on the circle of radius rho1 * rho_tb_const and
     advances the position angle by 2*k*pi/n per agent (counter-clockwise
     ordering); headings follow from the manifold's common beacon bearing.
@@ -215,72 +220,51 @@ def lift(spec, kappa1, rho1, beacon=(0.0, 0.0)):
         phi_b=np.full(n, spec.phi_const),
         rho_t=np.ones(n),
         rho_tb=np.full(n, spec.rho_tb_const))
-    beacon = np.asarray(beacon, dtype=float)
     beta = 2.0 * np.pi * k / n * np.arange(n)
     radius = rho1 * spec.rho_tb_const
-    positions = beacon + radius * heading_from_angle(beta)
+    positions = radius * heading_from_angle(beta)
     kappa_b = wrap_angle(kappa1 + spec.phi_const)
     heading_angles = beta + np.pi - kappa_b
     world = WorldState(positions=positions,
                        headings=heading_from_angle(heading_angles),
-                       beacon=beacon)
+                       beacon=np.zeros(2))
     return pure, world
 
 
 def _require_manifold(params, k):
-    """The checks of every reduced-dynamics entry point: assumptions
-    A1-A4 and a manifold index k in 1..n-1."""
+    """The checks of every reduced-dynamics entry point (assumptions A1-A4
+    and a manifold index k in 1..n-1), then the constants of the reduced
+    field on M_k: mu, lambda, alpha, alpha0 and k*pi/n."""
     require_analysis_assumptions(params)
-    if not 1 <= k <= params.n - 1:
-        raise UndefinedManifoldError(f"k = {k} outside 1..{params.n - 1}")
+    _check_manifold_index(params.n, k)
+    return (params.mu, params.lam, params.alpha[0], params.alpha0[0],
+            k * np.pi / params.n)
 
 
-def _reduced_scalars(params, k):
-    mu = params.mu
-    lam = params.lam
-    alpha = params.alpha[0]
-    alpha0 = params.alpha0[0]
-    kpn = k * np.pi / params.n
-    return mu, lam, alpha, alpha0, kpn
+def _reduced_rates(kappa1, rho1, mu, lam, alpha, alpha0, kpn):
+    """The reduced rates (kappa1', rho1') on M_k in scalar math, from the
+    constants of :func:`_require_manifold`; the one form of the reduced
+    field.  rho1' is the sum-to-product form; the difference-of-cosines
+    form agrees to 1e-12."""
+    return (-mu * ((1.0 - lam) * math.sin(kappa1 - alpha)
+                   + lam * math.cos(kappa1 - kpn - alpha0))
+            + 2.0 * lam / rho1 * math.cos(kappa1 - kpn) * math.sin(kpn),
+            2.0 * math.sin(kappa1 - kpn) * math.sin(kpn))
+
+
+def _strip_value(consts):
+    """(1 - lambda) sin(k*pi/n - alpha) + lambda cos(alpha0): positive iff
+    the reduced equilibrium exists, else the strip Delta is invariant."""
+    _, lam, alpha, alpha0, kpn = consts
+    return (1.0 - lam) * math.sin(kpn - alpha) + lam * math.cos(alpha0)
 
 
 def reduced_derivative(kappa1, rho1, params, k):
     """The 2-D reduced rates (kappa1', rho1') on M_k (requires A1-A4)."""
-    _require_manifold(params, k)
+    consts = _require_manifold(params, k)
     if not rho1 > 0.0:
         raise PreconditionError("rho1 must be positive")
-    mu, lam, alpha, alpha0, kpn = _reduced_scalars(params, k)
-    return (_reduced_kappa_rate(kappa1, rho1, mu, lam, alpha, alpha0, kpn),
-            _reduced_rho_rate(kappa1, kpn))
-
-
-def _reduced_kappa_rate(kappa1, rho1, mu, lam, alpha, alpha0, kpn):
-    return (-mu * ((1.0 - lam) * math.sin(kappa1 - alpha)
-                   + lam * math.cos(kappa1 - kpn - alpha0))
-            + 2.0 * lam / rho1 * math.cos(kappa1 - kpn) * math.sin(kpn))
-
-
-def _reduced_rho_rate(kappa1, kpn):
-    # sum-to-product form; the difference-of-cosines form agrees to 1e-12
-    return 2.0 * math.sin(kappa1 - kpn) * math.sin(kpn)
-
-
-def reduced_field(params, k):
-    """Vector field for the reduced dynamics (validated once, then pure
-    scalar math per call; suitable for tight integration loops)."""
-    _require_manifold(params, k)
-    mu, lam, alpha, alpha0, kpn = _reduced_scalars(params, k)
-
-    def field(y):
-        kappa1, rho1 = y[0], y[1]
-        if not rho1 > 0.0:
-            raise CollisionError("reduced scale rho1 reached zero",
-                                 pair=(0, 1))
-        return np.array([
-            _reduced_kappa_rate(kappa1, rho1, mu, lam, alpha, alpha0, kpn),
-            _reduced_rho_rate(kappa1, kpn)])
-
-    return field
+    return _reduced_rates(kappa1, rho1, *consts)
 
 
 def integrate_reduced(kappa1, rho1, params, k, T, dt=DEFAULT_DT,
@@ -291,8 +275,15 @@ def integrate_reduced(kappa1, rho1, params, k, T, dt=DEFAULT_DT,
     keeping the recorded curve continuous for portrait use.  A scale
     rho1 reaching zero raises :class:`CollisionError` carrying the time.
     """
-    times, rows = rk4_integrate(reduced_field(params, k),
-                                [float(kappa1), float(rho1)], T, dt,
+    consts = _require_manifold(params, k)
+
+    def field(y):
+        if not y[1] > 0.0:
+            raise CollisionError("reduced scale rho1 reached zero",
+                                 pair=(0, 1))
+        return np.array(_reduced_rates(y[0], y[1], *consts))
+
+    times, rows = rk4_integrate(field, [float(kappa1), float(rho1)], T, dt,
                                 record_every)
     return times, rows[:, 0], rows[:, 1]
 
@@ -308,13 +299,15 @@ class ReducedEquilibrium:
     method: str
 
 
-def _linearized_tag(params, k, kappa1, rho1):
-    """Stability from the 2x2 Jacobian (trace/determinant signs)."""
+def _linearized_tag(consts, kappa1, rho1):
+    """Stability from the 2x2 Jacobian (trace/determinant signs) of the
+    reduced field with the constants of :func:`_require_manifold`."""
     h = 1e-6
-    fieldfn = reduced_field(params, k)
+    if not rho1 - h > 0.0:
+        raise CollisionError("reduced scale rho1 reached zero", pair=(0, 1))
 
     def f(ka, rh):
-        return fieldfn(np.array([ka, rh]))
+        return np.array(_reduced_rates(ka, rh, *consts))
 
     j11, j21 = (f(kappa1 + h, rho1) - f(kappa1 - h, rho1)) / (2 * h)
     j12, j22 = (f(kappa1, rho1 + h) - f(kappa1, rho1 - h)) / (2 * h)
@@ -335,17 +328,16 @@ def reduced_equilibrium(params, k):
     tags come from the closed-form sign test; otherwise from numeric
     linearization.
     """
-    _require_manifold(params, k)
-    mu, lam, alpha, alpha0, kpn = _reduced_scalars(params, k)
-    denom = mu * ((1.0 - lam) * math.sin(kpn - alpha)
-                  + lam * math.cos(alpha0))
+    consts = _require_manifold(params, k)
+    mu, lam, _, _, kpn = consts
+    denom = mu * _strip_value(consts)
     if denom <= 0.0:
         return None
     rho1_star = 2.0 * lam * math.sin(kpn) / denom
 
     results = []
     if satisfies_a6(params):
-        rp = reduced_params(params, k)
+        rp = _reduced_params(params, k)
         sign = (math.sin(rp.gamma_kn * math.pi - rp.alpha0_plus)
                 * math.cos(rp.gamma_kn * math.pi + rp.alpha0_minus))
         if not abs(sign) < 1e-12:
@@ -358,7 +350,7 @@ def reduced_equilibrium(params, k):
                     method="a6-sign-test"))
             return results
     for kap in (kpn, kpn + math.pi):
-        stable, tag = _linearized_tag(params, k, kap, rho1_star)
+        stable, tag = _linearized_tag(consts, kap, rho1_star)
         results.append(ReducedEquilibrium(
             kappa1=float(wrap_angle(kap)), rho1=rho1_star, stable=stable,
             tag=tag, method="linearization"))
@@ -375,8 +367,14 @@ class ReducedParams:
 
 
 def reduced_params(params, k):
-    alpha = params.common_alpha()
-    alpha0 = params.common_alpha0()
+    """The A6 angles of M_k (requires A1-A4 and k in 1..n-1)."""
+    _require_manifold(params, k)
+    return _reduced_params(params, k)
+
+
+def _reduced_params(params, k):
+    alpha = float(params.alpha[0])
+    alpha0 = float(params.alpha0[0])
     return ReducedParams(gamma_kn=(2.0 * k - params.n) / (4.0 * params.n),
                          alpha0_plus=0.5 * (alpha0 + alpha),
                          alpha0_minus=0.5 * (alpha0 - alpha))
@@ -400,9 +398,9 @@ class RegionCheck:
 def invariant_region_check(params, k):
     """Evaluate the invariance condition for the strip
     Delta = (k*pi/n, k*pi/n + pi) x (0, inf)."""
-    _require_manifold(params, k)
-    _, lam, alpha, alpha0, kpn = _reduced_scalars(params, k)
-    value = (1.0 - lam) * math.sin(kpn - alpha) + lam * math.cos(alpha0)
+    consts = _require_manifold(params, k)
+    kpn = consts[-1]
+    value = _strip_value(consts)
     return RegionCheck(holds=value <= 0.0, value=float(value), k=k,
                        kappa1_low=float(kpn), kappa1_high=float(kpn + math.pi))
 
@@ -420,7 +418,7 @@ def asymptote_prediction(params, k):
         raise PreconditionError(
             "asymptote analysis applies only when the invariant-region "
             f"condition holds (value = {region.value:.6g} > 0)")
-    rp = reduced_params(params, k)
+    rp = _reduced_params(params, k)
     selector = math.cos(rp.gamma_kn * math.pi + rp.alpha0_minus)
     if abs(selector) < 1e-9:
         raise InconclusiveError(
@@ -529,15 +527,13 @@ def phase_portrait(params, k, grid, seeds=(), T=50.0, dt=1e-2):
     Deterministic: grid order is row-major in (kappa, rho) and seed
     trajectories keep their input order.
     """
-    require_analysis_assumptions(params)
-    mu, lam, alpha, alpha0, kpn = _reduced_scalars(params, k)
+    consts = _require_manifold(params, k)
     kappas = np.linspace(grid.kappa_min, grid.kappa_max, grid.kappa_samples)
     rhos = np.linspace(grid.rho_min, grid.rho_max, grid.rho_samples)
     kk, rr = np.meshgrid(kappas, rhos, indexing="ij")
-    d_kappa = (-mu * ((1.0 - lam) * np.sin(kk - alpha)
-                      + lam * np.cos(kk - kpn - alpha0))
-               + 2.0 * lam / rr * np.cos(kk - kpn) * np.sin(kpn))
-    d_rho = 2.0 * np.sin(kk - kpn) * np.sin(kpn) * np.ones_like(rr)
+    rates = np.array([_reduced_rates(ka, rh, *consts)
+                      for ka in kappas.tolist() for rh in rhos.tolist()])
+    d_kappa, d_rho = rates.T.reshape((2,) + kk.shape)
     trajectories = [integrate_reduced(ka, rh, params, k, T, dt)
                     for ka, rh in seeds]
     return PhasePortrait(kappa_grid=kk, rho_grid=rr, d_kappa=d_kappa,

@@ -188,12 +188,11 @@ class ShapeTrajectory:
                           self.kappa_b[idx].copy())
 
 
-def integrate_shape(shape0, params, T, dt=DEFAULT_DT, record_every=1,
-                    drift_tol=DRIFT_TOL):
+def integrate_shape(shape0, params, T, dt=DEFAULT_DT, record_every=1):
     """Integrate the shape dynamics with fixed-step RK4.
 
     Angles are re-wrapped after every step and the constraint residuals
-    are monitored: drift above ``drift_tol`` raises
+    are monitored: drift above ``DRIFT_TOL`` raises
     :class:`ConstraintDriftError` (the constraints are conserved by the
     exact flow, so drift signals integration failure), and a range at or
     below the collocation floor raises :class:`CollisionError`.
@@ -213,9 +212,9 @@ def integrate_shape(shape0, params, T, dt=DEFAULT_DT, record_every=1,
         _check_ranges(blocks, t=t)
         g0, max_g1, max_g2 = _residual_summary(blocks)
         worst = max(abs(g0), max_g1, max_g2)
-        if worst > drift_tol:
+        if worst > DRIFT_TOL:
             raise ConstraintDriftError(
-                f"constraint residual {worst:.3e} exceeds {drift_tol:.1e} "
+                f"constraint residual {worst:.3e} exceeds {DRIFT_TOL:.1e} "
                 f"at t = {t:.6g}")
         return vec
 

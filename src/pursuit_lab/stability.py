@@ -112,8 +112,8 @@ def abd(params, m):
     """
     require_analysis_assumptions(params)
     n = params.n
-    alpha = params.common_alpha()
-    alpha0 = params.common_alpha0()
+    alpha = float(params.alpha[0])
+    alpha0 = float(params.alpha0[0])
     angle = m * np.pi / n
     sin_m = np.sin(angle)
     if abs(sin_m) < _SING_TOL:
@@ -154,7 +154,7 @@ def _block_triple(params, co):
     q2 = 0.5 * mu * co.a / np.tan(angle)
     q3 = mu * (1.0 - lam) * np.cos(co.alpha_star)
     q4 = -2.0 * q1 * sin_m
-    q5 = -mu * lam * np.sin(params.common_alpha0())
+    q5 = -mu * lam * np.sin(float(params.alpha0[0]))
     q = QCoefficients(q1=float(q1), q2=float(q2), q3=float(q3),
                       q4=float(q4), q5=float(q5))
 
@@ -185,20 +185,6 @@ def dk(blocks, k, n):
     # would multiply by a rounded 1/n and move w in the last bit
     w = np.exp(1j * (2.0 * np.pi * k / n))[..., None, None]
     return blocks.A0.astype(complex) + w * blocks.A1 + np.conj(w) * blocks.Am1
-
-
-def assemble_block_circulant(blocks, n):
-    """The explicit 5n x 5n block-circulant Jacobian circ(A0, A1, 0, ...,
-    A-1): row block i carries A0 on the diagonal, A1 at block i+1 and
-    A-1 at block i-1 (indices mod n)."""
-    big = np.zeros((5 * n, 5 * n))
-    for i in range(n):
-        big[5 * i:5 * i + 5, 5 * i:5 * i + 5] = blocks.A0
-        j = (i + 1) % n
-        big[5 * i:5 * i + 5, 5 * j:5 * j + 5] = blocks.A1
-        j = (i - 1) % n
-        big[5 * i:5 * i + 5, 5 * j:5 * j + 5] = blocks.Am1
-    return big
 
 
 def char_poly(params, m, k):
@@ -351,7 +337,7 @@ def _corollaries(params, co):
         cot_m = 1.0 / np.tan(co.m * np.pi / params.n)
         cos_star = np.cos(co.alpha_star)
         v1 = cos_star
-        v2 = (lam * np.sin(params.common_alpha0())
+        v2 = (lam * np.sin(float(params.alpha0[0]))
               + (1.0 - lam) * (cos_star + co.a * cot_m))
         v3 = (co.b * co.d
               + co.a * (1.0 - lam) * (co.d * cot_m - cos_star))

@@ -36,6 +36,21 @@ def same_bits(a, b):
                           np.ascontiguousarray(b).reshape(-1).view(np.uint64))
 
 
+def assemble_block_circulant(blocks, n):
+    """The explicit 5n x 5n block-circulant Jacobian circ(A0, A1, 0, ...,
+    A-1) of a :class:`~pursuit_lab.stability.BlockTriple`: row block i
+    carries A0 on the diagonal, A1 at block i+1 and A-1 at block i-1
+    (indices mod n)."""
+    big = np.zeros((5 * n, 5 * n))
+    for i in range(n):
+        big[5 * i:5 * i + 5, 5 * i:5 * i + 5] = blocks.A0
+        j = (i + 1) % n
+        big[5 * i:5 * i + 5, 5 * j:5 * j + 5] = blocks.A1
+        j = (i - 1) % n
+        big[5 * i:5 * i + 5, 5 * j:5 * j + 5] = blocks.Am1
+    return big
+
+
 @pytest.fixture
 def reference_params():
     """n=3, mu=1, lambda=1/2, alpha=pi/6, alpha0=pi/4 (winding m=1)."""

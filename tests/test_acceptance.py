@@ -24,9 +24,9 @@ from pursuit_lab.full_space import extract_shape_trajectory
 from pursuit_lab.numerics import eig5, wrap_angle
 from pursuit_lab.pure_shape import integrate_pure_shape, integrate_reduced
 from pursuit_lab.shape_space import ShapeState
-from pursuit_lab.stability import assemble_block_circulant
 
-from conftest import multiset_distance, reference_equilibrium
+from conftest import (assemble_block_circulant, multiset_distance,
+                      reference_equilibrium)
 
 
 def _reference_params(mu=1.0):

@@ -456,6 +456,37 @@ class TestMainExitCodes:
         assert capsys.readouterr().err.startswith(
             f"error: {key}: expected an integer")
 
+    @pytest.mark.parametrize("override,key", [
+        ("nu=1.5", "nu"),
+        ("mu_b=2", "mu_b"),
+        ("alpha0=0.1, 0.2, 0.3", "alpha0"),
+    ])
+    def test_equilibrium_start_assumptions_exit_code(self, tmp_path, capsys,
+                                                     override, key):
+        # reference.cfg starts simulate from an equilibrium, whose
+        # enumeration needs A1-A3
+        code = cli.main(["simulate", "--config",
+                         f"{CONFIG_DIR}/reference.cfg", "--out",
+                         str(tmp_path), "--override", override])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {key}: mode simulate: assumption(s) violated: ")
+
+    def test_random_start_needs_no_assumptions(self):
+        cfg = cli.parse_config(f"{CONFIG_DIR}/reference.cfg", "simulate",
+                               overrides=["initial=random", "nu=1.5",
+                                          "alpha0=0.1, 0.2, 0.3"])
+        assert cfg.params.nu[0] == 1.5
+
+    def test_portrait_undefined_manifold_exit_code(self, tmp_path, capsys):
+        code = cli.main(["portrait", "--config", f"{CONFIG_DIR}/fig5.cfg",
+                         "--out", str(tmp_path), "--override", "k=7",
+                         "--override", "seeds="])
+        assert code == 5
+        assert capsys.readouterr().err.startswith(
+            "error: manifold index k = 7 outside 1..2")
+        assert not (tmp_path / "grid.csv").exists()
+
     def test_precondition_exit_code(self, tmp_path, capsys):
         # m = 3 makes sin(m*pi/n) = 0 for n = 3: singular mode
         code = cli.main(["stability", "--config",

@@ -12,7 +12,7 @@ from pursuit_lab.equilibria import (ALPHA_SUM_TOL, MARGINAL_BAND,
                                     DegenerateClass, _build_equilibrium,
                                     embed_world,
                                     format_equilibrium_report)
-from pursuit_lab.errors import (DegenerateAlphaSumError,
+from pursuit_lab.errors import (AssumptionError, DegenerateAlphaSumError,
                                 DegenerateBranchError, EnumerationSizeError)
 from pursuit_lab.numerics import wrap_angle
 
@@ -35,6 +35,13 @@ class TestAlphaStar:
                                            alpha=np.pi / 4, alpha0=0.3)
         value = alpha_star(BranchAssignment(sigma=(1, 1), m=1), params)
         assert abs(value - np.pi / 4) < 1e-12
+
+    def test_mixed_alpha0_rejected_by_the_gate(self):
+        params = ControlParams.homogeneous(3, alpha=0.2,
+                                           alpha0=[0.1, 0.2, 0.3])
+        with pytest.raises(AssumptionError,
+                           match=r"^assumption\(s\) violated: A3 "):
+            alpha_star(BranchAssignment(sigma=(1, 1, 1), m=1), params)
 
     def test_degenerate_branch_rejected(self):
         params = ControlParams.homogeneous(2, mu=1.0, lam=0.5, alpha=0.2,

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis.strategies import floats, integers as ints
 
 from pursuit_lab import (ControlParams, extract_shape, integrate_shape,
                          random_world, shape_derivative)
@@ -14,12 +16,12 @@ from pursuit_lab.errors import (AssumptionError, CollisionError,
                                 UndefinedManifoldError)
 from pursuit_lab.numerics import wrap_angle
 from pursuit_lab.pure_shape import (GridSpec, a5_guard_values,
-                                    _reduced_rho_rate,
+                                    _reduced_rates, _require_manifold,
                                     integrate_pure_shape, integrate_reduced,
                                     phase_portrait, reduced_params)
 from pursuit_lab.numerics import cyclic_neighbors
 
-from conftest import reference_equilibrium
+from conftest import reference_equilibrium, same_bits
 
 
 def pure_constraint_residuals(state):
@@ -41,6 +43,22 @@ def pure_constraint_residuals(state):
 def _reduced_rho_rate_cos_form(kappa1, kpn):
     """The difference-of-cosines form of the reduced rho1 rate."""
     return -math.cos(kappa1) + math.cos(kappa1 - 2.0 * kpn)
+
+
+def _grid_rates_numpy(params, k, grid):
+    """The reduced field on a portrait grid in numpy array form (the
+    former grid formula of phase_portrait), as a test oracle."""
+    mu, lam = params.mu, params.lam
+    alpha, alpha0 = params.alpha[0], params.alpha0[0]
+    kpn = k * np.pi / params.n
+    kappas = np.linspace(grid.kappa_min, grid.kappa_max, grid.kappa_samples)
+    rhos = np.linspace(grid.rho_min, grid.rho_max, grid.rho_samples)
+    kk, rr = np.meshgrid(kappas, rhos, indexing="ij")
+    d_kappa = (-mu * ((1.0 - lam) * np.sin(kk - alpha)
+                      + lam * np.cos(kk - kpn - alpha0))
+               + 2.0 * lam / rr * np.cos(kk - kpn) * np.sin(kpn))
+    d_rho = 2.0 * np.sin(kk - kpn) * np.sin(kpn) * np.ones_like(rr)
+    return kk, rr, d_kappa, d_rho
 
 
 class TestChangeOfVariables:
@@ -187,7 +205,9 @@ class TestReducedDynamics:
         for _ in range(200):
             kappa1 = rng.uniform(-np.pi, np.pi)
             kpn = rng.uniform(0.1, np.pi - 0.1)
-            assert abs(_reduced_rho_rate(kappa1, kpn)
+            # the rho1 rate depends on kappa1 and k*pi/n only
+            _, drho = _reduced_rates(kappa1, 1.0, 1.0, 0.5, 0.0, 0.0, kpn)
+            assert abs(drho
                        - _reduced_rho_rate_cos_form(kappa1, kpn)) < 1e-12
 
     def test_equilibrium_point(self):
@@ -258,8 +278,8 @@ class TestReducedEquilibrium:
                 continue
             from pursuit_lab.pure_shape import _linearized_tag
             for eq in eqs:
-                stable_num, tag_num = _linearized_tag(params, k, eq.kappa1,
-                                                      eq.rho1)
+                stable_num, tag_num = _linearized_tag(
+                    _require_manifold(params, k), eq.kappa1, eq.rho1)
                 if tag_num == "marginal":
                     break
                 assert stable_num == eq.stable
@@ -325,6 +345,11 @@ class TestAsymptote:
         with pytest.raises(InconclusiveError):
             asymptote_prediction(params, 2)
 
+    def test_reduced_params_rejects_undefined_manifold(self, spiral_params):
+        with pytest.raises(UndefinedManifoldError,
+                           match="manifold index k = 7 outside 1..2"):
+            reduced_params(spiral_params, 7)
+
 
 class TestPortraitAndGuards:
     def test_grid_validation(self):
@@ -361,6 +386,37 @@ class TestPortraitAndGuards:
         for _, kk, rr in portrait.trajectories:
             assert abs(wrap_angle(kk[-1] - 5 * np.pi / 6)) < 0.1
             assert rr[-1] > rr[0]
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(n=ints(2, 7), k_frac=floats(0.0, 1.0), mu=floats(0.1, 5.0),
+           lam=floats(0.01, 0.99), alpha=floats(-np.pi, np.pi),
+           alpha0=floats(-np.pi, np.pi), kappa_min=floats(-3.1, 0.0),
+           kappa_span=floats(0.01, 3.1), kappa_samples=ints(2, 9),
+           rho_min=floats(0.01, 2.0), rho_span=floats(0.01, 30.0),
+           rho_samples=ints(2, 9))
+    def test_grid_matches_numpy_form(self, n, k_frac, mu, lam, alpha,
+                                     alpha0, kappa_min, kappa_span,
+                                     kappa_samples, rho_min, rho_span,
+                                     rho_samples):
+        k = 1 + min(int(k_frac * (n - 1)), n - 2)
+        params = ControlParams.homogeneous(n, mu=mu, lam=lam, alpha=alpha,
+                                           alpha0=alpha0)
+        grid = GridSpec(kappa_min=kappa_min,
+                        kappa_max=kappa_min + kappa_span,
+                        kappa_samples=kappa_samples, rho_min=rho_min,
+                        rho_max=rho_min + rho_span, rho_samples=rho_samples)
+        portrait = phase_portrait(params, k, grid)
+        got = (portrait.kappa_grid, portrait.rho_grid, portrait.d_kappa,
+               portrait.d_rho)
+        assert all(same_bits(a, b)
+                   for a, b in zip(got, _grid_rates_numpy(params, k, grid)))
+
+    def test_portrait_rejects_undefined_manifold(self, spiral_params):
+        grid = GridSpec(kappa_min=-3.0, kappa_max=3.0, kappa_samples=4,
+                        rho_min=0.5, rho_max=5.0, rho_samples=4)
+        with pytest.raises(UndefinedManifoldError,
+                           match="manifold index k = 7 outside 1..2"):
+            phase_portrait(spiral_params, 7, grid)
 
     def test_a5_guard_flags(self):
         # Phi = 2*kappa1 + psi_const; kappa1 = -psi_const/2 zeroes sin(Phi/2)

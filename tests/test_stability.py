@@ -10,10 +10,10 @@ from pursuit_lab.errors import (AssumptionError, EquilibriumNotFoundError,
                                 NumericError, SingularModeError)
 from pursuit_lab.numerics import characteristic_polynomial, eig5
 from pursuit_lab.shape_space import ShapeState
-from pursuit_lab.stability import (_group_spectrum, assemble_block_circulant,
-                                   routh_conditions)
+from pursuit_lab.stability import _group_spectrum, routh_conditions
 
-from conftest import multiset_distance, reference_equilibrium, same_bits
+from conftest import (assemble_block_circulant, multiset_distance,
+                      reference_equilibrium, same_bits)
 
 
 def _random_admissible(rng):
