@@ -24,7 +24,7 @@ from .shape_space import (ShapeState, constraint_residuals, shape_derivative,
                           integrate_shape)
 from .equilibria import (BranchAssignment, CirclingEquilibrium, alpha_star,
                          classify_degenerate, enumerate_equilibria,
-                         equilibrium_shape)
+                         equilibrium_shape, leftmost_equilibrium)
 from .stability import (abd, block_triple, char_poly, corollary_checks,
                         cubic_coeffs, dk, routh_necessary, spectrum_report)
 from .pure_shape import (ManifoldSpec, PureShapeState, asymptote_prediction,
@@ -39,9 +39,10 @@ __all__ = [
     "extract_shape", "random_world", "ShapeState", "constraint_residuals",
     "shape_derivative", "integrate_shape", "BranchAssignment",
     "CirclingEquilibrium", "alpha_star", "classify_degenerate",
-    "enumerate_equilibria", "equilibrium_shape", "abd", "block_triple",
-    "char_poly", "corollary_checks", "cubic_coeffs", "dk",
-    "routh_necessary", "spectrum_report", "ManifoldSpec", "PureShapeState",
+    "enumerate_equilibria", "equilibrium_shape", "leftmost_equilibrium",
+    "abd", "block_triple", "char_poly", "corollary_checks", "cubic_coeffs",
+    "dk", "routh_necessary", "spectrum_report", "ManifoldSpec",
+    "PureShapeState",
     "asymptote_prediction", "invariant_region_check", "lift",
     "manifold_spec", "pure_shape_derivative", "reduced_derivative",
     "reduced_equilibrium", "to_pure_shape",

@@ -326,17 +326,12 @@ def _initial_world(cfg):
     if cfg.initial == "random":
         return full_space.random_world(cfg.params.n, seed=cfg.seed)
     if cfg.initial == "equilibrium":
-        branch = equilibria.BranchAssignment(sigma=(1,) * cfg.params.n,
-                                             m=cfg.m)
-        a_star = equilibria.alpha_star(branch, cfg.params)
-        matches = [eq for eq in equilibria.enumerate_equilibria(cfg.params, 1)
-                   if eq.branch.sigma == branch.sigma
-                   and abs(eq.alpha_star - a_star) < 1e-12]
-        if not matches:
+        eq = equilibria.leftmost_equilibrium(cfg.params, cfg.m)
+        if eq is None:
             raise ConfigError(
                 f"m={cfg.m}: no counter-clockwise leftmost-branch "
                 "equilibrium for these parameters")
-        return equilibria.embed_world(matches[0])
+        return equilibria.embed_world(eq)
     spec = pure_shape.manifold_spec(cfg.params.n, cfg.k)
     _, world = pure_shape.lift(spec, cfg.kappa1, cfg.rho1)
     return world
@@ -474,8 +469,9 @@ def run(cfg):
 def _run_sweep(cfg):
     """One row per sample: existence, the Routh verdict and the largest
     informative real part.  The spectra of all existing samples come
-    from one stacked eigen-solve; a sample that is rejected, has no
-    equilibrium or whose own solve fails reads as non-existent."""
+    from one stacked eigen-solve; a sample that is rejected or has no
+    equilibrium reads as non-existent, and one whose own solve fails
+    keeps its existence and verdict with a nan real part."""
     values = np.linspace(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_samples)
     field = "lam" if cfg.sweep_parameter == "lambda" else cfg.sweep_parameter
     verdicts = {}
@@ -492,12 +488,11 @@ def _run_sweep(cfg):
         [params for params, _ in verdicts.values()], cfg.m)))
     rows = []
     for idx, value in enumerate(values):
-        spectrum = spectra.get(idx)
-        if spectrum is None:
-            exists, verdict, worst = False, False, "nan"
-        else:
-            exists, verdict = True, verdicts[idx][1]
-            worst = format(spectrum.max_informative_real(), ".12g")
+        exists, verdict, worst = idx in verdicts, False, "nan"
+        if exists:
+            verdict = verdicts[idx][1]
+            if spectra[idx] is not None:
+                worst = format(spectra[idx].max_informative_real(), ".12g")
         rows.append((idx, format(value, ".12g"), int(exists), int(verdict),
                      worst))
     return rows

@@ -141,14 +141,30 @@ def _build_equilibrium(branch, a_star, direction, params, margins, marginal):
                                marginal=marginal)
 
 
+def _screen(a_star, sigma, params, direction, include_marginal):
+    """Margins (r, n + 1), marginal flags (r,) and accepted row indices
+    of candidates ``a_star`` (r,) with sign patterns ``sigma`` (r, n)."""
+    c1 = (params.lam * np.cos(params.alpha0[0])
+          + (1.0 - params.lam) * direction * np.sin(a_star))
+    c2 = np.sin(a_star[:, None] + sigma * params.alpha)
+    c2 *= direction
+    margins = np.concatenate([c1[:, None], c2], axis=1)
+    marginal = np.abs(margins).min(axis=1) < MARGINAL_BAND
+    take = (margins > STRICT_MARGIN).all(axis=1) & ~marginal
+    if include_marginal:
+        take |= marginal & (margins > 0.0).all(axis=1)
+    return margins, marginal, np.flatnonzero(take)
+
+
 def enumerate_equilibria(params, direction=1, include_marginal=False):
     """All circling equilibria for one circling direction.
 
     Iterates every sign pattern with 2M - n != 0 and every winding in
-    0..2n-1 (wrapped alpha* values repeat beyond that window and are
-    deduplicated).  Candidates whose screening conditions clear the
-    strict margin are returned; candidates inside the marginal band are
-    flagged and only returned when ``include_marginal`` is set.
+    0..2n-1.  The wrapped alpha* of a pattern has period 2|2M - n| in m,
+    so only its first 2|2M - n| windings reach the screen.  Candidates
+    whose screening conditions clear the strict margin are returned;
+    candidates inside the marginal band are flagged and only returned
+    when ``include_marginal`` is set.
 
     Raises DegenerateAlphaSumError when sin(sum alpha_i) vanishes: the
     closed-form characterization does not cover that case (see
@@ -174,35 +190,16 @@ def enumerate_equilibria(params, direction=1, include_marginal=False):
     M = bits.sum(axis=1)
     keep = 2 * M - n != 0
     sigma, M = bits[keep] * 2 - 1, M[keep]
-    turn = sigma * params.alpha
-    c1_base = params.lam * np.cos(params.alpha0[0])
-    c1_gain = (1.0 - params.lam) * direction
     alpha_sum = params.alpha_sum()
 
-    # one pass over all sign patterns per winding; a pattern's alpha* is
-    # screened only when no earlier screened winding of it gave the
-    # same wrapped value
-    screened = []
     hits = []
     for m in range(2 * n):
-        a_star = _wrapped_alpha_star(m, M, n, alpha_sum)
-        fresh = np.ones(a_star.shape, dtype=bool)
-        for prev, prev_fresh in screened:
-            fresh &= ~(prev_fresh
-                       & (np.abs(wrap_angle(a_star - prev)) < 1e-12))
-        screened.append((a_star, fresh))
-        rows = np.flatnonzero(fresh)
-        a_fresh = a_star[rows]
-        c1 = c1_base + c1_gain * np.sin(a_fresh)
-        c2 = np.sin(a_fresh[:, None] + turn[rows])
-        c2 *= direction
-        margins = np.concatenate([c1[:, None], c2], axis=1)
-        marginal = np.abs(margins).min(axis=1) < MARGINAL_BAND
-        take = (margins > STRICT_MARGIN).all(axis=1) & ~marginal
-        if include_marginal:
-            take |= marginal & (margins > 0.0).all(axis=1)
-        hits += zip(rows[take].tolist(), [m] * int(take.sum()),
-                    a_fresh[take].tolist(), margins[take],
+        rows = np.flatnonzero(2 * np.abs(2 * M - n) > m)
+        a_star = _wrapped_alpha_star(m, M[rows], n, alpha_sum)
+        margins, marginal, take = _screen(a_star, sigma[rows], params,
+                                          direction, include_marginal)
+        hits += zip(rows[take].tolist(), [m] * len(take),
+                    a_star[take].tolist(), margins[take],
                     marginal[take].tolist())
 
     # sigma in product order, then m ascending
@@ -211,6 +208,24 @@ def enumerate_equilibria(params, direction=1, include_marginal=False):
                 BranchAssignment(sigma=tuple(sigma[row].tolist()), m=m),
                 a_star, direction, params, margins, marginal)
             for row, m, a_star, margins, marginal in hits]
+
+
+def leftmost_equilibrium(params, m):
+    """The counter-clockwise all-plus (leftmost-branch) equilibrium at
+    winding m, as :func:`enumerate_equilibria` finds it, or None when the
+    screen rejects it (requires A1-A3).  m is reduced modulo 2n, the
+    period of its alpha*; 2M - n = n needs no 2**n cap or alpha-sum gate.
+    """
+    require_shape_assumptions(params)
+    n = params.n
+    m %= 2 * n
+    a_star = _wrapped_alpha_star(m, np.array([n]), n, params.alpha_sum())
+    margins, _, take = _screen(a_star, np.ones((1, n), dtype=int), params,
+                               1, False)
+    if not take.size:
+        return None
+    return _build_equilibrium(BranchAssignment(sigma=(1,) * n, m=m),
+                              float(a_star[0]), 1, params, margins[0], False)
 
 
 def equilibrium_shape(eq, params):

@@ -299,61 +299,34 @@ class ReducedEquilibrium:
     method: str
 
 
-def _linearized_tag(consts, kappa1, rho1):
-    """Stability from the 2x2 Jacobian (trace/determinant signs) of the
-    reduced field with the constants of :func:`_require_manifold`."""
-    h = 1e-6
-    if not rho1 - h > 0.0:
-        raise CollisionError("reduced scale rho1 reached zero", pair=(0, 1))
-
-    def f(ka, rh):
-        return np.array(_reduced_rates(ka, rh, *consts))
-
-    j11, j21 = (f(kappa1 + h, rho1) - f(kappa1 - h, rho1)) / (2 * h)
-    j12, j22 = (f(kappa1, rho1 + h) - f(kappa1, rho1 - h)) / (2 * h)
-    trace = j11 + j22
-    det = j11 * j22 - j12 * j21
-    if abs(trace) < 1e-9 or abs(det) < 1e-9:
-        return False, "marginal"
-    stable = trace < 0.0 and det > 0.0
-    return stable, "stable" if stable else "unstable"
-
-
 def reduced_equilibrium(params, k):
     """The circling equilibria of the reduced dynamics, or None.
 
     The two candidate headings kappa1 = k*pi/n and k*pi/n + pi share one
     radius; both are returned, tagged.  Absence (non-positive radius
-    denominator) is a value, not an error.  Under the A6 gain pattern the
-    tags come from the closed-form sign test; otherwise from numeric
-    linearization.
+    denominator) is a value, not an error.  The tags come from the
+    closed-form Jacobian: trace -/+ mu*s with s = (1 - lambda)
+    cos(k*pi/n - alpha) + lambda sin(alpha0), determinant 4 lambda
+    sin^2(k*pi/n) / rho1*^2; either below 1e-9 reads marginal.  Under A6,
+    s = -sin(gamma*pi - alpha0+) cos(gamma*pi + alpha0-): the sign test.
     """
     consts = _require_manifold(params, k)
-    mu, lam, _, _, kpn = consts
+    mu, lam, alpha, alpha0, kpn = consts
     denom = mu * _strip_value(consts)
     if denom <= 0.0:
         return None
     rho1_star = 2.0 * lam * math.sin(kpn) / denom
-
+    s = (1.0 - lam) * math.cos(kpn - alpha) + lam * math.sin(alpha0)
+    det = denom * denom / lam  # = 4 lambda sin^2(k*pi/n) / rho1*^2
+    method = "a6-sign-test" if satisfies_a6(params) else "linearization"
     results = []
-    if satisfies_a6(params):
-        rp = _reduced_params(params, k)
-        sign = (math.sin(rp.gamma_kn * math.pi - rp.alpha0_plus)
-                * math.cos(rp.gamma_kn * math.pi + rp.alpha0_minus))
-        if not abs(sign) < 1e-12:
-            first_stable = sign < 0.0
-            for kap, stable in ((kpn, first_stable),
-                                (kpn + math.pi, not first_stable)):
-                results.append(ReducedEquilibrium(
-                    kappa1=float(wrap_angle(kap)), rho1=rho1_star,
-                    stable=stable, tag="stable" if stable else "unstable",
-                    method="a6-sign-test"))
-            return results
-    for kap in (kpn, kpn + math.pi):
-        stable, tag = _linearized_tag(consts, kap, rho1_star)
+    for kap, trace in ((kpn, -mu * s), (kpn + math.pi, mu * s)):
+        marginal = abs(trace) < 1e-9 or det < 1e-9
+        stable = trace < 0.0 and not marginal
+        tag = "marginal" if marginal else "stable" if stable else "unstable"
         results.append(ReducedEquilibrium(
             kappa1=float(wrap_angle(kap)), rho1=rho1_star, stable=stable,
-            tag=tag, method="linearization"))
+            tag=tag, method=method))
     return results
 
 

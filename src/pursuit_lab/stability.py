@@ -243,28 +243,21 @@ def _cubic(params, co, k):
         k=_single(k))
 
 
-@dataclass(frozen=True)
-class RouthConditionRow:
-    """The three Routh-type condition values for one mode."""
-
-    k: int
-    values: tuple
-    applicable: tuple
-    passed: bool
-
-
 @dataclass
 class RouthVerdict:
     """Necessary-condition verdict, mode by mode.
 
-    ``overall`` is the conjunction over all applicable conditions.  The
-    third condition is identically zero at k = 0 (every hat coefficient
-    vanishes there) and is treated as vacuous for that mode; conditions
-    1-2 at k = 0 reduce to b > 0 given a > 0.  ``cubic`` is the table of
-    all modes' cubic coefficients the values were computed from.
+    ``values`` (n, 3) holds each mode's three condition values and
+    ``passed`` (n,) whether its applicable ones are positive; ``overall``
+    is their conjunction.  The third condition is identically zero at
+    k = 0 (every hat coefficient vanishes there) and is treated as
+    vacuous for that mode; conditions 1-2 at k = 0 reduce to b > 0 given
+    a > 0.  ``cubic`` is the table of all modes' cubic coefficients the
+    values were computed from.
     """
 
-    rows: list
+    values: np.ndarray
+    passed: np.ndarray
     overall: bool
     notes: list = field(default_factory=list)
     cubic: CubicCoefficients = None
@@ -298,14 +291,11 @@ def routh_necessary(params, m):
     third = cond3 > 0.0
     third[0] = True
     passed = (cond1 > 0.0) & (cond2 > 0.0) & third
-    values = zip(cond1.tolist(), cond2.tolist(), cond3.tolist())
-    rows = [RouthConditionRow(k=k, values=v,
-                              applicable=(True, True, k != 0), passed=p)
-            for k, (v, p) in enumerate(zip(values, passed.tolist()))]
     notes = ["k=0: third condition is identically zero (vacuous); "
              "conditions 1-2 amount to b > 0"]
-    return RouthVerdict(rows=rows, overall=bool(passed.all()), notes=notes,
-                        cubic=cc)
+    return RouthVerdict(values=np.stack([cond1, cond2, cond3], axis=-1),
+                        passed=passed, overall=bool(passed.all()),
+                        notes=notes, cubic=cc)
 
 
 @dataclass
@@ -498,17 +488,17 @@ def format_stability_report(params, m, spectrum):
     lines.append(f"alpha* = {co.alpha_star:.12g} rad "
                  f"({co.alpha_star / np.pi:.6f} pi), a = {co.a:.12g}, "
                  f"b = {co.b:.12g}, d = {co.d:.12g}")
-    for row, cc, roots, groups in zip(verdict.rows, cubics, cubic_roots,
-                                      spectrum.by_mode):
+    for k, (cc, roots, groups) in enumerate(zip(cubics, cubic_roots,
+                                                spectrum.by_mode)):
         lines.append("")
-        lines.append(f"mode k = {row.k}: "
-                     + ("PASS" if row.passed else "FAIL"))
+        lines.append(f"mode k = {k}: "
+                     + ("PASS" if verdict.passed[k] else "FAIL"))
         lines.append(f"  cubic: c~ = {cc.c_t:.12g}, c^ = {cc.c_h:.12g}, "
                      f"d~ = {cc.d_t:.12g}, d^ = {cc.d_h:.12g}, "
                      f"e~ = {cc.e_t:.12g}, e^ = {cc.e_h:.12g}")
-        conds = ", ".join(
-            (f"{v:.12g}" if app else f"{v:.12g} (vacuous)")
-            for v, app in zip(row.values, row.applicable))
+        conds = ", ".join(f"{v:.12g}" for v in verdict.values[k])
+        if k == 0:
+            conds += " (vacuous)"
         lines.append(f"  conditions: {conds}")
         lines.append("  cubic roots: "
                      + ", ".join(f"{z.real:+.9f}{z.imag:+.9f}j"

@@ -3,8 +3,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from pursuit_lab import (ControlParams, cli, routh_necessary,
-                         spectrum_report)
+from pursuit_lab import (ControlParams, cli, extract_shape,
+                         routh_necessary, shape_derivative, spectrum_report)
 from pursuit_lab.errors import ConfigError, NumericError
 
 CONFIG_DIR = __file__.rsplit("/", 2)[0] + "/configs"
@@ -347,6 +347,56 @@ def test_packed_state_outputs_unchanged(tmp_path, run, expected):
     assert got == expected
 
 
+# SHA-256 of the runs that reach the equilibrium start, the branch
+# enumeration at n = 11 (2**11 sign patterns) and the A6 tags of an
+# existing reduced equilibrium, recorded while the start searched the
+# full enumeration and the tags came from the sign test.
+CLOSED_FORM_OUTPUTS = [
+    (("simulate", "reference", ("n=11", "t=0.2")), {
+        "manifest.txt":
+            "a1675974fba57cfab8ce32717d8e1ad734b8db3a834341fc5e29beeaf24c3418",
+        "trajectory.csv":
+            "8e0e04bd879352081606cba238fbd17d78fa6a4ee03282b7d330b9b426b89b56",
+    }),
+    (("shape-sim", "reference",
+      ("initial=equilibrium", "m=1", "n=11", "t=0.2")), {
+        "manifest.txt":
+            "8298358e1804132ca0dd70143c661e604283de774d386821fe1fb6e3ee0e7f13",
+        "shape.csv":
+            "48a268bc17404c3c23803d4c5fb87a55bfb67439196c289ae83e5cdc67853595",
+    }),
+    (("equilibria", "reference", ("n=11",)), {
+        "equilibria.txt":
+            "8e578b6f26e1e0c86d6da785a9a044c241d9e8301c6ee818067bc7fb20ffd76f",
+        "manifest.txt":
+            "f8f76f4cb515dbc1773045052bd56d2c2096790e643b041978d0ba96d6098b03",
+    }),
+    (("pure-shape", "reference", ("mu=2", "t=0.2")), {
+        "manifest.txt":
+            "2904e9cc2b3d90bd3ccedc0c285d545cbc651ae11cd5dfb2e5701f5255f897d3",
+        "pure_shape.csv":
+            "df5bdff1423207d68898e95407232b05fb45764c90a3f990884c2a1853d7af56",
+        "pure_shape.txt":
+            "ce3b2b33d74b8320abd407bc0b04382ef7dd028ab73291f8378d4489e56f698f",
+    }),
+]
+
+
+@pytest.mark.parametrize("run,expected", CLOSED_FORM_OUTPUTS,
+                         ids=["simulate-eq-n11", "shape-eq-n11",
+                              "equilibria-n11", "pure-a6"])
+def test_closed_form_outputs_unchanged(tmp_path, run, expected):
+    mode, config, overrides = run
+    argv = [mode, "--config", f"{CONFIG_DIR}/{config}.cfg", "--out",
+            str(tmp_path)]
+    for item in overrides:
+        argv += ["--override", item]
+    assert cli.main(argv) == 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in tmp_path.iterdir()}
+    assert got == expected
+
+
 # SHA-256 of sweep runs that mix existing rows with rejected ones,
 # recorded before the sweep became one pass over a stacked eigen-solve:
 # a lambda range whose endpoints ControlParams rejects, an alpha range at
@@ -388,10 +438,10 @@ def test_sweep_outputs_unchanged(tmp_path, overrides, expected):
     assert got == expected
 
 
-def test_sweep_failed_solve_reads_nonexistent(tmp_path):
+def test_sweep_failed_solve_keeps_existence(tmp_path):
     # at lambda = 1/32 the root iteration of mode k = 1 does not converge;
-    # that sample reads as non-existent and the other rows are computed
-    # as on their own
+    # that sample keeps its equilibrium and Routh verdict with a nan real
+    # part, and the other rows are computed as on their own
     config = tmp_path / "sweep.cfg"
     config.write_text("[system]\nn = 31\nmu = 3\nlambda = 0.5\nalpha = -1\n"
                       "alpha0 = 0\n\n[sweep]\nparameter = lambda\n"
@@ -400,16 +450,17 @@ def test_sweep_failed_solve_reads_nonexistent(tmp_path):
     assert cli.main(["sweep", "--config", str(config), "--out",
                      str(out)]) == 0
     rows = (out / "sweep.csv").read_text().splitlines()[2:]
-    assert rows[0] == "0,0.03125,0,0,nan"
+    assert rows[0] == "0,0.03125,1,1,nan"
     for idx, lam in enumerate(np.linspace(0.03125, 0.5, 4)):
         params = ControlParams.homogeneous(31, mu=3.0, lam=lam, alpha=-1.0,
                                            alpha0=0.0)
+        verdict = int(routh_necessary(params, 1).overall)
         if idx == 0:
+            assert verdict == 1
             with pytest.raises(NumericError):
                 spectrum_report(params, 1)
             continue
         worst = spectrum_report(params, 1).max_informative_real()
-        verdict = int(routh_necessary(params, 1).overall)
         assert rows[idx] == f"{idx},{lam:.12g},1,{verdict},{worst:.12g}"
 
 
@@ -471,6 +522,23 @@ class TestMainExitCodes:
         assert code == 2
         assert capsys.readouterr().err.startswith(
             f"error: {key}: mode simulate: assumption(s) violated: ")
+
+    def test_equilibrium_start_beyond_enumeration_cap(self, tmp_path):
+        # the leftmost branch is closed form, so 2**17 sign patterns are
+        # never enumerated
+        assert cli.main(["simulate", "--config",
+                         f"{CONFIG_DIR}/reference.cfg", "--out",
+                         str(tmp_path), "--override", "n=17",
+                         "--override", "t=0.2"]) == 0
+
+    def test_equilibrium_start_with_zero_alpha_sum(self, tmp_path):
+        # sin(sum alpha) = 0 stops the enumeration, not the leftmost branch
+        cfg = cli.parse_config(f"{CONFIG_DIR}/reference.cfg", "simulate",
+                               overrides=["alpha=0", "t=0.2"],
+                               out_dir=tmp_path)
+        shape = extract_shape(cli._initial_world(cfg))
+        assert shape_derivative(shape, cfg.params).max_abs() < 1e-9
+        assert all(p.exists() for p in cli.run(cfg))
 
     def test_random_start_needs_no_assumptions(self):
         cfg = cli.parse_config(f"{CONFIG_DIR}/reference.cfg", "simulate",

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from pursuit_lab import (ControlParams, alpha_star, classify_degenerate,
                          constraint_residuals, enumerate_equilibria,
-                         equilibrium_shape, extract_shape, shape_derivative)
+                         equilibrium_shape, extract_shape,
+                         leftmost_equilibrium, shape_derivative)
 from pursuit_lab.equilibria import (ALPHA_SUM_TOL, MARGINAL_BAND,
                                     STRICT_MARGIN, BranchAssignment,
                                     DegenerateClass, _build_equilibrium,
@@ -160,28 +161,159 @@ def _per_candidate_enumeration(params, direction, include_marginal):
     return found
 
 
-class TestScreenOracle:
-    """The vectorised screen reproduces the per-candidate screen bit for
-    bit: same branches in the same order, same values."""
+def _pairwise_dedup_enumeration(params, direction, include_marginal):
+    """Reference enumeration: every sign pattern at every winding in
+    0..2n-1, a pattern's alpha* screened only when no earlier screened
+    winding of it gave a wrapped value within 1e-12."""
+    n = params.n
+    bits = (np.arange(2 ** n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    M = bits.sum(axis=1)
+    keep = 2 * M - n != 0
+    sigma, M = bits[keep] * 2 - 1, M[keep]
+    turn = sigma * params.alpha
+    c1_base = params.lam * np.cos(params.alpha0[0])
+    c1_gain = (1.0 - params.lam) * direction
+    alpha_sum = params.alpha_sum()
+    screened = []
+    hits = []
+    for m in range(2 * n):
+        a_star = wrap_angle(((m + M - n) * np.pi - alpha_sum) / (2 * M - n))
+        fresh = np.ones(a_star.shape, dtype=bool)
+        for prev, prev_fresh in screened:
+            fresh &= ~(prev_fresh
+                       & (np.abs(wrap_angle(a_star - prev)) < 1e-12))
+        screened.append((a_star, fresh))
+        rows = np.flatnonzero(fresh)
+        a_fresh = a_star[rows]
+        c1 = c1_base + c1_gain * np.sin(a_fresh)
+        c2 = np.sin(a_fresh[:, None] + turn[rows])
+        c2 *= direction
+        margins = np.concatenate([c1[:, None], c2], axis=1)
+        marginal = np.abs(margins).min(axis=1) < MARGINAL_BAND
+        take = (margins > STRICT_MARGIN).all(axis=1) & ~marginal
+        if include_marginal:
+            take |= marginal & (margins > 0.0).all(axis=1)
+        hits += zip(rows[take].tolist(), [m] * int(take.sum()),
+                    a_fresh[take].tolist(), margins[take],
+                    marginal[take].tolist())
+    hits.sort(key=lambda hit: hit[:2])
+    return [_build_equilibrium(
+                BranchAssignment(sigma=tuple(sigma[row].tolist()), m=m),
+                a_star, direction, params, margins, marginal)
+            for row, m, a_star, margins, marginal in hits]
 
-    def _check(self, params, direction, include_marginal):
+
+def _draw_params(seed, n, kind):
+    """Random A1-A3 parameters; "special" puts alpha on rational
+    multiples of pi, so candidates fall in the marginal band, and
+    "near-common" spreads alpha by up to 0.3 around a common value."""
+    rng = np.random.default_rng(seed)
+    if kind == "heterogeneous":
+        alpha = rng.uniform(-np.pi, np.pi, n)
+    elif kind == "near-common":
+        alpha = rng.uniform(-np.pi, np.pi) + rng.uniform(-0.3, 0.3, n)
+    elif kind == "special":
+        alpha = np.pi * int(rng.integers(-5, 6)) / int(
+            rng.choice([3, 4, 6, 12]))
+    else:
+        alpha = float(rng.uniform(-np.pi, np.pi))
+    return ControlParams.homogeneous(
+        n, mu=float(rng.uniform(0.2, 3.0)),
+        lam=float(rng.uniform(0.05, 0.95)), alpha=alpha,
+        alpha0=float(rng.uniform(-np.pi, np.pi)))
+
+
+def _assert_same_equilibria(got, expected):
+    assert [(e.branch.sigma, e.branch.m) for e in got] \
+        == [(e.branch.sigma, e.branch.m) for e in expected]
+    for g, e in zip(got, expected):
+        assert all(type(s) is int for s in g.branch.sigma)
+        assert type(g.alpha_star) is float
+        assert same_bits(g.alpha_star, e.alpha_star)
+        assert g.direction == e.direction
+        assert g.marginal is e.marginal
+        for name in ("kappa", "theta", "rho", "rho_b", "margins"):
+            assert same_bits(getattr(g, name), getattr(e, name)), name
+
+
+class TestLeftmost:
+    """The closed-form leftmost branch equals the enumeration's all-plus
+    equilibrium matched by alpha* (within 1e-12), or both reject."""
+
+    @staticmethod
+    def _check(params, m, found):
+        n = params.n
+        got = leftmost_equilibrium(params, m)
+        a_star = alpha_star(BranchAssignment(sigma=(1,) * n, m=m), params)
+        matches = [eq for eq in found if eq.branch.sigma == (1,) * n
+                   and abs(eq.alpha_star - a_star) < 1e-12]
+        if not matches:
+            assert got is None
+            return 0
+        assert matches[0].branch.m == m % (2 * n)
+        _assert_same_equilibria([got], matches[:1])
+        return 1
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 9),
+           kind=st.sampled_from(["common", "special", "heterogeneous",
+                                 "near-common"]),
+           m=st.integers(-40, 40))
+    def test_matches_enumeration(self, seed, n, kind, m):
+        params = _draw_params(seed, n, kind)
+        if abs(np.sin(params.alpha_sum())) <= ALPHA_SUM_TOL:
+            # the enumeration stops at this gate; the closed form does not
+            leftmost_equilibrium(params, m)
+            return
+        self._check(params, m, enumerate_equilibria(params, 1))
+
+    @pytest.mark.parametrize("n", [2, 5, 9, 12])
+    def test_every_winding(self, n):
+        params = ControlParams.homogeneous(n, mu=1.3, lam=0.4, alpha=0.35,
+                                           alpha0=-0.6)
+        found = enumerate_equilibria(params, 1)
+        assert sum(self._check(params, m, found)
+                   for m in range(-2 * n, 4 * n)) > n
+
+    def test_reference_equilibrium(self, reference_params):
+        for m in (1, 7, -5):
+            _assert_same_equilibria(
+                [leftmost_equilibrium(reference_params, m)],
+                [reference_equilibrium(reference_params)])
+
+    def test_needs_no_cap_or_alpha_sum_gate(self):
+        # n = 17 exceeds the enumeration cap; alpha = 0 zeroes
+        # sin(sum alpha), which stops the enumeration
+        for n, alpha in ((17, 0.1), (3, 0.0)):
+            params = ControlParams.homogeneous(n, mu=1.0, lam=0.5,
+                                               alpha=alpha, alpha0=0.2)
+            eq = leftmost_equilibrium(params, 1)
+            rates = shape_derivative(equilibrium_shape(eq, params), params)
+            assert rates.max_abs() < 1e-9
+
+    def test_rejected_winding(self, reference_params):
+        # m = 4: alpha* = (4pi - pi/2)/3 wraps to -5pi/6, so the chord
+        # margin sin(alpha* + alpha) = sin(-2pi/3) is negative
+        assert leftmost_equilibrium(reference_params, 4) is None
+        assert not [eq for eq in enumerate_equilibria(reference_params, 1)
+                    if eq.branch.sigma == (1, 1, 1) and eq.branch.m == 4]
+
+
+class TestScreenOracle:
+    """The vectorised screen over each pattern's period window reproduces
+    the per-candidate screen and the pairwise comparison of every winding
+    against the earlier ones bit for bit: same branches in the same
+    order, same values."""
+
+    def _check(self, params, direction, include_marginal,
+               oracle=_per_candidate_enumeration):
         if abs(np.sin(params.alpha_sum())) <= ALPHA_SUM_TOL:
             with pytest.raises(DegenerateAlphaSumError):
                 enumerate_equilibria(params, direction, include_marginal)
             return
-        expected = _per_candidate_enumeration(params, direction,
-                                              include_marginal)
-        got = enumerate_equilibria(params, direction, include_marginal)
-        assert [(e.branch.sigma, e.branch.m) for e in got] \
-            == [(e.branch.sigma, e.branch.m) for e in expected]
-        for g, e in zip(got, expected):
-            assert all(type(s) is int for s in g.branch.sigma)
-            assert type(g.alpha_star) is float
-            assert same_bits(g.alpha_star, e.alpha_star)
-            assert g.direction == e.direction
-            assert g.marginal is e.marginal
-            for name in ("kappa", "theta", "rho", "rho_b", "margins"):
-                assert same_bits(getattr(g, name), getattr(e, name)), name
+        _assert_same_equilibria(
+            enumerate_equilibria(params, direction, include_marginal),
+            oracle(params, direction, include_marginal))
 
     @settings(derandomize=True, deadline=None, max_examples=100)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8),
@@ -190,20 +322,17 @@ class TestScreenOracle:
            include_marginal=st.booleans())
     def test_matches_per_candidate_screen(self, seed, n, kind, direction,
                                           include_marginal):
-        rng = np.random.default_rng(seed)
-        if kind == "heterogeneous":
-            alpha = rng.uniform(-np.pi, np.pi, n)
-        elif kind == "special":
-            # rational multiples of pi put candidates in the marginal band
-            alpha = np.pi * int(rng.integers(-5, 6)) / int(
-                rng.choice([3, 4, 6, 12]))
-        else:
-            alpha = float(rng.uniform(-np.pi, np.pi))
-        params = ControlParams.homogeneous(
-            n, mu=float(rng.uniform(0.2, 3.0)),
-            lam=float(rng.uniform(0.05, 0.95)), alpha=alpha,
-            alpha0=float(rng.uniform(-np.pi, np.pi)))
-        self._check(params, direction, include_marginal)
+        self._check(_draw_params(seed, n, kind), direction, include_marginal)
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 11),
+           kind=st.sampled_from(["common", "special", "heterogeneous"]),
+           direction=st.sampled_from([1, -1]),
+           include_marginal=st.booleans())
+    def test_matches_pairwise_dedup(self, seed, n, kind, direction,
+                                    include_marginal):
+        self._check(_draw_params(seed, n, kind), direction, include_marginal,
+                    oracle=_pairwise_dedup_enumeration)
 
     @pytest.mark.parametrize("n", [2, 4, 8])
     def test_marginal_branches_of_even_n(self, n):

@@ -61,6 +61,27 @@ def _grid_rates_numpy(params, k, grid):
     return kk, rr, d_kappa, d_rho
 
 
+def _linearized_tag(consts, kappa1, rho1):
+    """Reference tag: stability from the 2x2 Jacobian (trace/determinant
+    signs) of the reduced field by central differences with h = 1e-6,
+    with the constants of ``_require_manifold``."""
+    h = 1e-6
+    if not rho1 - h > 0.0:
+        raise CollisionError("reduced scale rho1 reached zero", pair=(0, 1))
+
+    def f(ka, rh):
+        return np.array(_reduced_rates(ka, rh, *consts))
+
+    j11, j21 = (f(kappa1 + h, rho1) - f(kappa1 - h, rho1)) / (2 * h)
+    j12, j22 = (f(kappa1, rho1 + h) - f(kappa1, rho1 - h)) / (2 * h)
+    trace = j11 + j22
+    det = j11 * j22 - j12 * j21
+    if abs(trace) < 1e-9 or abs(det) < 1e-9:
+        return False, "marginal"
+    stable = trace < 0.0 and det > 0.0
+    return stable, "stable" if stable else "unstable"
+
+
 class TestChangeOfVariables:
     def test_equilibrium_collapses_to_units(self, reference_params):
         shape = equilibrium_shape(reference_equilibrium(reference_params),
@@ -264,6 +285,51 @@ class TestReducedEquilibrium:
     def test_absent_in_spiral_regime(self, spiral_params):
         assert reduced_equilibrium(spiral_params, 2) is None
 
+    def test_tiny_radius_is_tagged(self):
+        # rho1* = 2e-7 lies below the oracle's difference step h = 1e-6
+        params = ControlParams.homogeneous(3, mu=1.0, lam=1e-7, alpha=0.0,
+                                           alpha0=0.0)
+        eqs = reduced_equilibrium(params, 1)
+        assert [eq.tag for eq in eqs] == ["stable", "unstable"]
+        assert abs(eqs[0].rho1 - 2e-7) < 1e-12
+        assert all(eq.method == "linearization" for eq in eqs)
+
+    def test_a6_inside_band_reads_marginal(self):
+        # the A6 sign is 5e-11: above the sign test's old 1e-12 cut,
+        # inside the 1e-9 trace band
+        params = ControlParams.homogeneous(3, mu=2.0, lam=0.5,
+                                           alpha=-np.pi / 6 + 1e-10,
+                                           alpha0=0.0)
+        rp = reduced_params(params, 1)
+        sign = (math.sin(rp.gamma_kn * math.pi - rp.alpha0_plus)
+                * math.cos(rp.gamma_kn * math.pi + rp.alpha0_minus))
+        assert 1e-12 <= abs(sign) < 5e-10
+        eqs = reduced_equilibrium(params, 1)
+        assert [(eq.tag, eq.stable, eq.method) for eq in eqs] \
+            == [("marginal", False, "a6-sign-test")] * 2
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(n=ints(2, 11), k_frac=floats(0.0, 1.0), mu=floats(0.1, 5.0),
+           lam=floats(0.01, 0.99), alpha=floats(-np.pi, np.pi),
+           alpha0=floats(-np.pi, np.pi), a6=ints(0, 2))
+    def test_tags_match_central_difference_oracle(self, n, k_frac, mu, lam,
+                                                  alpha, alpha0, a6):
+        k = 1 + min(int(k_frac * (n - 1)), n - 2)
+        if a6 == 0:
+            mu, lam = 2.0, 0.5
+        params = ControlParams.homogeneous(n, mu=mu, lam=lam, alpha=alpha,
+                                           alpha0=alpha0)
+        eqs = reduced_equilibrium(params, k)
+        if eqs is None:
+            return
+        method = "a6-sign-test" if a6 == 0 else "linearization"
+        for eq in eqs:
+            assert eq.method == method
+            if eq.tag != "marginal":
+                assert _linearized_tag(_require_manifold(params, k),
+                                       eq.kappa1, eq.rho1) \
+                    == (eq.stable, eq.tag)
+
     def test_a6_tag_matches_numeric_linearization(self):
         rng = np.random.default_rng(22)
         checked = 0
@@ -276,7 +342,6 @@ class TestReducedEquilibrium:
             eqs = reduced_equilibrium(params, k)
             if eqs is None or any(e.tag == "marginal" for e in eqs):
                 continue
-            from pursuit_lab.pure_shape import _linearized_tag
             for eq in eqs:
                 stable_num, tag_num = _linearized_tag(
                     _require_manifold(params, k), eq.kappa1, eq.rho1)

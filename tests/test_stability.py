@@ -231,9 +231,9 @@ class TestRouth:
 
     def test_mode_zero_third_condition_vacuous(self, reference_params):
         verdict = routh_necessary(reference_params, 1)
-        row0 = verdict.rows[0]
-        assert row0.applicable == (True, True, False)
-        assert row0.values[2] == 0.0
+        # conditions 1-2 alone decide mode 0
+        assert verdict.values[0, 2] == 0.0
+        assert verdict.passed[0] == (verdict.values[0, :2] > 0.0).all()
         assert any("k=0" in note for note in verdict.notes)
 
 
@@ -394,13 +394,13 @@ def _check_against_oracles(params, m):
                               axis=-1), expected)
     verdict = routh_necessary(params, m)
     passed = []
-    for k, row in enumerate(verdict.rows):
+    assert verdict.values.shape == (n, 3) and verdict.passed.shape == (n,)
+    for k in range(n):
         applicable = (True, True, k != 0)
         passed.append(all(v > 0.0 for v, app in zip(expected[k], applicable)
                           if app))
-        assert row.k == k and row.applicable == applicable
-        assert same_bits(row.values, expected[k])
-        assert row.passed is passed[-1]
+        assert same_bits(verdict.values[k], expected[k])
+        assert verdict.passed[k] == passed[-1]
     assert verdict.overall is all(passed)
     blocks, _ = block_triple(params, m)
     try:
