@@ -469,9 +469,9 @@ def run(cfg):
 def _run_sweep(cfg):
     """One row per sample: existence, the Routh verdict and the largest
     informative real part.  The spectra of all existing samples come
-    from one stacked eigen-solve; a sample that is rejected or has no
-    equilibrium reads as non-existent, and one whose own solve fails
-    keeps its existence and verdict with a nan real part."""
+    from one root solve over their cubics; a sample that is rejected or
+    has no equilibrium reads as non-existent, and one whose own solve
+    fails keeps its existence and verdict with a nan real part."""
     values = np.linspace(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_samples)
     field = "lam" if cfg.sweep_parameter == "lambda" else cfg.sweep_parameter
     verdicts = {}

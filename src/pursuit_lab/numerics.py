@@ -316,7 +316,8 @@ def poly_roots(coeffs, max_iter=500):
     -------
     ndarray, shape (..., d)
         The complex roots of each polynomial, residuals below
-        ``1e-9 * (1 + max |coefficient|)``.
+        ``1e-9 * (1 + max |coefficient|)``; the exact zero roots of
+        trailing zero coefficients come last, as exact zeros.
 
     Raises
     ------
@@ -373,9 +374,14 @@ def eig5(matrix):
     stack, as a (..., 5) array.
 
     Computed as the roots of the characteristic polynomial with the
-    Aberth-Ehrlich solver; backward error at working precision for the
-    well-conditioned fixed-size blocks this package produces.  Raises
-    NumericError when any member has a non-finite entry.
+    Aberth-Ehrlich solver; backward error at working precision for
+    well-conditioned blocks.  It is the reference the block-circulant
+    split is checked against (acceptance criterion 05), not the
+    spectrum's route, which solves the factored cubics.  A near-triple
+    eigenvalue can stall the iteration: the mode-1 block of n = 31,
+    mu = 3, lambda = 1/32, alpha = -1, alpha0 = 0, winding 1 raises
+    NumericError.  Raises NumericError when any member has a non-finite
+    entry.
     """
     a = np.asarray(matrix, dtype=complex)
     if a.shape[-2:] != (5, 5):

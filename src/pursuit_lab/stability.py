@@ -16,15 +16,13 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import EquilibriumNotFoundError, NumericError, SingularModeError
-from .numerics import eig5, poly_roots, wrap_angle
+from .numerics import poly_roots, wrap_angle
 from .params import require_analysis_assumptions
 
 # Zero threshold for sin(m*pi/n) (mode geometry degenerates there).
 _SING_TOL = 1e-12
-# Imaginary-axis band for grouping eigenvalues.
+# Imaginary-axis band: an informative eigenvalue inside it is borderline.
 IMAG_AXIS_TOL = 1e-6
-# Eigenvalues this close to a constraint target count as matched.
-_MATCH_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -82,13 +80,14 @@ class CubicCoefficients:
         return [CubicCoefficients(*mode) for mode in zip(*columns)]
 
     def polynomial(self, mu, a):
-        """Monic cubic factor, highest degree first."""
-        return np.array([
-            1.0,
+        """Monic cubic factor, highest degree first, on the last axis: a
+        table of modes gives one cubic per mode."""
+        return np.stack(np.broadcast_arrays(
+            1.0 + 0.0j,
             mu * (self.c_t - 1j * self.c_h),
             mu ** 2 * a * (self.d_t + 1j * self.d_h),
             mu ** 3 * a ** 2 * (self.e_t - 1j * self.e_h),
-        ], dtype=complex)
+        ), axis=-1)
 
 
 def _pow2(x):
@@ -142,10 +141,7 @@ def block_triple(params, m):
     column; A-1 couples to the previous agent solely through the theta
     row.
     """
-    return _block_triple(params, abd(params, m))
-
-
-def _block_triple(params, co):
+    co = abd(params, m)
     lam = params.lam
     mu = params.mu
     angle = co.m * np.pi / params.n
@@ -340,14 +336,15 @@ def _corollaries(params, co):
 
 @dataclass
 class SpectrumReport:
-    """Grouped eigenvalues of the linearization.
+    """The 5n eigenvalues of the linearization, grouped.
 
     ``by_mode[k]`` holds mode k's eigenvalues as a (constraint,
-    informative) pair of arrays; the constraint part is matched to the
-    targets +j*mu*a, -j*mu*a (and 0 at k = 0), in that order.  Over all
-    modes the constraint group holds 2n + 1 eigenvalues, all on the
-    imaginary axis within tolerance; the informative group holds the
-    remaining 3n - 1, which decide stability.
+    informative) pair of arrays.  The constraint part is the closed-form
+    pair +j*mu*a, -j*mu*a (and the cubic's exact zero root at k = 0), in
+    that order; the informative part is the other roots of the mode's
+    cubic factor.  Over all modes the constraint group holds 2n + 1
+    eigenvalues and the informative group the remaining 3n - 1, which
+    decide stability.
     """
 
     by_mode: list
@@ -371,115 +368,80 @@ class SpectrumReport:
 
 
 def spectrum_report(params, m):
-    """Full 5n spectrum from the mode blocks, partitioned into the
-    constraint and informative groups."""
+    """Full 5n spectrum from the factorisation: each mode's constraint
+    pair in closed form and its cubic's roots."""
     co = abd(params, m)
-    return _group_spectrum(eig5(_mode_blocks(params, co)), params.mu * co.a)
+    return _report(_cubic_roots(_cubic_table(params, co)), params.mu * co.a)
 
 
 def spectrum_reports(samples, m):
     """Spectrum reports of several parameter sets at one winding, from a
-    single eigen-solve over all their mode blocks.
+    single root solve over all their cubics.
 
     Each entry equals ``spectrum_report(params, m)``; it is None where
     that set's own solve raises NumericError, and such a set leaves the
     other entries unchanged.  Errors of ``abd`` propagate.
     """
     cos = [abd(params, m) for params in samples]
-    stacks = [_mode_blocks(params, co) for params, co in zip(samples, cos)]
-    if not stacks:
+    tables = [_cubic_table(params, co) for params, co in zip(samples, cos)]
+    if not tables:
         return []
     try:
-        eigs = np.split(eig5(np.concatenate(stacks)),
-                        np.cumsum([len(s) for s in stacks])[:-1])
+        roots = np.split(_cubic_roots(np.concatenate(tables)),
+                         np.cumsum([len(t) for t in tables])[:-1])
     except NumericError:
-        eigs = []
-        for stack in stacks:
+        roots = []
+        for table in tables:
             try:
-                eigs.append(eig5(stack))
+                roots.append(_cubic_roots(table))
             except NumericError:
-                eigs.append(None)
-    return [None if e is None else _group_spectrum(e, params.mu * co.a)
-            for e, params, co in zip(eigs, samples, cos)]
+                roots.append(None)
+    return [None if r is None else _report(r, params.mu * co.a)
+            for r, params, co in zip(roots, samples, cos)]
 
 
-def _mode_blocks(params, co):
-    blocks, _ = _block_triple(params, co)
-    return dk(blocks, np.arange(params.n), params.n)
+def _cubic_table(params, co):
+    return _cubic(params, co, np.arange(params.n)).polynomial(params.mu, co.a)
 
 
-# Row j: the positions 0-4 other than j, in order.
-_OTHERS = np.array([[i for i in range(5) if i != j] for j in range(5)])
-# Sort keys of untaken positions: after the three targets, in order.
-_FREE_KEY = np.arange(3, 8)[None, :]
+def _cubic_roots(table):
+    """Roots of the monic cubics ``table`` (..., 4), each polished by two
+    Newton steps on its cubic (none where the derivative is 0)."""
+    roots = poly_roots(table)
+    c1, c2, c3 = (table[..., i, None] for i in (1, 2, 3))
+    for _ in range(2):
+        value = ((roots + c1) * roots + c2) * roots + c3
+        slope = (3.0 * roots + 2.0 * c1) * roots + c2
+        roots = roots - np.divide(value, slope, out=np.zeros_like(roots),
+                                  where=slope != 0)
+    return roots
 
 
-def _group_spectrum(eigs, mu_a):
-    """Partition the (n, 5) mode eigenvalues into a SpectrumReport.
-
-    In each mode the constraint targets take, in order, the nearest
-    eigenvalue not yet taken (the first on a tie); the rest are
-    informative.  Distances are ``hypot`` of the difference, which equals
-    the scalar ``abs(z - target)``; ``np.abs`` on a complex array rounds
-    differently.
-    """
-    n = len(eigs)
-    rows = np.arange(n)
-    targets = (1j * mu_a, -1j * mu_a, 0.0 + 0.0j)
-    diff = eigs[..., None] - np.array(targets)
-    dist = np.hypot(diff.real, diff.imag)
-    up = dist[..., 0].argmin(axis=-1)
-    others = _OTHERS[up]
-    down = others[rows, dist[rows[:, None], others, 1].argmin(axis=-1)]
-    free = [i for i in range(5) if i != up[0] and i != down[0]]
-    zero = free[int(dist[0, free, 2].argmin())]
-    # constraint positions first, in target order, then the rest in order
-    key = np.repeat(_FREE_KEY, n, axis=0)
-    key[rows, up] = 0
-    key[rows, down] = 1
-    key[0, zero] = 2
-    grouped = eigs[rows[:, None], key.argsort(axis=-1)]
-    by_mode = [(grouped[0, :3], grouped[0, 3:])]
-    by_mode += zip(grouped[1:, :2], grouped[1:, 2:])
-
-    # modes that may need a diagnostic; the messages repeat the exact tests
-    tol = _MATCH_TOL * (1.0 + mu_a)
-    gaps = (dist[rows, up, 0], dist[rows, down, 1], dist[0, zero, 2])
-    flagged = ((key < 3) != (np.abs(eigs.real) < IMAG_AXIS_TOL)).any(axis=-1)
-    flagged |= (gaps[0] > tol) | (gaps[1] > tol)
-    flagged[0] |= gaps[2] > tol
-    diagnostics = []
-    for k in np.flatnonzero(flagged):
-        matched, rest = by_mode[k]
-        for target, z, gap in zip(targets, matched,
-                                  (gaps[0][k], gaps[1][k], gaps[2])):
-            if gap > tol:
-                diagnostics.append(
-                    f"k={k}: nearest eigenvalue to constraint root "
-                    f"{target:.6g} is {gap:.3e} away")
-            if abs(z.real) >= IMAG_AXIS_TOL:
-                diagnostics.append(
-                    f"k={k}: constraint eigenvalue {z:.6g} is off the "
-                    f"imaginary axis (|Re| >= {IMAG_AXIS_TOL:.0e})")
-        for z in rest:
-            if abs(z.real) < IMAG_AXIS_TOL:
-                diagnostics.append(
-                    f"k={k}: informative eigenvalue {z:.6g} is within "
-                    "the imaginary-axis band (borderline)")
+def _report(roots, mu_a):
+    """SpectrumReport of one set's (n, 3) cubic roots.  At k = 0 the
+    cubic's constant term is exactly 0, so its last root is the exact
+    zero that ``poly_roots`` deflates."""
+    # one read-only pair shared by the modes k >= 1
+    pair = np.array([complex(0.0, mu_a), complex(0.0, -mu_a)])
+    pair.setflags(write=False)
+    by_mode = [(np.append(pair, roots[0, 2:]), roots[0, :2])]
+    by_mode += [(pair, r) for r in roots[1:]]
+    diagnostics = [f"k={k}: informative eigenvalue {z:.6g} is within "
+                   "the imaginary-axis band (borderline)"
+                   for k, (_, rest) in enumerate(by_mode)
+                   for z in rest if abs(z.real) < IMAG_AXIS_TOL]
     return SpectrumReport(by_mode=by_mode, diagnostics=diagnostics,
                           mu_a=float(mu_a))
 
 
 def format_stability_report(params, m, spectrum):
     """Per-mode report: cubic coefficients, condition values, cubic
-    roots, the grouped spectrum (a :class:`SpectrumReport` of the same
-    parameters and winding) and the overall verdict."""
+    roots and eigenvalues (both from ``spectrum``, a
+    :class:`SpectrumReport` of the same parameters and winding) and the
+    overall verdict."""
     co = abd(params, m)
     verdict = routh_necessary(params, m)
     corollaries = _corollaries(params, co)
-    cubics = verdict.cubic.modes()
-    cubic_roots = np.sort_complex(poly_roots(np.stack(
-        [cc.polynomial(params.mu, co.a) for cc in cubics])))
     lines = []
     lines.append(f"stability analysis at winding m = {m} "
                  f"(counter-clockwise leftmost branch)")
@@ -488,8 +450,9 @@ def format_stability_report(params, m, spectrum):
     lines.append(f"alpha* = {co.alpha_star:.12g} rad "
                  f"({co.alpha_star / np.pi:.6f} pi), a = {co.a:.12g}, "
                  f"b = {co.b:.12g}, d = {co.d:.12g}")
-    for k, (cc, roots, groups) in enumerate(zip(cubics, cubic_roots,
-                                                spectrum.by_mode)):
+    for k, (cc, (constraint, informative)) in enumerate(
+            zip(verdict.cubic.modes(), spectrum.by_mode)):
+        eigs = np.concatenate([constraint, informative])
         lines.append("")
         lines.append(f"mode k = {k}: "
                      + ("PASS" if verdict.passed[k] else "FAIL"))
@@ -500,13 +463,12 @@ def format_stability_report(params, m, spectrum):
         if k == 0:
             conds += " (vacuous)"
         lines.append(f"  conditions: {conds}")
-        lines.append("  cubic roots: "
-                     + ", ".join(f"{z.real:+.9f}{z.imag:+.9f}j"
-                                 for z in roots))
-        lines.append("  eigenvalues: "
-                     + ", ".join(f"{z.real:+.9f}{z.imag:+.9f}j"
-                                 for z in np.sort_complex(
-                                     np.concatenate(groups))))
+        # the cubic's roots are every eigenvalue but the constraint pair
+        for name, values in (("cubic roots", eigs[2:]),
+                             ("eigenvalues", eigs)):
+            lines.append(f"  {name}: " + ", ".join(
+                f"{z.real:+.9f}{z.imag:+.9f}j"
+                for z in np.sort_complex(values)))
     lines.append("")
     lines.append(f"constraint group ({spectrum.constraint.size} on the "
                  "imaginary axis), informative group "

@@ -40,14 +40,15 @@ def assemble_block_circulant(blocks, n):
     """The explicit 5n x 5n block-circulant Jacobian circ(A0, A1, 0, ...,
     A-1) of a :class:`~pursuit_lab.stability.BlockTriple`: row block i
     carries A0 on the diagonal, A1 at block i+1 and A-1 at block i-1
-    (indices mod n)."""
+    (indices mod n); at n = 2 both neighbours are one agent and its
+    block is A1 + A-1."""
     big = np.zeros((5 * n, 5 * n))
     for i in range(n):
         big[5 * i:5 * i + 5, 5 * i:5 * i + 5] = blocks.A0
         j = (i + 1) % n
-        big[5 * i:5 * i + 5, 5 * j:5 * j + 5] = blocks.A1
+        big[5 * i:5 * i + 5, 5 * j:5 * j + 5] += blocks.A1
         j = (i - 1) % n
-        big[5 * i:5 * i + 5, 5 * j:5 * j + 5] = blocks.Am1
+        big[5 * i:5 * i + 5, 5 * j:5 * j + 5] += blocks.Am1
     return big
 
 

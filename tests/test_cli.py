@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from pursuit_lab import (ControlParams, cli, extract_shape,
-                         routh_necessary, shape_derivative, spectrum_report)
+                         routh_necessary, shape_derivative, spectrum_report,
+                         stability)
 from pursuit_lab.errors import ConfigError, NumericError
 
 CONFIG_DIR = __file__.rsplit("/", 2)[0] + "/configs"
@@ -164,7 +165,9 @@ class TestRun:
 
 # SHA-256 of every artifact of each shipped config/mode run at a short
 # horizon ``t`` (None: the mode has no horizon), recorded before the four
-# integrators shared one RK4 driver and one steering law.
+# integrators shared one RK4 driver and one steering law; the stability
+# and sweep artifacts re-recorded when the spectrum became the closed-form
+# constraint pair plus the polished cubic roots.
 SHIPPED_OUTPUTS = [
     (("fig2", "simulate", "1"), {
         "manifest.txt":
@@ -222,9 +225,9 @@ SHIPPED_OUTPUTS = [
         "manifest.txt":
             "df28e9417ac1087ec3b3a84f1f3a2442dd2c0ebf2b203d6498276aae084d29df",
         "spectrum.csv":
-            "99c6948fb8578a06a3f9e248ed4f0f42532a9f9ed21df92d3bc609a5f80552d9",
+            "44ffcf17c14c57af28203250de44dcd4a2366ad613f265daafe1a74f699099cf",
         "stability.txt":
-            "8384e2eeec0a4e2731aea10341877ff9f89f964e61e741580e60ffe0abc19f4e",
+            "3dea026b13a93a5baeefbed9411dbc86532a26189e342d181aff7420fde87b4a",
     }),
     (("reference", "pure-shape", "0.4"), {
         "manifest.txt":
@@ -238,7 +241,7 @@ SHIPPED_OUTPUTS = [
         "manifest.txt":
             "824c5fe24fd623d9b143758ce7b13734190e88b58a3e738bdca4bd5019909568",
         "sweep.csv":
-            "9c34a56658fb1dbf93a37ed393cee20edd820688d97952b2fa3c09b7b93aecfd",
+            "3987842975a7ffa4917768f99e7b3222006ac3d81aada7f2a85bf98cbb705763",
     }),
 ]
 
@@ -262,16 +265,17 @@ def test_shipped_outputs_unchanged(tmp_path):
 
 # SHA-256 of the analysis artifacts at larger n than the shipped
 # configs reach, recorded before the spectrum and the branch screen were
-# batched: n = 50 exercises every mode-block root of unity, n = 7 gives
+# batched (the stability artifacts re-recorded with the factored
+# spectrum): n = 50 exercises every mode root of unity, n = 7 gives
 # 2**7 sign patterns.
 LARGER_N_OUTPUTS = [
     (("stability", "n=50"), {
         "manifest.txt":
             "14601b4f35f982d3d3b35073c0da13501cedf8f4c212ed70254b24db01b57692",
         "spectrum.csv":
-            "9929e758e3ca397e121bff5724e221b746d6229bc47b2a9c8a118d5d16ec4d00",
+            "0bc9d8f4c72144f63a1f52a161f6b893d0e268e1bf911363b4a66ec4279fde0f",
         "stability.txt":
-            "5d3c9607c45e238a4974ba3acb04238911b9d1fb38c374c0bbaa25adbb9b2665",
+            "1c70a833f8ba4be7e04978231becdbfa3550ea132cd21eaeacdccb867ebf07c1",
     }),
     (("equilibria", "n=7"), {
         "equilibria.txt":
@@ -398,7 +402,8 @@ def test_closed_form_outputs_unchanged(tmp_path, run, expected):
 
 
 # SHA-256 of sweep runs that mix existing rows with rejected ones,
-# recorded before the sweep became one pass over a stacked eigen-solve:
+# recorded before the sweep became one pass (sweep.csv re-recorded when
+# the spectrum became the factored cubic solve):
 # a lambda range whose endpoints ControlParams rejects, an alpha range at
 # n = 10, and n = 50 with 96 samples.
 SWEEP_OUTPUTS = [
@@ -406,19 +411,19 @@ SWEEP_OUTPUTS = [
         "manifest.txt":
             "edc0e66fd00860fd82b269ddab0a8974cbeb7b7b63006bf8632fe8e69556e1af",
         "sweep.csv":
-            "ea37de8e68da4ff08b6fb5dde8a424bafdb349e0163b5c102be8f73b05a91995",
+            "96e71d174c0be8afc4aaa377b7fd0f953e549a07ce3931ce08eba9c06e122e3c",
     }),
     (("parameter=alpha", "start=-pi", "stop=pi", "samples=48", "n=10"), {
         "manifest.txt":
             "91f8c6c5e7368ed29d0d0a9d0fb11848b769a8cb46311693b8fa1bb0e4b34c7e",
         "sweep.csv":
-            "6fab5f76f0b8058254e7fec0ce1b031430cb0eb18d9fb41b74481df58a416bf5",
+            "b725b64a6fb0ff445750447d7cfc2d6a48568680d8b6abe39bdef7038e2ee327",
     }),
     (("samples=96", "n=50"), {
         "manifest.txt":
             "8c2e4a84d69d90ff264f4a2dd631702a60d5deebba119dfc03dd1be1f156bc3e",
         "sweep.csv":
-            "2e1e74e8ee8ea82cc688560a74d2692a956ebcad4e3a3ef25c12c38b8ac78029",
+            "d744f2753625ad63ee1f705da32c7c957750849412c0f73ac3bca51cf461356a",
     }),
 ]
 
@@ -438,30 +443,66 @@ def test_sweep_outputs_unchanged(tmp_path, overrides, expected):
     assert got == expected
 
 
-def test_sweep_failed_solve_keeps_existence(tmp_path):
-    # at lambda = 1/32 the root iteration of mode k = 1 does not converge;
-    # that sample keeps its equilibrium and Routh verdict with a nan real
-    # part, and the other rows are computed as on their own
+# n = 31, mu = 3, alpha = -1, alpha0 = 0 at lambda = 1/32 and winding 1:
+# in the mode blocks k = 1 and 30 a cubic root meets the constraint root
+# +/-j mu a (a near-triple eigenvalue of D_k, where an eigen-solve of the
+# block stalls); the cubic gives it on the imaginary axis.
+NEAR_TRIPLE = ("[system]\nn = 31\nmu = 3\nlambda = 0.03125\nalpha = -1\n"
+               "alpha0 = 0\n")
+
+
+def test_sweep_failed_solve_keeps_existence(tmp_path, monkeypatch):
+    # every row reads its own spectrum_report, the near-triple root of
+    # lambda = 1/32 included; a sample whose own cubic solve fails keeps
+    # its equilibrium and Routh verdict with a nan real part, and the
+    # other rows are computed as on their own
     config = tmp_path / "sweep.cfg"
-    config.write_text("[system]\nn = 31\nmu = 3\nlambda = 0.5\nalpha = -1\n"
-                      "alpha0 = 0\n\n[sweep]\nparameter = lambda\n"
+    config.write_text(NEAR_TRIPLE + "\n[sweep]\nparameter = lambda\n"
                       "start = 0.03125\nstop = 0.5\nsamples = 4\nm = 1\n")
-    out = tmp_path / "out"
-    assert cli.main(["sweep", "--config", str(config), "--out",
-                     str(out)]) == 0
-    rows = (out / "sweep.csv").read_text().splitlines()[2:]
-    assert rows[0] == "0,0.03125,1,1,nan"
-    for idx, lam in enumerate(np.linspace(0.03125, 0.5, 4)):
-        params = ControlParams.homogeneous(31, mu=3.0, lam=lam, alpha=-1.0,
-                                           alpha0=0.0)
-        verdict = int(routh_necessary(params, 1).overall)
-        if idx == 0:
-            assert verdict == 1
-            with pytest.raises(NumericError):
-                spectrum_report(params, 1)
-            continue
-        worst = spectrum_report(params, 1).max_informative_real()
-        assert rows[idx] == f"{idx},{lam:.12g},1,{verdict},{worst:.12g}"
+    lams = np.linspace(0.03125, 0.5, 4)
+    samples = [ControlParams.homogeneous(31, mu=3.0, lam=lam, alpha=-1.0,
+                                         alpha0=0.0) for lam in lams]
+    expected = [
+        f"{idx},{lam:.12g},1,{int(routh_necessary(params, 1).overall)},"
+        f"{spectrum_report(params, 1).max_informative_real():.12g}"
+        for idx, (lam, params) in enumerate(zip(lams, samples))]
+
+    def sweep_rows(out):
+        assert cli.main(["sweep", "--config", str(config), "--out",
+                         str(out)]) == 0
+        return (out / "sweep.csv").read_text().splitlines()[2:]
+
+    assert sweep_rows(tmp_path / "plain") == expected
+    assert expected[0].startswith("0,0.03125,1,1,")
+
+    poison = stability.cubic_coeffs(samples[2], 1, 1).polynomial(
+        3.0, stability.abd(samples[2], 1).a)
+    solve = stability.poly_roots
+
+    def failing(table):
+        if any(np.array_equal(row, poison) for row in table.reshape(-1, 4)):
+            raise NumericError("no convergence")
+        return solve(table)
+
+    monkeypatch.setattr(stability, "poly_roots", failing)
+    with pytest.raises(NumericError):
+        spectrum_report(samples[2], 1)
+    rows = sweep_rows(tmp_path / "failed")
+    assert rows[2] == expected[2].rsplit(",", 1)[0] + ",nan"
+    assert rows[:2] + rows[3:] == expected[:2] + expected[3:]
+
+
+def test_stability_near_triple_root(tmp_path):
+    config = tmp_path / "stability.cfg"
+    config.write_text(NEAR_TRIPLE + "\n[stability]\nm = 1\n")
+    assert cli.main(["stability", "--config", str(config), "--out",
+                     str(tmp_path / "out")]) == 0
+    text = (tmp_path / "out" / "stability.txt").read_text()
+    diagnostics = [line for line in text.splitlines()
+                   if line.startswith("diagnostic: ")]
+    assert [d.split(":")[1].strip() for d in diagnostics] == ["k=1", "k=30"]
+    assert all("(borderline)" in d for d in diagnostics)
+    assert text.endswith("necessary conditions verdict: PASS\n")
 
 
 class TestMainExitCodes:

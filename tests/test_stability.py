@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -10,7 +13,7 @@ from pursuit_lab.errors import (AssumptionError, EquilibriumNotFoundError,
                                 NumericError, SingularModeError)
 from pursuit_lab.numerics import characteristic_polynomial, eig5
 from pursuit_lab.shape_space import ShapeState
-from pursuit_lab.stability import _group_spectrum, routh_conditions
+from pursuit_lab.stability import routh_conditions
 
 from conftest import (assemble_block_circulant, multiset_distance,
                       reference_equilibrium, same_bits)
@@ -284,6 +287,34 @@ class TestSpectrum:
             < 1e-6 * scale
 
 
+# Informative roots of the mode blocks, computed once in mpmath at 100
+# digits from the exact parameters (see the file's "about"): the shipped
+# reference config at n = 3 and 50, the sweep rows whose last digits
+# depend on the root route, a winding-4 set at n = 11, the near-triple
+# root at n = 31 and random sets.  The largest real part must lie within
+# 1e-14 (1 + mu); each mode's roots within 1e-14 of its largest root,
+# since the n = 31 roots reach |z| = 808, where one ulp is 1.1e-13.
+_REFERENCE = json.loads(Path(__file__).with_name(
+    "spectrum_reference.json").read_text(encoding="utf-8"))["cases"]
+
+
+@pytest.mark.parametrize("case", _REFERENCE,
+                         ids=[case["name"] for case in _REFERENCE])
+def test_spectrum_matches_high_precision_reference(case):
+    params = ControlParams.homogeneous(
+        case["n"], mu=case["mu"], lam=case["lam"], alpha=case["alpha"],
+        alpha0=case["alpha0"])
+    report = spectrum_report(params, case["m"])
+    assert abs(report.max_informative_real()
+               - float(case["max_informative_real"])) \
+        <= 1e-14 * (1.0 + params.mu)
+    for (_, got), ref in zip(report.by_mode, case["informative"],
+                             strict=True):
+        ref = np.array([complex(float(re), float(im)) for re, im in ref])
+        assert multiset_distance(got, ref) \
+            <= 1e-14 * (1.0 + np.max(np.abs(ref)))
+
+
 class TestJacobian:
     def test_linearization_matches_finite_difference(self, reference_params):
         eq = reference_equilibrium(reference_params)
@@ -337,45 +368,6 @@ def _oracle_routh(params, m, k):
     return float(cond1), float(cond2), float(cond3)
 
 
-def _oracle_grouping(eigs_by_mode, mu_a):
-    diagnostics = []
-    by_mode = []
-    for k, eigs in enumerate(eigs_by_mode):
-        targets = [1j * mu_a, -1j * mu_a]
-        if k == 0:
-            targets.append(0.0 + 0.0j)
-        remaining = list(eigs)
-        constraint = []
-        for target in targets:
-            dist = [abs(z - target) for z in remaining]
-            idx = int(np.argmin(dist))
-            z = remaining.pop(idx)
-            if dist[idx] > 1e-6 * (1.0 + mu_a):
-                diagnostics.append(
-                    f"k={k}: nearest eigenvalue to constraint root "
-                    f"{target:.6g} is {dist[idx]:.3e} away")
-            if abs(z.real) >= 1e-6:
-                diagnostics.append(
-                    f"k={k}: constraint eigenvalue {z:.6g} is off the "
-                    f"imaginary axis (|Re| >= 1e-06)")
-            constraint.append(z)
-        for z in remaining:
-            if abs(z.real) < 1e-6:
-                diagnostics.append(
-                    f"k={k}: informative eigenvalue {z:.6g} is within "
-                    "the imaginary-axis band (borderline)")
-        by_mode.append((np.asarray(constraint), np.asarray(remaining)))
-    return by_mode, diagnostics
-
-
-def _assert_grouping_matches(report, eigs, mu_a):
-    by_mode, diagnostics = _oracle_grouping(eigs, mu_a)
-    assert len(report.by_mode) == len(by_mode)
-    for (c, i), (c_ref, i_ref) in zip(report.by_mode, by_mode):
-        assert same_bits(c, c_ref) and same_bits(i, i_ref)
-    assert report.diagnostics == diagnostics
-
-
 def _check_against_oracles(params, m):
     n = params.n
     expected = [_oracle_routh(params, m, k) for k in range(n)]
@@ -402,24 +394,35 @@ def _check_against_oracles(params, m):
         assert same_bits(verdict.values[k], expected[k])
         assert verdict.passed[k] == passed[-1]
     assert verdict.overall is all(passed)
-    blocks, _ = block_triple(params, m)
-    try:
-        eigs = eig5(dk(blocks, np.arange(n), n))
-    except NumericError:
-        # a mode whose root iteration does not converge fails the report
-        with pytest.raises(NumericError):
-            spectrum_report(params, m)
-        assert stability.spectrum_reports([params], m) == [None]
-        return None
+    # the spectrum: each mode's closed-form constraint pair, then the
+    # polished roots of its cubic solved on its own
     report = spectrum_report(params, m)
-    _assert_grouping_matches(report, eigs, params.mu * abd(params, m).a)
+    a = abd(params, m).a
+    pair = [complex(0.0, params.mu * a), complex(0.0, -params.mu * a)]
+    diagnostics = []
+    assert len(report.by_mode) == n
+    for k, (constraint, informative) in enumerate(report.by_mode):
+        roots = stability._cubic_roots(
+            cubic_coeffs(params, m, k).polynomial(params.mu, a))
+        expected = np.concatenate([pair, roots])
+        if k == 0:
+            # the cubic's exact zero root joins the constraint pair
+            assert roots[2] == 0.0
+            expected = expected[[0, 1, 4, 2, 3]]
+        assert constraint.size == (3 if k == 0 else 2)
+        assert same_bits(np.concatenate([constraint, informative]), expected)
+        diagnostics += [f"k={k}: informative eigenvalue {z:.6g} is within "
+                        "the imaginary-axis band (borderline)"
+                        for z in informative if abs(z.real) < 1e-6]
+    assert report.diagnostics == diagnostics
     return report
 
 
 class TestArrayFormsMatchScalarOracles:
     """One abd per winding and all modes in one array pass reproduce the
     per-mode scalar code bit for bit: coefficients, condition values,
-    verdicts, eigenvalue groups and diagnostics."""
+    verdicts, and the spectrum against a solve of each mode's cubic on
+    its own, with its diagnostics."""
 
     @settings(derandomize=True, deadline=None, max_examples=80)
     @given(n=st.integers(2, 60), m_frac=st.floats(0.0, 1.0),
@@ -460,35 +463,6 @@ class TestArrayFormsMatchScalarOracles:
         report = _check_against_oracles(params, 1)
         assert any("borderline" in d for d in report.diagnostics)
 
-    def test_distance_rounding(self):
-        # the scalar abs puts `near` one ulp closer to +j*mu_a than `far`;
-        # np.abs on the complex array rounds both distances to 0.3 and
-        # would take `far`, the first of the tie
-        mu_a = 1.25
-        near = -0.27702262952889956 + 1.1348546017901973j
-        far = 0.09498683451561417 + 0.9654345395718178j
-        assert abs(near - 1j * mu_a) < abs(far - 1j * mu_a)
-        eigs = np.array([[far, near, -1.25j, 0.0, -1.0 + 0.5j],
-                         [far, near, -1.25j, -2.0, -1.0 + 0.5j]])
-        report = _group_spectrum(eigs, mu_a)
-        assert report.by_mode[1][0][0] == near
-        _assert_grouping_matches(report, eigs, mu_a)
-
-    @settings(derandomize=True, deadline=None, max_examples=200)
-    @given(n=st.integers(2, 12), mu_a=st.floats(0.01, 5.0),
-           seed=st.integers(0, 2**32 - 1))
-    def test_synthetic_spectra(self, n, mu_a, seed):
-        # eigenvalues at, near and far from the targets, on and off the
-        # axis, with repeated values, so ties and every diagnostic occur
-        rng = np.random.default_rng(seed)
-        pool = np.array([1j * mu_a, -1j * mu_a, 0.0, -0.0 + 0.0j,
-                         1j * mu_a + 1e-7, -1j * mu_a + 1e-3, 0.5e-6 + 2j,
-                         -1.0 + 1j, 2.0 - 0.5j])
-        eigs = np.where(rng.random((n, 5)) < 0.6,
-                        rng.choice(pool, size=(n, 5)),
-                        rng.normal(size=(n, 5)) + 1j * rng.normal(size=(n, 5)))
-        _assert_grouping_matches(_group_spectrum(eigs, mu_a), eigs, mu_a)
-
 
 class TestSingleMode:
     def test_single_mode_is_python_floats(self, reference_params):
@@ -512,6 +486,31 @@ class TestSingleMode:
         table = cubic_coeffs(reference_params, 1, np.arange(3))
         assert table.modes() == [cubic_coeffs(reference_params, 1, k)
                                  for k in range(3)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(n=st.integers(2, 10), m_frac=st.floats(0.0, 1.0),
+       mu=st.floats(0.1, 10.0), lam=st.floats(0.01, 0.99),
+       alpha=st.floats(-np.pi, np.pi), alpha0=st.floats(-np.pi, np.pi))
+def test_spectrum_matches_lapack(n, m_frac, mu, lam, alpha, alpha0):
+    # the factored spectrum against LAPACK on the assembled 5n x 5n
+    # Jacobian; draws with an informative root in the imaginary-axis band
+    # or within 1e-4 of another eigenvalue (ill-conditioned there) are
+    # skipped
+    m = min(n - 1, 1 + int(m_frac * (n - 1)))
+    params = ControlParams.homogeneous(n, mu=mu, lam=lam, alpha=alpha,
+                                       alpha0=alpha0)
+    try:
+        report = spectrum_report(params, m)
+    except (EquilibriumNotFoundError, SingularModeError):
+        assume(False)
+    ours = np.concatenate([report.constraint, report.informative])
+    gaps = np.abs(report.informative[:, None] - ours[None, :])
+    assume(report.ok and np.sort(gaps, axis=1)[:, 1].min() >= 1e-4)
+    lapack = np.linalg.eigvals(
+        assemble_block_circulant(block_triple(params, m)[0], n))
+    assert multiset_distance(lapack, ours) < 1e-6 * (1.0 + report.mu_a)
+    assert int(np.sum(np.abs(lapack.real) < 1e-6)) == 2 * n + 1
 
 
 class TestSpectrumReports:
@@ -538,16 +537,17 @@ class TestSpectrumReports:
     def test_failed_solve_reads_none_and_leaves_others(self, monkeypatch):
         samples = self._samples()
         expected = [spectrum_report(params, 1) for params in samples]
-        blocks, _ = block_triple(samples[2], 1)
-        poison = dk(blocks, 1, 3)
-        solve = stability.eig5
+        poison = cubic_coeffs(samples[2], 1, 1).polynomial(
+            1.0, abd(samples[2], 1).a)
+        solve = stability.poly_roots
 
-        def failing(stack):
-            if any(np.array_equal(b, poison) for b in stack):
+        def failing(table):
+            if any(np.array_equal(row, poison)
+                   for row in table.reshape(-1, 4)):
                 raise NumericError("no convergence")
-            return solve(stack)
+            return solve(table)
 
-        monkeypatch.setattr(stability, "eig5", failing)
+        monkeypatch.setattr(stability, "poly_roots", failing)
         got = stability.spectrum_reports(samples, 1)
         assert got[2] is None
         for i in (0, 1, 3):
