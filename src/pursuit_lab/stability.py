@@ -405,27 +405,53 @@ def _cubic_table(params, co):
 
 
 def _cubic_roots(table):
-    """Roots of the monic cubics ``table`` (..., 4), each polished by two
-    Newton steps on its cubic (none where the derivative is 0)."""
+    """Roots of the monic cubics ``table`` (B, 4), row by row.
+
+    ``poly_roots`` solves them, except where a cubic has a known simple
+    root r: 0 where its constant term is exactly 0 (every k = 0 cubic),
+    or the third root where ``poly_roots`` merged two close roots onto
+    one double root.  There the roots are the quadratic factor's, in
+    closed form, then r itself, which keeps close but distinct roots
+    apart and the zero root exact.  Every root then takes two Newton
+    steps on its cubic, each kept only where it lowers |p|.
+    """
     roots = poly_roots(table)
-    c1, c2, c3 = (table[..., i, None] for i in (1, 2, 3))
+    c1, c2, c3 = (table[:, i, None] for i in (1, 2, 3))
+    z0, z1, z2 = roots.T
+    equal = np.stack([z1 == z2, z0 == z2, z0 == z1], axis=-1)
+    zero = c3[:, 0] == 0
+    split = zero | (equal.sum(axis=-1) == 1)
+    r = np.where(zero, 0.0,
+                 roots[np.arange(len(roots)), equal.argmax(axis=-1)])
+    s = c1[:, 0] + r
+    h, t = -0.5 * s, c2[:, 0] + r * s
+    disc = np.sqrt(h * h - t)
+    q = np.where(np.abs(h + disc) >= np.abs(h - disc), h + disc, h - disc)
+    other = np.divide(t, q, out=np.zeros_like(q), where=q != 0)
+    roots[split] = np.stack([q, other, r], axis=-1)[split]
+
+    def value(z):
+        return ((z + c1) * z + c2) * z + c3
+
     for _ in range(2):
-        value = ((roots + c1) * roots + c2) * roots + c3
+        p = value(roots)
         slope = (3.0 * roots + 2.0 * c1) * roots + c2
-        roots = roots - np.divide(value, slope, out=np.zeros_like(roots),
+        moved = roots - np.divide(p, slope, out=np.zeros_like(roots),
                                   where=slope != 0)
-    return roots
+        roots = np.where(np.abs(value(moved)) < np.abs(p), moved, roots)
+    # + 0.0 turns the negative zeros that real k = 0 coefficients leave
+    # in the imaginary parts into +0
+    return roots + 0.0
 
 
 def _report(roots, mu_a):
-    """SpectrumReport of one set's (n, 3) cubic roots.  At k = 0 the
-    cubic's constant term is exactly 0, so its last root is the exact
-    zero that ``poly_roots`` deflates."""
-    # one read-only pair shared by the modes k >= 1
-    pair = np.array([complex(0.0, mu_a), complex(0.0, -mu_a)])
-    pair.setflags(write=False)
-    by_mode = [(np.append(pair, roots[0, 2:]), roots[0, :2])]
-    by_mode += [(pair, r) for r in roots[1:]]
+    """SpectrumReport of one set's (n, 3) cubic roots.  The k = 0 cubic's
+    constant term is exactly 0: its exact zero root joins that mode's
+    constraint pair, and its other two roots are informative."""
+    by_mode = [(np.array([complex(0.0, mu_a), complex(0.0, -mu_a), 0j]),
+                roots[0, :2])]
+    by_mode += [(np.array([complex(0.0, mu_a), complex(0.0, -mu_a)]), r)
+                for r in roots[1:]]
     diagnostics = [f"k={k}: informative eigenvalue {z:.6g} is within "
                    "the imaginary-axis band (borderline)"
                    for k, (_, rest) in enumerate(by_mode)

@@ -225,7 +225,7 @@ SHIPPED_OUTPUTS = [
         "manifest.txt":
             "df28e9417ac1087ec3b3a84f1f3a2442dd2c0ebf2b203d6498276aae084d29df",
         "spectrum.csv":
-            "44ffcf17c14c57af28203250de44dcd4a2366ad613f265daafe1a74f699099cf",
+            "6e64c351fbc77202f32316f1b8bf506a9f7333dfa9b95494911b8cbffa9e56e3",
         "stability.txt":
             "3dea026b13a93a5baeefbed9411dbc86532a26189e342d181aff7420fde87b4a",
     }),
@@ -241,7 +241,7 @@ SHIPPED_OUTPUTS = [
         "manifest.txt":
             "824c5fe24fd623d9b143758ce7b13734190e88b58a3e738bdca4bd5019909568",
         "sweep.csv":
-            "3987842975a7ffa4917768f99e7b3222006ac3d81aada7f2a85bf98cbb705763",
+            "c3cb8ddf003738f408c8901782ca54eea51670f13d58e3da199f94c297bca3f1",
     }),
 ]
 
@@ -273,9 +273,9 @@ LARGER_N_OUTPUTS = [
         "manifest.txt":
             "14601b4f35f982d3d3b35073c0da13501cedf8f4c212ed70254b24db01b57692",
         "spectrum.csv":
-            "0bc9d8f4c72144f63a1f52a161f6b893d0e268e1bf911363b4a66ec4279fde0f",
+            "f8f82ed489c282c143ae3a8d4065bb378f1104818a6a37d0a0c606f09eb83f8c",
         "stability.txt":
-            "1c70a833f8ba4be7e04978231becdbfa3550ea132cd21eaeacdccb867ebf07c1",
+            "8b79ce3d4d15197fc624675beb48362d0a98abb0245b145298902c5e0f920be9",
     }),
     (("equilibria", "n=7"), {
         "equilibria.txt":

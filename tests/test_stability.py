@@ -291,7 +291,8 @@ class TestSpectrum:
 # digits from the exact parameters (see the file's "about"): the shipped
 # reference config at n = 3 and 50, the sweep rows whose last digits
 # depend on the root route, a winding-4 set at n = 11, the near-triple
-# root at n = 31 and random sets.  The largest real part must lie within
+# root at n = 31, a k = 0 root 2e-6 from the exact zero (a = 9e-4) and
+# random sets.  The largest real part must lie within
 # 1e-14 (1 + mu); each mode's roots within 1e-14 of its largest root,
 # since the n = 31 roots reach |z| = 808, where one ulp is 1.1e-13.
 _REFERENCE = json.loads(Path(__file__).with_name(
@@ -403,7 +404,7 @@ def _check_against_oracles(params, m):
     assert len(report.by_mode) == n
     for k, (constraint, informative) in enumerate(report.by_mode):
         roots = stability._cubic_roots(
-            cubic_coeffs(params, m, k).polynomial(params.mu, a))
+            cubic_coeffs(params, m, k).polynomial(params.mu, a)[None])[0]
         expected = np.concatenate([pair, roots])
         if k == 0:
             # the cubic's exact zero root joins the constraint pair
@@ -511,6 +512,53 @@ def test_spectrum_matches_lapack(n, m_frac, mu, lam, alpha, alpha0):
         assemble_block_circulant(block_triple(params, m)[0], n))
     assert multiset_distance(lapack, ours) < 1e-6 * (1.0 + report.mu_a)
     assert int(np.sum(np.abs(lapack.real) < 1e-6)) == 2 * n + 1
+
+
+# Sets whose k = 0 cubic has clustered roots, which poly_roots merges
+# onto one double root: lambda = 1e-6 puts a root 1e-6 from the exact
+# zero, a = 9e-4 one 2e-6 from it, and this alpha0 makes b^2 = 4 a^2
+# lambda, a double root of the k = 0 quadratic factor.
+_CLUSTERED = {
+    "lambda=1e-6": (ControlParams.homogeneous(
+        4, mu=1.0, lam=1e-6, alpha=np.pi / 4, alpha0=0.0), 1),
+    "a=9e-4": (ControlParams.homogeneous(
+        5, mu=3.24246755019641, lam=0.311344903499569,
+        alpha=-1.3846200621277953, alpha0=1.2836472085688468), 3),
+    "k=0 double root": (ControlParams.homogeneous(
+        3, mu=1.0, lam=0.5, alpha=np.pi / 6,
+        alpha0=1.4147212834849514), 1),
+}
+
+
+@pytest.mark.parametrize("name", list(_CLUSTERED))
+def test_clustered_mode_zero_roots(name):
+    params, m = _CLUSTERED[name]
+    report = spectrum_report(params, m)
+    ours = np.concatenate([report.constraint, report.informative])
+    lapack = np.linalg.eigvals(
+        assemble_block_circulant(block_triple(params, m)[0], params.n))
+    assert multiset_distance(lapack, ours) < 1e-6 * (1.0 + report.mu_a)
+    # the exact zero joins the constraint pair, and the informative pair
+    # has the sum and product of the quadratic factor's roots
+    constraint, informative = report.by_mode[0]
+    mu_a = report.mu_a
+    assert same_bits(constraint, np.array([complex(0.0, mu_a),
+                                           complex(0.0, -mu_a), 0j]))
+    cubic = cubic_coeffs(params, m, 0).polynomial(params.mu,
+                                                  abd(params, m).a)
+    assert cubic[3] == 0
+    assert abs(informative.sum() + cubic[1]) <= 1e-15 * abs(cubic[1])
+    assert abs(informative.prod() - cubic[2]) <= 1e-15 * abs(cubic[2])
+
+
+def test_cubic_roots_split_a_merged_pair():
+    # poly_roots merges the two roots 1e-6 apart onto one double root;
+    # the quadratic left by the third root holds them apart again
+    true = np.array([1.0 + 1.0j, 1.0 + 1.0j + 1e-6, -2.0 + 0.5j])
+    table = np.poly(true)[None]
+    merged = stability.poly_roots(table)[0]
+    assert np.sum(merged[:, None] == merged[None, :]) == 5
+    assert multiset_distance(stability._cubic_roots(table)[0], true) < 1e-9
 
 
 class TestSpectrumReports:
