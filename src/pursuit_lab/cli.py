@@ -16,7 +16,7 @@ import configparser
 import hashlib
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -468,34 +468,17 @@ def run(cfg):
 
 def _run_sweep(cfg):
     """One row per sample: existence, the Routh verdict and the largest
-    informative real part.  The spectra of all existing samples come
-    from one root solve over their cubics; a sample that is rejected or
-    has no equilibrium reads as non-existent, and one whose own solve
-    fails keeps its existence and verdict with a nan real part."""
+    informative real part, from one array pass over the samples
+    (:func:`stability.sweep`).  A sample that is rejected or has no
+    equilibrium reads as non-existent, and one whose own solve fails
+    keeps its existence and verdict with a nan real part."""
     values = np.linspace(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_samples)
-    field = "lam" if cfg.sweep_parameter == "lambda" else cfg.sweep_parameter
-    verdicts = {}
-    for idx, value in enumerate(values):
-        try:
-            # replace() re-runs the validation, which rejects e.g. the
-            # endpoints of a lambda sweep
-            params = replace(cfg.params, **{field: value})
-            verdicts[idx] = (params,
-                             stability.routh_necessary(params, cfg.m).overall)
-        except (PursuitLabError, ValueError):
-            pass
-    spectra = dict(zip(verdicts, stability.spectrum_reports(
-        [params for params, _ in verdicts.values()], cfg.m)))
-    rows = []
-    for idx, value in enumerate(values):
-        exists, verdict, worst = idx in verdicts, False, "nan"
-        if exists:
-            verdict = verdicts[idx][1]
-            if spectra[idx] is not None:
-                worst = format(spectra[idx].max_informative_real(), ".12g")
-        rows.append((idx, format(value, ".12g"), int(exists), int(verdict),
-                     worst))
-    return rows
+    name = "lam" if cfg.sweep_parameter == "lambda" else cfg.sweep_parameter
+    exists, verdict, worst = stability.sweep(cfg.params, cfg.m, name, values)
+    return [(idx, format(value, ".12g"), int(ok), int(passed),
+             format(real, ".12g"))
+            for idx, (value, ok, passed, real) in enumerate(
+                zip(values, exists, verdict, worst))]
 
 
 def main(argv=None):

@@ -126,34 +126,56 @@ def classify_degenerate(params):
     return DegenerateClass.NO_BRANCH_EQUILIBRIA
 
 
-def _build_equilibrium(branch, a_star, direction, params, margins, marginal):
-    sigma = np.asarray(branch.sigma, dtype=float)
-    kappa = wrap_angle((1.0 - sigma) * (np.pi / 2.0)
-                       + sigma * a_star + params.alpha)
-    theta = wrap_angle(np.pi - kappa[cyclic_neighbors(params.n)[1]])
-    c1 = margins[0]
-    rho_b = params.lam / (params.mu * c1)
-    rho = 2.0 * rho_b * margins[1:]
-    return CirclingEquilibrium(branch=branch, alpha_star=a_star,
-                               direction=direction, kappa=kappa, theta=theta,
-                               rho=rho, rho_b=float(rho_b),
-                               margins=np.asarray(margins),
-                               marginal=marginal)
+def _margins(a_star, turn, lam, alpha0, direction):
+    """Screening values (..., 1 + t) of candidates ``a_star`` (...):
+    radius positivity first, then the chord positivity values
+    ``sin(a_star + turn)``, with ``turn`` (..., t) = sigma * alpha."""
+    a_star = np.asarray(a_star)
+    c1 = lam * np.cos(alpha0) + (1.0 - lam) * direction * np.sin(a_star)
+    c2 = np.sin(a_star[..., None] + turn)
+    c2 *= direction
+    return np.concatenate([c1[..., None], c2], axis=-1)
+
+
+def _accept(margins, include_marginal):
+    """Marginal flags and acceptance of screening values (..., c): every
+    value clears the strict margin and none lies in the marginal band,
+    or, with ``include_marginal``, a marginal row with positive values."""
+    marginal = np.abs(margins).min(axis=-1) < MARGINAL_BAND
+    take = (margins > STRICT_MARGIN).all(axis=-1) & ~marginal
+    if include_marginal:
+        take |= marginal & (margins > 0.0).all(axis=-1)
+    return marginal, take
 
 
 def _screen(a_star, sigma, params, direction, include_marginal):
     """Margins (r, n + 1), marginal flags (r,) and accepted row indices
     of candidates ``a_star`` (r,) with sign patterns ``sigma`` (r, n)."""
-    c1 = (params.lam * np.cos(params.alpha0[0])
-          + (1.0 - params.lam) * direction * np.sin(a_star))
-    c2 = np.sin(a_star[:, None] + sigma * params.alpha)
-    c2 *= direction
-    margins = np.concatenate([c1[:, None], c2], axis=1)
-    marginal = np.abs(margins).min(axis=1) < MARGINAL_BAND
-    take = (margins > STRICT_MARGIN).all(axis=1) & ~marginal
-    if include_marginal:
-        take |= marginal & (margins > 0.0).all(axis=1)
+    margins = _margins(a_star, sigma * params.alpha, params.lam,
+                       params.alpha0[0], direction)
+    marginal, take = _accept(margins, include_marginal)
     return margins, marginal, np.flatnonzero(take)
+
+
+def _equilibria(sigma, m, a_star, margins, marginal, direction, params):
+    """The accepted candidates as equilibria, their shape values formed
+    in one array pass: sign patterns ``sigma`` (E, n), windings ``m``
+    (E,), offsets ``a_star`` (E,), margins (E, n + 1) and marginal flags
+    (E,)."""
+    turn = np.asarray(sigma, dtype=float)
+    kappa = wrap_angle((1.0 - turn) * (np.pi / 2.0)
+                       + turn * a_star[:, None] + params.alpha)
+    theta = wrap_angle(np.pi - kappa[:, cyclic_neighbors(params.n)[1]])
+    rho_b = params.lam / (params.mu * margins[:, 0])
+    rho = 2.0 * rho_b[:, None] * margins[:, 1:]
+    return [CirclingEquilibrium(
+                branch=BranchAssignment(sigma=tuple(row), m=winding),
+                alpha_star=star, direction=direction, kappa=kap, theta=th,
+                rho=r, rho_b=rb, margins=mar, marginal=flag)
+            for row, winding, star, kap, th, r, rb, mar, flag in zip(
+                np.asarray(sigma).tolist(), np.asarray(m).tolist(),
+                a_star.tolist(), kappa, theta, rho, rho_b.tolist(), margins,
+                np.asarray(marginal).tolist())]
 
 
 def enumerate_equilibria(params, direction=1, include_marginal=False):
@@ -198,16 +220,14 @@ def enumerate_equilibria(params, direction=1, include_marginal=False):
         a_star = _wrapped_alpha_star(m, M[rows], n, alpha_sum)
         margins, marginal, take = _screen(a_star, sigma[rows], params,
                                           direction, include_marginal)
-        hits += zip(rows[take].tolist(), [m] * len(take),
-                    a_star[take].tolist(), margins[take],
-                    marginal[take].tolist())
-
+        hits.append((rows[take], np.full(take.size, m), a_star[take],
+                     margins[take], marginal[take]))
+    rows, windings, a_star, margins, marginal = (np.concatenate(part)
+                                                 for part in zip(*hits))
     # sigma in product order, then m ascending
-    hits.sort(key=lambda hit: hit[:2])
-    return [_build_equilibrium(
-                BranchAssignment(sigma=tuple(sigma[row].tolist()), m=m),
-                a_star, direction, params, margins, marginal)
-            for row, m, a_star, margins, marginal in hits]
+    order = np.lexsort((windings, rows))
+    return _equilibria(sigma[rows[order]], windings[order], a_star[order],
+                       margins[order], marginal[order], direction, params)
 
 
 def leftmost_equilibrium(params, m):
@@ -220,12 +240,11 @@ def leftmost_equilibrium(params, m):
     n = params.n
     m %= 2 * n
     a_star = _wrapped_alpha_star(m, np.array([n]), n, params.alpha_sum())
-    margins, _, take = _screen(a_star, np.ones((1, n), dtype=int), params,
-                               1, False)
+    sigma = np.ones((1, n), dtype=int)
+    margins, marginal, take = _screen(a_star, sigma, params, 1, False)
     if not take.size:
         return None
-    return _build_equilibrium(BranchAssignment(sigma=(1,) * n, m=m),
-                              float(a_star[0]), 1, params, margins[0], False)
+    return _equilibria(sigma, [m], a_star, margins, marginal, 1, params)[0]
 
 
 def equilibrium_shape(eq, params):

@@ -29,6 +29,12 @@ def _all_equal(values, value):
     return bool(np.all(np.abs(values - value) <= _EQ_TOL))
 
 
+def lam_inside(lam):
+    """Whether lambda lies strictly inside (0, 1), element by element
+    for an array of values; the one range check of lambda."""
+    return (0.0 < lam) & (lam < 1.0)
+
+
 @dataclass(frozen=True)
 class HomogeneityFlags:
     """Which of the homogeneity assumptions hold for a parameter set."""
@@ -76,7 +82,7 @@ class ControlParams:
             raise ValueError("n must be at least 2")
         if not self.mu > 0.0:
             raise ValueError("mu must be positive")
-        if not 0.0 < self.lam < 1.0:
+        if not lam_inside(self.lam):
             raise ValueError("lambda must lie strictly inside (0, 1)")
         for name in ("alpha", "alpha0", "mu_b", "nu"):
             arr = _per_agent(getattr(self, name), self.n, name)

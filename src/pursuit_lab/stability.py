@@ -15,9 +15,10 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .equilibria import _accept, _margins
 from .errors import EquilibriumNotFoundError, NumericError, SingularModeError
 from .numerics import poly_roots, wrap_angle
-from .params import require_analysis_assumptions
+from .params import lam_inside, require_analysis_assumptions
 
 # Zero threshold for sin(m*pi/n) (mode geometry degenerates there).
 _SING_TOL = 1e-12
@@ -27,7 +28,8 @@ IMAG_AXIS_TOL = 1e-6
 
 @dataclass(frozen=True)
 class ABDCoefficients:
-    """The three scalars that generate every linearization quantity."""
+    """The three scalars that generate every linearization quantity
+    (arrays of them over the samples of a :func:`sweep`)."""
 
     a: float
     b: float
@@ -86,7 +88,7 @@ class CubicCoefficients:
             1.0 + 0.0j,
             mu * (self.c_t - 1j * self.c_h),
             mu ** 2 * a * (self.d_t + 1j * self.d_h),
-            mu ** 3 * a ** 2 * (self.e_t - 1j * self.e_h),
+            mu ** 3 * _pow2(a) * (self.e_t - 1j * self.e_h),
         ), axis=-1)
 
 
@@ -107,14 +109,13 @@ def abd(params, m):
 
     Requires A1-A4.  Raises SingularModeError when sin(m*pi/n) = 0 and
     EquilibriumNotFoundError when no counter-clockwise equilibrium exists
-    at this winding (a <= 0, or a chord with non-positive length).
+    at this winding: a chord with non-positive length, a <= 0, or a
+    screening margin inside the marginal band of
+    :func:`~pursuit_lab.equilibria.enumerate_equilibria`.
     """
     require_analysis_assumptions(params)
     n = params.n
-    alpha = float(params.alpha[0])
-    alpha0 = float(params.alpha0[0])
-    angle = m * np.pi / n
-    sin_m = np.sin(angle)
+    sin_m = np.sin(m * np.pi / n)
     if abs(sin_m) < _SING_TOL:
         raise SingularModeError(f"sin({m}*pi/{n}) = 0: mode geometry "
                                 "is singular")
@@ -122,15 +123,33 @@ def abd(params, m):
         raise EquilibriumNotFoundError(
             f"winding m = {m} gives sin(m*pi/n) < 0: chord length would "
             "be non-positive on the counter-clockwise branch")
-    a_star = float(wrap_angle(angle - alpha))
-    a = np.cos(alpha0) + (1.0 / params.lam - 1.0) * np.sin(a_star)
-    if a <= 0.0:
+    co, exists = _abd(n, m, params.lam, float(params.alpha[0]),
+                      float(params.alpha0[0]))
+    if co.a <= 0.0:
         raise EquilibriumNotFoundError(
-            f"a = {a:.6g} <= 0: no circling equilibrium at winding m = {m}")
-    b = params.lam * np.sin(alpha0) + (1.0 - params.lam) * np.cos(a_star)
-    d = a + (1.0 - params.lam) * np.cos(a_star) / np.tan(angle)
-    return ABDCoefficients(a=float(a), b=float(b), d=float(d),
-                           alpha_star=a_star, m=m)
+            f"a = {co.a:.6g} <= 0: no circling equilibrium at winding m = {m}")
+    if not exists:
+        raise EquilibriumNotFoundError(
+            f"a = {co.a:.6g}: a screening margin is inside the marginal "
+            f"band, no circling equilibrium at winding m = {m}")
+    return ABDCoefficients(a=float(co.a), b=float(co.b), d=float(co.d),
+                           alpha_star=float(co.alpha_star), m=m)
+
+
+def _abd(n, m, lam, alpha, alpha0):
+    """The closed form of :func:`abd` on scalars or on arrays of one
+    shape (a sample axis), with no checks: the coefficients, and whether
+    the enumeration's screen accepts the leftmost branch at abd's
+    alpha*."""
+    angle = m * np.pi / n
+    a_star = wrap_angle(angle - alpha)
+    cos_star = np.cos(a_star)
+    a = np.cos(alpha0) + (1.0 / lam - 1.0) * np.sin(a_star)
+    b = lam * np.sin(alpha0) + (1.0 - lam) * cos_star
+    d = a + (1.0 - lam) * cos_star / np.tan(angle)
+    _, exists = _accept(_margins(a_star, np.asarray(alpha)[..., None], lam,
+                                 alpha0, 1), False)
+    return ABDCoefficients(a=a, b=b, d=d, alpha_star=a_star, m=m), exists
 
 
 def block_triple(params, m):
@@ -215,17 +234,15 @@ def cubic_coeffs(params, m, k):
     ``k`` is a mode index (Python float members) or an array of them
     (array members of the same shape).
     """
-    return _cubic(params, abd(params, m), k)
+    return _cubic(params.n, params.lam, abd(params, m), k)
 
 
-def _cubic(params, co, k):
-    n = params.n
+def _cubic(n, lam, co, k):
     k = np.asarray(k)
     angle = k * np.pi / n
     sk = np.sin(angle)
     ck = np.cos(angle)
     sk2 = _pow2(sk)
-    lam = params.lam
     a, b, d = co.a, co.b, co.d
     cot_m = 1.0 / np.tan(co.m * np.pi / n)
     cos_star = np.cos(co.alpha_star)
@@ -263,7 +280,8 @@ def routh_conditions(params, m, k):
     """The three Theorem-style condition values for mode k (floats), or
     for an array of modes (three arrays of its shape)."""
     co = abd(params, m)
-    return tuple(_single(v) for v in _routh(co, _cubic(params, co, k)))
+    return tuple(_single(v)
+                 for v in _routh(co, _cubic(params.n, params.lam, co, k)))
 
 
 def _routh(co, cc):
@@ -278,20 +296,25 @@ def _routh(co, cc):
     return cond1, cond2, cond3
 
 
+def _passed(values):
+    """Whether each mode's applicable conditions, ``values`` (..., n, 3),
+    are positive; the third is vacuous at k = 0."""
+    positive = values > 0.0
+    positive[..., 0, 2] = True
+    return positive.all(axis=-1)
+
+
 def routh_necessary(params, m):
     """Evaluate the necessary stability conditions for every mode, from
     one ``abd`` and one array pass over all n modes."""
     co = abd(params, m)
-    cc = _cubic(params, co, np.arange(params.n))
-    cond1, cond2, cond3 = _routh(co, cc)
-    third = cond3 > 0.0
-    third[0] = True
-    passed = (cond1 > 0.0) & (cond2 > 0.0) & third
+    cc = _cubic(params.n, params.lam, co, np.arange(params.n))
+    values = np.stack(_routh(co, cc), axis=-1)
+    passed = _passed(values)
     notes = ["k=0: third condition is identically zero (vacuous); "
              "conditions 1-2 amount to b > 0"]
-    return RouthVerdict(values=np.stack([cond1, cond2, cond3], axis=-1),
-                        passed=passed, overall=bool(passed.all()),
-                        notes=notes, cubic=cc)
+    return RouthVerdict(values=values, passed=passed,
+                        overall=bool(passed.all()), notes=notes, cubic=cc)
 
 
 @dataclass
@@ -374,52 +397,86 @@ def spectrum_report(params, m):
     return _report(_cubic_roots(_cubic_table(params, co)), params.mu * co.a)
 
 
-def spectrum_reports(samples, m):
-    """Spectrum reports of several parameter sets at one winding, from a
-    single root solve over all their cubics.
+def sweep(params, m, name, values):
+    """Existence, Routh verdict and largest informative real part of
+    ``params`` with the scalar ``name`` (``"lam"``, ``"alpha"`` or
+    ``"alpha0"``) set to each of ``values`` (S,), in one array pass:
+    :func:`abd` over the samples, the (S, n) cubic and Routh tables,
+    then one root solve over the cubics of every existing sample.
 
-    Each entry equals ``spectrum_report(params, m)``; it is None where
-    that set's own solve raises NumericError, and such a set leaves the
-    other entries unchanged.  Errors of ``abd`` propagate.
+    A sample exists where ``ControlParams`` accepts its lambda and
+    :func:`abd` returns; there the verdict and the real part equal
+    ``routh_necessary(...).overall`` and
+    ``spectrum_report(...).max_informative_real()`` of that parameter
+    set.  Elsewhere they read False and nan, and a sample whose own root
+    solve fails keeps its verdict with a nan real part.
     """
-    cos = [abd(params, m) for params in samples]
-    tables = [_cubic_table(params, co) for params, co in zip(samples, cos)]
-    if not tables:
-        return []
+    require_analysis_assumptions(params)
+    n = params.n
+    scalars = {"lam": params.lam, "alpha": float(params.alpha[0]),
+               "alpha0": float(params.alpha0[0])}
+    if name not in scalars:
+        raise ValueError(f"cannot sweep {name!r}; expected one of "
+                         + ", ".join(scalars))
+    scalars[name] = values
+    lam, alpha, alpha0 = np.broadcast_arrays(
+        *(np.asarray(scalars[key], dtype=float)
+          for key in ("lam", "alpha", "alpha0")))
+    # a rejected lambda (0 or 1) or a singular winding divides by zero
+    # on its way to "no equilibrium"
+    with np.errstate(divide="ignore", invalid="ignore"):
+        co, exists = _abd(n, m, lam, alpha, alpha0)
+        exists &= lam_inside(lam)
+        rows = np.flatnonzero(exists)
+        co = ABDCoefficients(*(x[rows, None] for x in (co.a, co.b, co.d,
+                                                       co.alpha_star)), m=m)
+        cc = _cubic(n, lam[rows, None], co, np.arange(n))
+    verdict = np.zeros(lam.shape, dtype=bool)
+    verdict[rows] = _passed(np.stack(_routh(co, cc), axis=-1)).all(axis=-1)
+    tables = cc.polynomial(params.mu, co.a)
     try:
-        roots = np.split(_cubic_roots(np.concatenate(tables)),
-                         np.cumsum([len(t) for t in tables])[:-1])
+        roots = _cubic_roots(tables.reshape(-1, 4)).reshape(rows.size, n, 3)
     except NumericError:
-        roots = []
-        for table in tables:
-            try:
-                roots.append(_cubic_roots(table))
-            except NumericError:
-                roots.append(None)
-    return [None if r is None else _report(r, params.mu * co.a)
-            for r, params, co in zip(roots, samples, cos)]
+        roots = np.stack([_roots_or_nan(table) for table in tables])
+    worst = np.full(lam.shape, np.nan)
+    # the k = 0 cubic's third root is its exact zero, a constraint root
+    worst[rows] = np.concatenate(
+        [roots[:, 0, :2], roots[:, 1:].reshape(rows.size, 3 * (n - 1))],
+        axis=1).real.max(axis=1)
+    return exists, verdict, worst
+
+
+def _roots_or_nan(table):
+    """The cubic roots of one sample's table (n, 4), all nan when their
+    solve fails."""
+    try:
+        return _cubic_roots(table)
+    except NumericError:
+        return np.full((len(table), 3), complex(np.nan, np.nan))
 
 
 def _cubic_table(params, co):
-    return _cubic(params, co, np.arange(params.n)).polynomial(params.mu, co.a)
+    return _cubic(params.n, params.lam, co,
+                  np.arange(params.n)).polynomial(params.mu, co.a)
 
 
 def _cubic_roots(table):
     """Roots of the monic cubics ``table`` (B, 4), row by row.
 
-    ``poly_roots`` solves them, except where a cubic has a known simple
-    root r: 0 where its constant term is exactly 0 (every k = 0 cubic),
-    or the third root where ``poly_roots`` merged two close roots onto
-    one double root.  There the roots are the quadratic factor's, in
-    closed form, then r itself, which keeps close but distinct roots
+    Where a cubic has a known simple root r, its roots are the quadratic
+    factor's, in closed form, then r itself: r is 0 where the constant
+    term is exactly 0 (every k = 0 cubic; ``poly_roots`` never sees
+    these rows), or the third root where ``poly_roots`` merged two close
+    roots onto one double root.  That keeps close but distinct roots
     apart and the zero root exact.  Every root then takes two Newton
     steps on its cubic, each kept only where it lowers |p|.
     """
-    roots = poly_roots(table)
     c1, c2, c3 = (table[:, i, None] for i in (1, 2, 3))
+    zero = c3[:, 0] == 0
+    roots = np.zeros((len(table), 3), dtype=complex)
+    roots[~zero] = poly_roots(table[~zero])
     z0, z1, z2 = roots.T
     equal = np.stack([z1 == z2, z0 == z2, z0 == z1], axis=-1)
-    zero = c3[:, 0] == 0
     split = zero | (equal.sum(axis=-1) == 1)
     r = np.where(zero, 0.0,
                  roots[np.arange(len(roots)), equal.argmax(axis=-1)])

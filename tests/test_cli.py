@@ -492,6 +492,33 @@ def test_sweep_failed_solve_keeps_existence(tmp_path, monkeypatch):
     assert rows[:2] + rows[3:] == expected[:2] + expected[3:]
 
 
+def test_sweep_is_one_pass(tmp_path, monkeypatch):
+    # the whole sweep makes one root solve and builds no ControlParams
+    # past the config's own
+    solves, builds = [], []
+    solve = stability.poly_roots
+    post_init = ControlParams.__post_init__
+
+    def counted_solve(table):
+        solves.append(table.shape)
+        return solve(table)
+
+    def counted_post_init(self):
+        builds.append(self.n)
+        post_init(self)
+
+    monkeypatch.setattr(stability, "poly_roots", counted_solve)
+    monkeypatch.setattr(ControlParams, "__post_init__", counted_post_init)
+    assert cli.main(["sweep", "--config", f"{CONFIG_DIR}/sweep_alpha0.cfg",
+                     "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "sweep.csv").read_text().splitlines()[2:]
+    existing = sum(row.split(",")[2] == "1" for row in rows)
+    assert 0 < existing < len(rows)
+    assert builds == [3]
+    # the k = 0 cubic of each sample is solved in closed form
+    assert solves == [(existing * 2, 4)]
+
+
 def test_stability_near_triple_root(tmp_path):
     config = tmp_path / "stability.cfg"
     config.write_text(NEAR_TRIPLE + "\n[stability]\nm = 1\n")

@@ -10,12 +10,13 @@ from pursuit_lab import (ControlParams, alpha_star, classify_degenerate,
                          leftmost_equilibrium, shape_derivative)
 from pursuit_lab.equilibria import (ALPHA_SUM_TOL, MARGINAL_BAND,
                                     STRICT_MARGIN, BranchAssignment,
-                                    DegenerateClass, _build_equilibrium,
+                                    CirclingEquilibrium, DegenerateClass,
+                                    _screen, _wrapped_alpha_star,
                                     embed_world,
                                     format_equilibrium_report)
 from pursuit_lab.errors import (AssumptionError, DegenerateAlphaSumError,
                                 DegenerateBranchError, EnumerationSizeError)
-from pursuit_lab.numerics import wrap_angle
+from pursuit_lab.numerics import cyclic_neighbors, wrap_angle
 
 from conftest import reference_equilibrium, same_bits
 
@@ -132,6 +133,48 @@ class TestEnumerate:
             enumerate_equilibria(params, direction=1)
 
 
+def _build_one(branch, a_star, direction, params, margins, marginal):
+    """Reference build of one accepted candidate, its shape values
+    formed on their own."""
+    sigma = np.asarray(branch.sigma, dtype=float)
+    kappa = wrap_angle((1.0 - sigma) * (np.pi / 2.0)
+                       + sigma * a_star + params.alpha)
+    theta = wrap_angle(np.pi - kappa[cyclic_neighbors(params.n)[1]])
+    c1 = margins[0]
+    rho_b = params.lam / (params.mu * c1)
+    rho = 2.0 * rho_b * margins[1:]
+    return CirclingEquilibrium(branch=branch, alpha_star=a_star,
+                               direction=direction, kappa=kappa, theta=theta,
+                               rho=rho, rho_b=float(rho_b),
+                               margins=np.asarray(margins),
+                               marginal=marginal)
+
+
+def _per_candidate_build(params, direction, include_marginal):
+    """Reference enumeration: the module's screen over each pattern's
+    period window, then one :func:`_build_one` per accepted candidate,
+    in sigma order, then m ascending."""
+    n = params.n
+    bits = (np.arange(2 ** n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    M = bits.sum(axis=1)
+    keep = 2 * M - n != 0
+    sigma, M = bits[keep] * 2 - 1, M[keep]
+    hits = []
+    for m in range(2 * n):
+        rows = np.flatnonzero(2 * np.abs(2 * M - n) > m)
+        a_star = _wrapped_alpha_star(m, M[rows], n, params.alpha_sum())
+        margins, marginal, take = _screen(a_star, sigma[rows], params,
+                                          direction, include_marginal)
+        hits += zip(rows[take].tolist(), [m] * len(take),
+                    a_star[take].tolist(), margins[take],
+                    marginal[take].tolist())
+    hits.sort(key=lambda hit: hit[:2])
+    return [_build_one(BranchAssignment(sigma=tuple(sigma[row].tolist()),
+                                        m=m),
+                       a_star, direction, params, margins, marginal)
+            for row, m, a_star, margins, marginal in hits]
+
+
 def _per_candidate_enumeration(params, direction, include_marginal):
     """Reference screen: one candidate (sigma, m) at a time, in
     itertools.product order of sigma, then m ascending."""
@@ -156,8 +199,8 @@ def _per_candidate_enumeration(params, direction, include_marginal):
             accepted = bool(np.all(margins > STRICT_MARGIN)) and not marginal
             if accepted or (marginal and include_marginal
                             and np.all(margins > 0.0)):
-                found.append(_build_equilibrium(branch, a_star, direction,
-                                                params, margins, marginal))
+                found.append(_build_one(branch, a_star, direction, params,
+                                        margins, marginal))
     return found
 
 
@@ -197,7 +240,7 @@ def _pairwise_dedup_enumeration(params, direction, include_marginal):
                     a_fresh[take].tolist(), margins[take],
                     marginal[take].tolist())
     hits.sort(key=lambda hit: hit[:2])
-    return [_build_equilibrium(
+    return [_build_one(
                 BranchAssignment(sigma=tuple(sigma[row].tolist()), m=m),
                 a_star, direction, params, margins, marginal)
             for row, m, a_star, margins, marginal in hits]
@@ -333,6 +376,19 @@ class TestScreenOracle:
                                     include_marginal):
         self._check(_draw_params(seed, n, kind), direction, include_marginal,
                     oracle=_pairwise_dedup_enumeration)
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 10),
+           kind=st.sampled_from(["common", "special", "heterogeneous"]),
+           direction=st.sampled_from([1, -1]),
+           include_marginal=st.booleans())
+    def test_array_build_matches_per_candidate_build(self, seed, n, kind,
+                                                     direction,
+                                                     include_marginal):
+        # the shape values of all accepted rows, formed in one array
+        # pass, equal the build of each candidate on its own
+        self._check(_draw_params(seed, n, kind), direction, include_marginal,
+                    oracle=_per_candidate_build)
 
     @pytest.mark.parametrize("n", [2, 4, 8])
     def test_marginal_branches_of_even_n(self, n):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -8,10 +9,11 @@ from hypothesis import assume, given, settings, strategies as st
 from pursuit_lab import (ControlParams, abd, block_triple, char_poly,
                          corollary_checks, cubic_coeffs, dk, routh_necessary,
                          shape_derivative, spectrum_report, stability)
-from pursuit_lab import equilibrium_shape
+from pursuit_lab import equilibrium_shape, leftmost_equilibrium
 from pursuit_lab.errors import (AssumptionError, EquilibriumNotFoundError,
-                                NumericError, SingularModeError)
-from pursuit_lab.numerics import characteristic_polynomial, eig5
+                                NumericError, PursuitLabError,
+                                SingularModeError)
+from pursuit_lab.numerics import characteristic_polynomial, eig5, wrap_angle
 from pursuit_lab.shape_space import ShapeState
 from pursuit_lab.stability import routh_conditions
 
@@ -69,6 +71,27 @@ class TestABD:
                                            alpha=np.pi / 3, alpha0=np.pi)
         with pytest.raises(EquilibriumNotFoundError):
             abd(params, 1)
+
+    def test_marginal_band_reads_no_equilibrium(self):
+        # a = cos(pi/4) + sin(alpha*) = 5e-10 puts the radius margin
+        # lambda * a inside the enumeration's 1e-9 marginal band: abd,
+        # routh_necessary, the sweep and leftmost_equilibrium all read
+        # no equilibrium
+        a_star = np.arcsin(5e-10 - np.cos(np.pi / 4))
+        params = ControlParams.homogeneous(3, mu=1.0, lam=0.5,
+                                           alpha=np.pi / 3 - a_star,
+                                           alpha0=np.pi / 4)
+        a = np.cos(np.pi / 4) + np.sin(
+            wrap_angle(np.pi / 3 - params.alpha[0]))
+        assert 0.0 < a < 1e-9
+        with pytest.raises(EquilibriumNotFoundError, match="marginal band"):
+            abd(params, 1)
+        with pytest.raises(EquilibriumNotFoundError):
+            routh_necessary(params, 1)
+        assert leftmost_equilibrium(params, 1) is None
+        exists, verdict, worst = stability.sweep(params, 1, "alpha",
+                                                 params.alpha[:1])
+        assert not exists[0] and not verdict[0] and np.isnan(worst[0])
 
     def test_requires_common_alpha(self):
         params = ControlParams.homogeneous(
@@ -561,32 +584,57 @@ def test_cubic_roots_split_a_merged_pair():
     assert multiset_distance(stability._cubic_roots(table)[0], true) < 1e-9
 
 
-class TestSpectrumReports:
-    def _samples(self):
-        return [ControlParams.homogeneous(n, mu=1.0, lam=lam, alpha=np.pi / 6,
-                                          alpha0=alpha0)
-                for n, lam, alpha0 in [(3, 0.5, np.pi / 4), (5, 0.3, 0.2),
-                                       (3, 0.7, -0.4), (8, 0.5, 1.0)]]
+def _sweep_bounds(name):
+    """Sweep ranges that cross the existence boundary; lambda ranges
+    reach 0, 1 or past them, where ControlParams rejects the sample."""
+    if name == "lam":
+        return (st.sampled_from([0.0, -0.2])
+                | st.floats(0.01, 0.99)), (st.sampled_from([1.0, 1.2])
+                                          | st.floats(0.01, 0.99))
+    return st.floats(-np.pi, np.pi), st.floats(-np.pi, np.pi)
 
-    def _assert_same(self, got, expected):
-        assert got.diagnostics == expected.diagnostics
-        assert same_bits(got.mu_a, expected.mu_a)
-        for (c, i), (c_ref, i_ref) in zip(got.by_mode, expected.by_mode,
-                                          strict=True):
-            assert same_bits(c, c_ref) and same_bits(i, i_ref)
 
-    def test_entries_equal_single_reports(self):
-        samples = self._samples()
-        for got, params in zip(stability.spectrum_reports(samples, 1),
-                               samples, strict=True):
-            self._assert_same(got, spectrum_report(params, 1))
-        assert stability.spectrum_reports([], 1) == []
+class TestSweep:
+    """Every row of the array sweep equals the scalar analysis of a
+    ControlParams built for its sample."""
 
-    def test_failed_solve_reads_none_and_leaves_others(self, monkeypatch):
-        samples = self._samples()
-        expected = [spectrum_report(params, 1) for params in samples]
-        poison = cubic_coeffs(samples[2], 1, 1).polynomial(
-            1.0, abd(samples[2], 1).a)
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(data=st.data(), n=st.integers(2, 12),
+           name=st.sampled_from(["alpha", "alpha0", "lam"]),
+           m=st.integers(-3, 14), samples=st.integers(1, 24),
+           lam=st.floats(0.05, 0.95), alpha=st.floats(-np.pi, np.pi),
+           alpha0=st.floats(-np.pi, np.pi))
+    def test_rows_equal_scalar_reports(self, data, n, name, m, samples, lam,
+                                       alpha, alpha0):
+        start, stop = (data.draw(bound) for bound in _sweep_bounds(name))
+        values = np.linspace(start, stop, samples)
+        base = ControlParams.homogeneous(n, mu=1.7, lam=lam, alpha=alpha,
+                                         alpha0=alpha0)
+        exists, verdict, worst = stability.sweep(base, m, name, values)
+        assert exists.shape == verdict.shape == worst.shape == (samples,)
+        for idx, value in enumerate(values):
+            try:
+                params = replace(base, **{name: value})
+                expected = routh_necessary(params, m).overall
+            except (PursuitLabError, ValueError):
+                assert not exists[idx] and not verdict[idx]
+                assert np.isnan(worst[idx])
+                continue
+            assert exists[idx] and verdict[idx] == expected
+            real = spectrum_report(params, m).max_informative_real()
+            assert format(worst[idx], ".12g") == format(real, ".12g")
+
+    def test_unknown_parameter_rejected(self, reference_params):
+        with pytest.raises(ValueError, match="cannot sweep 'mu'"):
+            stability.sweep(reference_params, 1, "mu", np.array([1.0]))
+
+    def test_failed_solve_reads_nan_and_leaves_others(self, monkeypatch):
+        base = ControlParams.homogeneous(5, mu=1.0, lam=0.3, alpha=np.pi / 6,
+                                         alpha0=0.2)
+        values = np.array([0.1, 0.2, 0.3, 0.4])
+        expected = stability.sweep(base, 1, "alpha0", values)
+        poison = cubic_coeffs(replace(base, alpha0=0.3), 1, 1).polynomial(
+            1.0, abd(replace(base, alpha0=0.3), 1).a)
         solve = stability.poly_roots
 
         def failing(table):
@@ -596,7 +644,26 @@ class TestSpectrumReports:
             return solve(table)
 
         monkeypatch.setattr(stability, "poly_roots", failing)
-        got = stability.spectrum_reports(samples, 1)
-        assert got[2] is None
-        for i in (0, 1, 3):
-            self._assert_same(got[i], expected[i])
+        exists, verdict, worst = stability.sweep(base, 1, "alpha0", values)
+        assert np.array_equal(exists, expected[0])
+        assert np.array_equal(verdict, expected[1])
+        assert np.isnan(worst[2]) and not np.isnan(expected[2][2])
+        assert same_bits(np.delete(worst, 2), np.delete(expected[2], 2))
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 50])
+def test_spectrum_report_solves_only_the_nonzero_cubics(n, monkeypatch):
+    # one root solve over the n - 1 cubics of modes 1..n-1; the k = 0
+    # cubic, whose constant term is exactly 0, is solved in closed form
+    params = ControlParams.homogeneous(n, mu=1.0, lam=0.4, alpha=0.3,
+                                       alpha0=0.5)
+    calls = []
+    solve = stability.poly_roots
+
+    def counted(table):
+        calls.append(table.shape)
+        return solve(table)
+
+    monkeypatch.setattr(stability, "poly_roots", counted)
+    spectrum_report(params, 1)
+    assert calls == [(n - 1, 4)]
