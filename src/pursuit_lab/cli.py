@@ -226,7 +226,8 @@ def parse_config(path, mode, overrides=(), out_dir="out", seed=None):
     except ValueError as err:
         raise ConfigError(str(err)) from None
     section = parser[mode] if parser.has_section(mode) else None
-    initial = str(_get(section, "initial", "random")).strip()
+    cfg = RunConfig(mode=mode, params=params, out_dir=Path(out_dir))
+    initial = str(_get(section, "initial", cfg.initial)).strip()
     gate = _MODE_ASSUMPTIONS.get(mode)
     if mode == "simulate" and initial == "equilibrium":
         gate = require_shape_assumptions
@@ -237,17 +238,18 @@ def parse_config(path, mode, overrides=(), out_dir="out", seed=None):
             raise ConfigError(f"{_ASSUMPTION_KEYS[err.failed[0]]}: mode "
                               f"{mode}: {err}") from None
 
-    cfg = RunConfig(mode=mode, params=params, out_dir=Path(out_dir))
     cfg.seed = _number(seed if seed is not None
-                       else _get(section, "seed", 0) or 0, "seed", kind=int)
-    cfg.T = _positive(_get(section, "t", 20.0), "t")
-    cfg.dt = _positive(_get(section, "dt", DEFAULT_DT), "dt")
+                       else _get(section, "seed") or cfg.seed, "seed",
+                       kind=int)
+    cfg.T = _positive(_get(section, "t", cfg.T), "t")
+    cfg.dt = _positive(_get(section, "dt", cfg.dt), "dt")
     try:
         step_count(cfg.T, cfg.dt)
     except ValueError as err:
         raise ConfigError(f"t: {err}") from None
-    cfg.record_every = int(_positive(_get(section, "record_every", 1),
-                                     "record_every", kind=int))
+    cfg.record_every = int(_positive(
+        _get(section, "record_every", cfg.record_every), "record_every",
+        kind=int))
 
     if mode in ("simulate", "shape-sim"):
         cfg.initial = initial
@@ -263,15 +265,17 @@ def parse_config(path, mode, overrides=(), out_dir="out", seed=None):
                                      "kappa1")
             cfg.rho1 = _positive(_require(section, "rho1", mode), "rho1")
     elif mode == "equilibria":
-        cfg.direction = str(_get(section, "direction", "both")).strip()
+        cfg.direction = str(_get(section, "direction",
+                                 cfg.direction)).strip()
         if cfg.direction not in ("ccw", "cw", "both"):
             raise ConfigError("direction: expected ccw|cw|both")
     elif mode == "stability":
         cfg.m = _number(_require(section, "m", mode), "m", kind=int)
     elif mode == "pure-shape":
         cfg.k = _number(_require(section, "k", mode), "k", kind=int)
-        cfg.kappa1 = parse_angle(_get(section, "kappa1", "0"), "kappa1")
-        cfg.rho1 = _positive(_get(section, "rho1", 1.0), "rho1")
+        cfg.kappa1 = parse_angle(_get(section, "kappa1", cfg.kappa1),
+                                 "kappa1")
+        cfg.rho1 = _positive(_get(section, "rho1", cfg.rho1), "rho1")
     elif mode == "portrait":
         cfg.k = _number(_require(section, "k", mode), "k", kind=int)
         try:
@@ -305,13 +309,17 @@ def parse_config(path, mode, overrides=(), out_dir="out", seed=None):
                           _positive(rh, "seeds")))
         cfg.seeds = tuple(seeds)
     elif mode == "sweep":
-        cfg.sweep_parameter = str(_get(section, "parameter", "alpha0")).strip()
+        cfg.sweep_parameter = str(_get(section, "parameter",
+                                       cfg.sweep_parameter)).strip()
         if cfg.sweep_parameter not in ("alpha0", "alpha", "lambda"):
             raise ConfigError("parameter: expected alpha0|alpha|lambda")
-        cfg.sweep_start = parse_angle(_get(section, "start", 0.0), "start")
-        cfg.sweep_stop = parse_angle(_get(section, "stop", "pi"), "stop")
-        cfg.sweep_samples = int(_positive(_get(section, "samples", 16),
-                                          "samples", kind=int))
+        cfg.sweep_start = parse_angle(_get(section, "start",
+                                           cfg.sweep_start), "start")
+        cfg.sweep_stop = parse_angle(_get(section, "stop", cfg.sweep_stop),
+                                     "stop")
+        cfg.sweep_samples = int(_positive(
+            _get(section, "samples", cfg.sweep_samples), "samples",
+            kind=int))
         cfg.m = _number(_require(section, "m", mode), "m", kind=int)
 
     canon = [f"mode={mode}", f"seed={cfg.seed}"]
@@ -347,32 +355,66 @@ def _write_manifest(cfg, artifacts):
     return path
 
 
+def _write_csv(path, notes, columns, table, fmt="%.12g"):
+    """Write one CSV artifact: a ``# `` line per note, the header, then
+    the rows of the 2-D ``table``.  ``fmt`` is one printf format for every
+    column or a list with one per column."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for note in notes:
+            fh.write(f"# {note}\n")
+        fh.write(",".join(columns) + "\n")
+        np.savetxt(fh, table, fmt=fmt, delimiter=",")
+    return path.name
+
+
+def _agent_columns(n, *patterns):
+    """Per-agent column names: each pattern for agent 1, then agent 2..."""
+    return [p.format(i) for i in range(1, n + 1) for p in patterns]
+
+
 def run(cfg):
     """Execute a validated configuration; returns artifact paths."""
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    out = cfg.out_dir
+    out.mkdir(parents=True, exist_ok=True)
     artifacts = []
+    # the header note of the two trajectory modes
+    run_note = (f"mode={cfg.mode} initial={cfg.initial} T={cfg.T:.12g} "
+                f"dt={cfg.dt:.12g}")
     if cfg.mode == "simulate":
         world = _initial_world(cfg)
         traj = full_space.simulate(world, cfg.params, cfg.T, cfg.dt,
                                    record_every=cfg.record_every)
-        out = cfg.out_dir / "trajectory.csv"
-        full_space.write_trajectory_csv(
-            traj, out, seed=cfg.seed,
-            header_notes=[f"mode=simulate initial={cfg.initial} "
-                          f"T={cfg.T:.12g} dt={cfg.dt:.12g}"])
-        artifacts.append(out.name)
+        n = traj.n
+        heading = np.arctan2(traj.headings[..., 1], traj.headings[..., 0])
+        agents = np.concatenate([traj.positions, heading[..., None]], axis=-1)
+        table = np.column_stack([
+            traj.t, agents.reshape(len(traj.t), -1),
+            np.broadcast_to(traj.beacon, (len(traj.t), 2)), traj.controls])
+        artifacts.append(_write_csv(
+            out / "trajectory.csv",
+            ["full-space trajectory; positions in length units, headings "
+             "in radians wrapped to (-pi, pi], u in 1/length",
+             f"seed = {cfg.seed}", run_note],
+            ["t"] + _agent_columns(n, "r{}_x", "r{}_y", "heading_{}")
+            + ["beacon_x", "beacon_y"] + _agent_columns(n, "u_{}"),
+            table))
     elif cfg.mode == "shape-sim":
         world = _initial_world(cfg)
         shape0 = full_space.extract_shape(world)
         traj = shape_space.integrate_shape(shape0, cfg.params, cfg.T, cfg.dt,
                                            record_every=cfg.record_every)
-        out = cfg.out_dir / "shape.csv"
-        shape_space.write_shape_csv(
-            traj, out, header_notes=[f"mode=shape-sim initial={cfg.initial} "
-                                     f"T={cfg.T:.12g} dt={cfg.dt:.12g}"])
-        artifacts.append(out.name)
+        blocks = np.stack([traj.rho, traj.kappa, traj.theta, traj.rho_b,
+                           traj.kappa_b], axis=-1)
+        artifacts.append(_write_csv(
+            out / "shape.csv",
+            ["shape-space trajectory; lengths in length units, angles in "
+             "radians wrapped to (-pi, pi]", run_note],
+            ["t"] + _agent_columns(traj.n, "rho_{}", "kappa_{}", "theta_{}",
+                                   "rho_{}b", "kappa_{}b")
+            + ["g0", "max_abs_g1", "max_abs_g2"],
+            np.column_stack([traj.t, blocks.reshape(len(traj.t), -1),
+                             traj.residuals])))
     elif cfg.mode == "equilibria":
-        out = cfg.out_dir / "equilibria.txt"
         chunks = []
         directions = {"ccw": [1], "cw": [-1], "both": [1, -1]}[cfg.direction]
         for direction in directions:
@@ -386,36 +428,38 @@ def run(cfg):
                 chunks.append(
                     f"direction: {label}\nunclassified: {err}\n"
                     f"degenerate-branch classification: {verdict.value}\n")
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(chunks))
-        artifacts.append(out.name)
+        (out / "equilibria.txt").write_text("\n".join(chunks),
+                                            encoding="utf-8")
+        artifacts.append("equilibria.txt")
     elif cfg.mode == "stability":
         spectrum = stability.spectrum_report(cfg.params, cfg.m)
-        report = stability.format_stability_report(cfg.params, cfg.m,
-                                                   spectrum)
-        out = cfg.out_dir / "stability.txt"
-        out.write_text(report, encoding="utf-8")
-        artifacts.append(out.name)
-        spec_csv = cfg.out_dir / "spectrum.csv"
-        stability.write_spectrum_csv(spectrum, spec_csv)
-        artifacts.append(spec_csv.name)
+        verdict = stability.routh_necessary(cfg.params, cfg.m)
+        (out / "stability.txt").write_text(
+            stability.format_stability_report(cfg.params, verdict, spectrum),
+            encoding="utf-8")
+        artifacts.append("stability.txt")
+        rows = [(k, z.real, z.imag, group)
+                for k, pair in enumerate(spectrum.by_mode)
+                for group, values in zip(("constraint", "informative"), pair)
+                for z in values]
+        artifacts.append(_write_csv(
+            out / "spectrum.csv",
+            ["eigenvalues of the block-circulant linearization; group is "
+             "'constraint' or 'informative'"],
+            ["k", "re", "im", "group"], np.array(rows, dtype=object),
+            ["%d", "%.12g", "%.12g", "%s"]))
     elif cfg.mode == "pure-shape":
         spec = pure_shape.manifold_spec(cfg.params.n, cfg.k)
         state0, _ = pure_shape.lift(spec, cfg.kappa1, cfg.rho1)
         traj = pure_shape.integrate_pure_shape(
             state0, cfg.params, cfg.T, cfg.dt, record_every=cfg.record_every)
-        out = cfg.out_dir / "pure_shape.csv"
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write("# transformed-dynamics trajectory on the invariant "
-                     "manifold; residual = max deviation from the manifold "
-                     "constants\n")
-            fh.write("t,kappa1,rho1,manifold_residual\n")
-            worst = np.max(spec.residuals(traj.states), axis=-1)
-            for t, kappa1, rho1, res in zip(traj.t, traj.kappa1, traj.rho1,
-                                            worst):
-                fh.write(f"{t:.12g},{kappa1:.12g},{rho1:.12g},{res:.12g}\n")
-        artifacts.append(out.name)
-        summary = cfg.out_dir / "pure_shape.txt"
+        artifacts.append(_write_csv(
+            out / "pure_shape.csv",
+            ["transformed-dynamics trajectory on the invariant manifold; "
+             "residual = max deviation from the manifold constants"],
+            ["t", "kappa1", "rho1", "manifold_residual"],
+            np.column_stack([traj.t, traj.kappa1, traj.rho1,
+                             np.max(spec.residuals(traj.states), axis=-1)])))
         lines = [f"manifold k = {cfg.k} of n = {cfg.params.n}",
                  f"psi = {spec.psi_const:.12g}, phi_b = "
                  f"{spec.phi_const:.12g}, rho_b ratio = "
@@ -439,46 +483,42 @@ def run(cfg):
             except PursuitLabError as err:
                 lines.append(f"asymptote prediction unavailable: {err}")
         lines.append(f"a5 guard flags along run: {len(traj.a5_flags)}")
-        summary.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        artifacts.append(summary.name)
+        (out / "pure_shape.txt").write_text("\n".join(lines) + "\n",
+                                            encoding="utf-8")
+        artifacts.append("pure_shape.txt")
     elif cfg.mode == "portrait":
         portrait = pure_shape.phase_portrait(cfg.params, cfg.k, cfg.grid,
                                              seeds=cfg.seeds, T=cfg.T,
                                              dt=cfg.dt)
-        grid_path = cfg.out_dir / "grid.csv"
-        pure_shape.write_portrait_csv(portrait, grid_path)
-        artifacts.append(grid_path.name)
-        for idx, (t, ka, rh) in enumerate(portrait.trajectories):
-            path = cfg.out_dir / f"traj_{idx:02d}.csv"
-            pure_shape.write_portrait_trajectory_csv(t, ka, rh, path)
-            artifacts.append(path.name)
+        artifacts.append(_write_csv(
+            out / "grid.csv", ["reduced-dynamics vector field samples"],
+            ["kappa1", "rho1", "dkappa1", "drho1"],
+            np.column_stack([portrait.kappa_grid.ravel(),
+                             portrait.rho_grid.ravel(),
+                             portrait.d_kappa.ravel(),
+                             portrait.d_rho.ravel()])))
+        for idx, trajectory in enumerate(portrait.trajectories):
+            artifacts.append(_write_csv(
+                out / f"traj_{idx:02d}.csv", ["reduced-dynamics trajectory"],
+                ["t", "kappa1", "rho1"], np.column_stack(trajectory)))
     elif cfg.mode == "sweep":
-        rows = _run_sweep(cfg)
-        out = cfg.out_dir / "sweep.csv"
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(f"# sweep over {cfg.sweep_parameter}, winding m = "
-                     f"{cfg.m}\n")
-            fh.write("index,value,exists,verdict,max_informative_re\n")
-            for row in rows:
-                fh.write(",".join(str(v) for v in row) + "\n")
-        artifacts.append(out.name)
+        # a sample that is rejected or has no equilibrium reads as
+        # non-existent; one whose own solve fails reads nan
+        values = np.linspace(cfg.sweep_start, cfg.sweep_stop,
+                             cfg.sweep_samples)
+        name = "lam" if cfg.sweep_parameter == "lambda" \
+            else cfg.sweep_parameter
+        exists, verdict, worst = stability.sweep(cfg.params, cfg.m, name,
+                                                 values)
+        artifacts.append(_write_csv(
+            out / "sweep.csv",
+            [f"sweep over {cfg.sweep_parameter}, winding m = {cfg.m}"],
+            ["index", "value", "exists", "verdict", "max_informative_re"],
+            np.column_stack([np.arange(values.size), values, exists,
+                             verdict, worst]),
+            ["%d", "%.12g", "%d", "%d", "%.12g"]))
     artifacts.append(_write_manifest(cfg, artifacts).name)
-    return [cfg.out_dir / name for name in artifacts]
-
-
-def _run_sweep(cfg):
-    """One row per sample: existence, the Routh verdict and the largest
-    informative real part, from one array pass over the samples
-    (:func:`stability.sweep`).  A sample that is rejected or has no
-    equilibrium reads as non-existent, and one whose own solve fails
-    keeps its existence and verdict with a nan real part."""
-    values = np.linspace(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_samples)
-    name = "lam" if cfg.sweep_parameter == "lambda" else cfg.sweep_parameter
-    exists, verdict, worst = stability.sweep(cfg.params, cfg.m, name, values)
-    return [(idx, format(value, ".12g"), int(ok), int(passed),
-             format(real, ".12g"))
-            for idx, (value, ok, passed, real) in enumerate(
-                zip(values, exists, verdict, worst))]
+    return [out / name for name in artifacts]
 
 
 def main(argv=None):

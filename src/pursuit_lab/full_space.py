@@ -232,34 +232,3 @@ def extract_shape(world):
 def extract_shape_trajectory(traj):
     """Shape variables along a full-space trajectory, as (m, n) arrays."""
     return _shape_arrays(traj.positions, traj.headings, traj.beacon)
-
-
-def write_trajectory_csv(traj, path, seed=None, header_notes=()):
-    """Full-space trajectory CSV.
-
-    Row layout: t, then per-agent (r_x, r_y, heading angle), then the
-    beacon position, then the curvature commands u_i.
-    """
-    n = traj.n
-    cols = ["t"]
-    for i in range(1, n + 1):
-        cols += [f"r{i}_x", f"r{i}_y", f"heading_{i}"]
-    cols += ["beacon_x", "beacon_y"]
-    cols += [f"u_{i}" for i in range(1, n + 1)]
-    h_ang = np.arctan2(traj.headings[..., 1], traj.headings[..., 0])
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# full-space trajectory; positions in length units, "
-                 "headings in radians wrapped to (-pi, pi], u in 1/length\n")
-        if seed is not None:
-            fh.write(f"# seed = {seed}\n")
-        for note in header_notes:
-            fh.write(f"# {note}\n")
-        fh.write(",".join(cols) + "\n")
-        for idx in range(traj.t.size):
-            row = [traj.t[idx]]
-            for i in range(n):
-                row += [traj.positions[idx, i, 0], traj.positions[idx, i, 1],
-                        h_ang[idx, i]]
-            row += [traj.beacon[0], traj.beacon[1]]
-            row += list(traj.controls[idx])
-            fh.write(",".join(format(v, ".12g") for v in row) + "\n")

@@ -63,6 +63,19 @@ def _blocks(vec, n):
     return vec[..., 2:].reshape(vec.shape[:-1] + (5, n))
 
 
+def _check_rho1_floor(rho1):
+    """Agent 1's chase range rho1 must stay above the collocation floor."""
+    if rho1 <= EPS_COL:
+        raise CollisionError("rho_1 at or below collocation floor",
+                             pair=(0, 1))
+
+
+def _check_rho1_positive(rho1):
+    """A scale rho1 given to a reduced or lifted state must be positive."""
+    if not rho1 > 0.0:
+        raise PreconditionError("rho1 must be positive")
+
+
 def to_pure_shape(shape):
     """Change of variables from a full shape state.
 
@@ -70,9 +83,7 @@ def to_pure_shape(shape):
     invariant under uniform rescaling of all lengths (except rho1
     itself).
     """
-    if shape.rho[0] <= EPS_COL:
-        raise CollisionError("rho_1 at or below collocation floor",
-                             pair=(0, 1))
+    _check_rho1_floor(shape.rho[0])
     return PureShapeState(
         kappa1=float(shape.kappa[0]),
         rho1=float(shape.rho[0]),
@@ -154,9 +165,7 @@ def pure_shape_derivative(state, params):
     """Closed-loop rates of the transformed variables (requires A1-A4),
     in the :class:`PureShapeState` layout (each field its rate)."""
     require_analysis_assumptions(params)
-    if state.rho1 <= EPS_COL:
-        raise CollisionError("rho_1 at or below collocation floor",
-                             pair=(0, 1))
+    _check_rho1_floor(state.rho1)
     vec = _rates_vector(state.to_vector(), state.n, params.mu, params.lam,
                         params.alpha[0], params.alpha0[0])
     return PureShapeState.from_vector(vec, state.n)
@@ -210,8 +219,7 @@ def lift(spec, kappa1, rho1):
     advances the position angle by 2*k*pi/n per agent (counter-clockwise
     ordering); headings follow from the manifold's common beacon bearing.
     """
-    if not rho1 > 0.0:
-        raise PreconditionError("rho1 must be positive")
+    _check_rho1_positive(rho1)
     n, k = spec.n, spec.k
     pure = PureShapeState(
         kappa1=float(wrap_angle(kappa1)), rho1=float(rho1),
@@ -262,8 +270,7 @@ def _strip_value(consts):
 def reduced_derivative(kappa1, rho1, params, k):
     """The 2-D reduced rates (kappa1', rho1') on M_k (requires A1-A4)."""
     consts = _require_manifold(params, k)
-    if not rho1 > 0.0:
-        raise PreconditionError("rho1 must be positive")
+    _check_rho1_positive(rho1)
     return _reduced_rates(kappa1, rho1, *consts)
 
 
@@ -437,9 +444,7 @@ def integrate_pure_shape(state0, params, T, dt=DEFAULT_DT, record_every=1):
     alpha, alpha0 = params.alpha[0], params.alpha0[0]
 
     def field(vec):
-        if vec[1] <= EPS_COL:
-            raise CollisionError("rho_1 at or below collocation floor",
-                                 pair=(0, 1))
+        _check_rho1_floor(vec[1])
         return _rates_vector(vec, n, mu, lam, alpha, alpha0)
 
     flags = []
@@ -511,22 +516,3 @@ def phase_portrait(params, k, grid, seeds=(), T=50.0, dt=1e-2):
                     for ka, rh in seeds]
     return PhasePortrait(kappa_grid=kk, rho_grid=rr, d_kappa=d_kappa,
                          d_rho=d_rho, trajectories=trajectories)
-
-
-def write_portrait_csv(portrait, grid_path):
-    """Grid CSV: kappa1, rho1, kappa1_rate, rho1_rate."""
-    with open(grid_path, "w", encoding="utf-8") as fh:
-        fh.write("# reduced-dynamics vector field samples\n")
-        fh.write("kappa1,rho1,dkappa1,drho1\n")
-        flat = zip(portrait.kappa_grid.ravel(), portrait.rho_grid.ravel(),
-                   portrait.d_kappa.ravel(), portrait.d_rho.ravel())
-        for ka, rh, dk_, dr in flat:
-            fh.write(f"{ka:.12g},{rh:.12g},{dk_:.12g},{dr:.12g}\n")
-
-
-def write_portrait_trajectory_csv(t, kappa1, rho1, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# reduced-dynamics trajectory\n")
-        fh.write("t,kappa1,rho1\n")
-        for row in zip(t, kappa1, rho1):
-            fh.write(",".join(format(v, ".12g") for v in row) + "\n")

@@ -226,28 +226,3 @@ def integrate_shape(shape0, params, T, dt=DEFAULT_DT, record_every=1):
         rho=stacked[:, :, 0], kappa=stacked[:, :, 1], theta=stacked[:, :, 2],
         rho_b=stacked[:, :, 3], kappa_b=stacked[:, :, 4],
         residuals=_residual_summary(stacked))
-
-
-def write_shape_csv(traj, path, header_notes=()):
-    """Shape trajectory CSV: t, then per-agent blocks (rho_i, kappa_i,
-    theta_i, rho_ib, kappa_ib), then residual columns."""
-    n = traj.n
-    cols = ["t"]
-    for i in range(1, n + 1):
-        cols += [f"rho_{i}", f"kappa_{i}", f"theta_{i}",
-                 f"rho_{i}b", f"kappa_{i}b"]
-    cols += ["g0", "max_abs_g1", "max_abs_g2"]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# shape-space trajectory; lengths in length units, "
-                 "angles in radians wrapped to (-pi, pi]\n")
-        for note in header_notes:
-            fh.write(f"# {note}\n")
-        fh.write(",".join(cols) + "\n")
-        for idx in range(traj.t.size):
-            row = [traj.t[idx]]
-            for i in range(n):
-                row += [traj.rho[idx, i], traj.kappa[idx, i],
-                        traj.theta[idx, i], traj.rho_b[idx, i],
-                        traj.kappa_b[idx, i]]
-            row += list(traj.residuals[idx])
-            fh.write(",".join(format(v, ".12g") for v in row) + "\n")

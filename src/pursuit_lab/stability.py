@@ -265,14 +265,15 @@ class RouthVerdict:
     is their conjunction.  The third condition is identically zero at
     k = 0 (every hat coefficient vanishes there) and is treated as
     vacuous for that mode; conditions 1-2 at k = 0 reduce to b > 0 given
-    a > 0.  ``cubic`` is the table of all modes' cubic coefficients the
-    values were computed from.
+    a > 0.  ``abd`` and ``cubic`` are the coefficients the values were
+    computed from: the equilibrium's a, b, d and every mode's cubic.
     """
 
     values: np.ndarray
     passed: np.ndarray
     overall: bool
     notes: list = field(default_factory=list)
+    abd: ABDCoefficients = None
     cubic: CubicCoefficients = None
 
 
@@ -314,7 +315,8 @@ def routh_necessary(params, m):
     notes = ["k=0: third condition is identically zero (vacuous); "
              "conditions 1-2 amount to b > 0"]
     return RouthVerdict(values=values, passed=passed,
-                        overall=bool(passed.all()), notes=notes, cubic=cc)
+                        overall=bool(passed.all()), notes=notes, abd=co,
+                        cubic=cc)
 
 
 @dataclass
@@ -517,16 +519,16 @@ def _report(roots, mu_a):
                           mu_a=float(mu_a))
 
 
-def format_stability_report(params, m, spectrum):
-    """Per-mode report: cubic coefficients, condition values, cubic
-    roots and eigenvalues (both from ``spectrum``, a
+def format_stability_report(params, verdict, spectrum):
+    """Per-mode report: cubic coefficients and condition values (from
+    ``verdict``, the :class:`RouthVerdict` of ``params`` at its winding),
+    cubic roots and eigenvalues (from ``spectrum``, a
     :class:`SpectrumReport` of the same parameters and winding) and the
     overall verdict."""
-    co = abd(params, m)
-    verdict = routh_necessary(params, m)
+    co = verdict.abd
     corollaries = _corollaries(params, co)
     lines = []
-    lines.append(f"stability analysis at winding m = {m} "
+    lines.append(f"stability analysis at winding m = {co.m} "
                  f"(counter-clockwise leftmost branch)")
     lines.append(f"n = {params.n}, mu = {params.mu:.12g}, "
                  f"lambda = {params.lam:.12g}")
@@ -571,17 +573,3 @@ def format_stability_report(params, m, spectrum):
     lines.append(f"necessary conditions verdict: "
                  + ("PASS" if verdict.overall else "FAIL"))
     return "\n".join(lines) + "\n"
-
-
-def write_spectrum_csv(spectrum, path):
-    """Spectrum CSV from a :class:`SpectrumReport`: one row per
-    eigenvalue with its mode and group."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# eigenvalues of the block-circulant linearization; "
-                 "group is 'constraint' or 'informative'\n")
-        fh.write("k,re,im,group\n")
-        for k, (constraint, informative) in enumerate(spectrum.by_mode):
-            for z in constraint:
-                fh.write(f"{k},{z.real:.12g},{z.imag:.12g},constraint\n")
-            for z in informative:
-                fh.write(f"{k},{z.real:.12g},{z.imag:.12g},informative\n")

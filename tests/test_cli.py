@@ -1,4 +1,5 @@
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -517,6 +518,31 @@ def test_sweep_is_one_pass(tmp_path, monkeypatch):
     assert builds == [3]
     # the k = 0 cubic of each sample is solved in closed form
     assert solves == [(existing * 2, 4)]
+
+
+def test_stability_evaluates_abd_twice(tmp_path, monkeypatch):
+    # one abd for the spectrum and one for the Routh verdict; the report
+    # reads the verdict's own
+    calls = []
+    abd = stability.abd
+
+    def counted_abd(params, m):
+        calls.append(m)
+        return abd(params, m)
+
+    monkeypatch.setattr(stability, "abd", counted_abd)
+    assert cli.main(["stability", "--config", f"{CONFIG_DIR}/reference.cfg",
+                     "--out", str(tmp_path)]) == 0
+    assert calls == [1, 1]
+
+
+def test_only_the_cli_writes_files():
+    # every artifact is written by the CLI; the library only computes
+    package = Path(cli.__file__).parent
+    writers = [path.name for path in sorted(package.glob("*.py"))
+               if "open(" in path.read_text()
+               or "write_text" in path.read_text()]
+    assert writers == ["cli.py"]
 
 
 def test_stability_near_triple_root(tmp_path):

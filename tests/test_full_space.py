@@ -2,15 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pursuit_lab import (ControlParams, extract_shape, random_world,
+from pursuit_lab import (ControlParams, cli, extract_shape, random_world,
                          simulate)
 from pursuit_lab import constraint_residuals
 from pursuit_lab.equilibria import embed_world
 from pursuit_lab.errors import CollisionError
 from pursuit_lab.full_space import (WorldState, control_profile,
                                     extract_shape_trajectory,
-                                    particle_rates,
-                                    write_trajectory_csv)
+                                    particle_rates)
 from pursuit_lab.numerics import wrap_angle
 
 from conftest import reference_equilibrium, same_bits
@@ -172,6 +171,19 @@ def _random_case(seed, n):
     return world, params
 
 
+def _relabelled(world, params, k):
+    """The world and parameters with agent i + k renamed agent i."""
+    def relabel(a):
+        return np.roll(a, -k, axis=0)
+
+    shifted = ControlParams(
+        n=params.n, mu=params.mu, lam=params.lam,
+        alpha=relabel(params.alpha), alpha0=relabel(params.alpha0),
+        mu_b=relabel(params.mu_b), nu=relabel(params.nu))
+    return (WorldState(relabel(world.positions), relabel(world.headings),
+                       world.beacon), shifted)
+
+
 _PROPERTY = settings(derandomize=True, deadline=None, max_examples=50)
 
 
@@ -195,19 +207,24 @@ class TestLawProperties:
            k=st.integers(1, 8))
     def test_cyclic_relabelling_equivariance(self, seed, n, k):
         world, params = _random_case(seed, n)
-        k %= n
-
-        def relabel(a):
-            return np.roll(a, -k, axis=0)
-
-        shifted = ControlParams(
-            n=n, mu=params.mu, lam=params.lam, alpha=relabel(params.alpha),
-            alpha0=relabel(params.alpha0), mu_b=relabel(params.mu_b),
-            nu=relabel(params.nu))
-        moved = WorldState(relabel(world.positions),
-                           relabel(world.headings), world.beacon)
+        moved, shifted = _relabelled(world, params, k)
         assert np.array_equal(control_profile(moved, shifted),
-                              relabel(control_profile(world, params)))
+                              np.roll(control_profile(world, params), -k))
+
+    @_PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 8),
+           k=st.integers(1, 7))
+    def test_run_cyclic_relabelling_equivariance(self, seed, n, k):
+        # a run of the relabelled world under the relabelled parameters
+        # is the relabelled run, bit for bit
+        world, params = _random_case(seed, n)
+        moved, shifted = _relabelled(world, params, k)
+        traj = simulate(world, params, T=1.0, dt=1e-2)
+        run = simulate(moved, shifted, T=1.0, dt=1e-2)
+        assert same_bits(run.t, traj.t)
+        for name in ("positions", "headings", "controls"):
+            assert same_bits(getattr(run, name),
+                             np.roll(getattr(traj, name), -k, axis=1))
 
 
 def _rates(world, params):
@@ -301,12 +318,14 @@ class TestSimulate:
         assert err.value.t is not None and 0.9 < err.value.t < 1.1
         assert err.value.pair is not None
 
-    def test_trajectory_csv_layout(self, reference_params, tmp_path):
-        traj = simulate(random_world(3, seed=1), reference_params, T=0.1,
-                        dt=1e-2)
-        path = tmp_path / "traj.csv"
-        write_trajectory_csv(traj, path, seed=1)
-        lines = path.read_text().splitlines()
+    def test_trajectory_csv_layout(self, tmp_path):
+        config = __file__.rsplit("/", 2)[0] + "/configs/reference.cfg"
+        cfg = cli.parse_config(config, "simulate",
+                               overrides=["initial=random", "t=0.1",
+                                          "dt=1e-2"],
+                               out_dir=tmp_path, seed=1)
+        cli.run(cfg)
+        lines = (tmp_path / "trajectory.csv").read_text().splitlines()
         header = [ln for ln in lines if not ln.startswith("#")][0]
         assert header.split(",") == [
             "t", "r1_x", "r1_y", "heading_1", "r2_x", "r2_y", "heading_2",
