@@ -105,11 +105,20 @@ class ControlParams:
                    mu_b=mu, nu=nu)
 
     @functools.cached_property
-    def _bearing_trig(self):
-        """cos and sin of alpha and alpha0, for the steering law's bearing
-        rotations; computed on first use, once per parameter set."""
-        return (np.cos(self.alpha), np.sin(self.alpha),
-                np.cos(self.alpha0), np.sin(self.alpha0))
+    def _steering_coefficients(self):
+        """The steering law's coefficients, stacked over its two terms
+        (pursuit of the next agent, tracking of the beacon) and computed
+        on first use, once per parameter set.  By component, term and
+        agent, (2, 2, n): -cos and cos of (alpha, alpha0), and their
+        sin twice.  By term and agent, (2, n): the gains (mu, mu_b) and
+        the weights (1 - lambda, lambda).  Then (-nu, nu), (2, n)."""
+        cos = np.stack((np.cos(self.alpha), np.cos(self.alpha0)))
+        sin = np.stack((np.sin(self.alpha), np.sin(self.alpha0)))
+        return (np.stack((-cos, cos)), np.stack((sin, sin)),
+                np.stack((np.full(self.n, self.mu), self.mu_b)),
+                np.stack((np.full(self.n, 1.0 - self.lam),
+                          np.full(self.n, self.lam))),
+                np.stack((-self.nu, self.nu)))
 
     def flags(self):
         """The homogeneity flags for assumptions A1-A4 (derived once, at

@@ -3,6 +3,10 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from pursuit_lab import ControlParams
+from pursuit_lab.errors import CollisionError
+from pursuit_lab.full_space import FullTrajectory
+from pursuit_lab.numerics import cyclic_neighbors, rk4_integrate
+from pursuit_lab.shape_space import EPS_COL
 
 
 @pytest.hookimpl(hookwrapper=True)
@@ -82,3 +86,103 @@ def reference_equilibrium(params):
                if eq.branch.sigma == (1, 1, 1) and eq.branch.m == 1]
     assert len(matches) == 1
     return matches[0]
+
+
+def _reference_geometry(px, py, beacon):
+    """Range and unit bearings to the pursued neighbor and the beacon.
+
+    px, py: (..., n) position components; beacon: (2,).  Returns the
+    components of the unit line of sight to the next agent, its range,
+    and the components of the unit line of sight to the beacon.  Raises
+    CollisionError on any collocated pair (pursued neighbor or beacon),
+    identifying the pair.
+    """
+    n = px.shape[-1]
+    nxt, _ = cyclic_neighbors(n)
+    dx = px[..., nxt] - px
+    dy = py[..., nxt] - py
+    rho = np.hypot(dx, dy)
+    # fmin skips NaN, so this decides as np.any(rho <= EPS_COL) does
+    if np.fmin.reduce(rho, axis=None) <= EPS_COL:
+        i = int(np.argmax(rho <= EPS_COL)) % n
+        raise CollisionError(
+            f"agents {i + 1} and {(i + 1) % n + 1} are collocated",
+            pair=(i, (i + 1) % n))
+    bx = beacon[0] - px
+    by = beacon[1] - py
+    rho_b = np.hypot(bx, by)
+    if np.fmin.reduce(rho_b, axis=None) <= EPS_COL:
+        i = int(np.argmax(rho_b <= EPS_COL)) % n
+        raise CollisionError(f"agent {i + 1} is collocated with the beacon",
+                             pair=(i, "beacon"))
+    return dx / rho, dy / rho, rho, bx / rho_b, by / rho_b
+
+
+def reference_controls(positions, headings, beacon, params):
+    """Oracle of the steering law: the agent-major component form, one
+    term at a time.
+
+    positions/headings: (..., n, 2); returns (..., n).  The normal y (the
+    heading x turned by +pi/2) is (-x_1, x_0), y turned by a bearing a is
+    (c y_0 - s y_1, s y_0 + c y_1) with c, s = cos a, sin a, and a dot
+    product is a_0 b_0 + a_1 b_1.
+    """
+    hx = headings[..., 0]
+    hy = headings[..., 1]
+    lx, ly, rho, ex, ey = _reference_geometry(positions[..., 0],
+                                              positions[..., 1], beacon)
+    ca, sa = np.cos(params.alpha), np.sin(params.alpha)
+    cb, sb = np.cos(params.alpha0), np.sin(params.alpha0)
+    nu = params.nu
+    nxt, _ = cyclic_neighbors(params.n)
+    ny = -hy                          # y_0; y_1 is hx
+    vx = nu * hx
+    vy = nu * hy
+    wx = vx - vx[..., nxt]            # velocity relative to the next agent
+    wy = vy - vy[..., nxt]
+    u_cb = (params.mu * ((ca * ny - sa * hx) * lx + (sa * ny + ca * hx) * ly)
+            + (ly * wx - lx * wy) / (nu * rho))
+    u_b = params.mu_b * ((cb * ny - sb * hx) * ex + (sb * ny + cb * hx) * ey)
+    return (1.0 - params.lam) * u_cb + params.lam * u_b
+
+
+def reference_rates(positions, headings, beacon, params):
+    """Oracle of the particle-model rates r' = nu x, x' = nu u y, one
+    (2, ..., n, 2) array."""
+    u = params.nu * reference_controls(positions, headings, beacon, params)
+    rates = np.empty((2,) + headings.shape)
+    np.multiply(params.nu[:, None], headings, out=rates[0])
+    np.multiply(u, -headings[..., 1], out=rates[1, ..., 0])
+    np.multiply(u, headings[..., 0], out=rates[1, ..., 1])
+    return rates
+
+
+def reference_simulate(world0, params, T, dt, record_every=1):
+    """Oracle of ``simulate``: the agent-major state (positions, then
+    headings, each agent's x and y together) through ``rk4_integrate``
+    and the oracle rates."""
+    n = world0.n
+    beacon = world0.beacon.copy()
+
+    def field(vec):
+        state = vec.reshape(2, n, 2)
+        return reference_rates(state[0], state[1], beacon, params).ravel()
+
+    def renormalize(vec, t):
+        head = vec[2 * n:].reshape(n, 2)
+        head /= np.hypot(head[:, 0], head[:, 1])[:, None]
+        return vec
+
+    times, samples = rk4_integrate(
+        field, np.concatenate([world0.positions.ravel(),
+                               world0.headings.ravel()]),
+        T, dt, record_every, renormalize)
+    positions = samples[:, :2 * n].reshape(-1, n, 2)
+    headings = samples[:, 2 * n:].reshape(-1, n, 2)
+    try:
+        controls = reference_controls(positions, headings, beacon, params)
+    except CollisionError as err:
+        raise CollisionError(str(err), pair=err.pair,
+                             t=float(times[-1])) from None
+    return FullTrajectory(t=times, positions=positions, headings=headings,
+                          controls=controls, beacon=beacon)

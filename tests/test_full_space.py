@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pursuit_lab import (ControlParams, cli, extract_shape, random_world,
-                         simulate)
+from pursuit_lab import (ControlParams, cli, extract_shape, full_space,
+                         integrate_shape, numerics, random_world, simulate)
 from pursuit_lab import constraint_residuals
 from pursuit_lab.equilibria import embed_world
 from pursuit_lab.errors import CollisionError
@@ -12,7 +12,8 @@ from pursuit_lab.full_space import (WorldState, control_profile,
                                     particle_rates)
 from pursuit_lab.numerics import wrap_angle
 
-from conftest import reference_equilibrium, same_bits
+from conftest import (reference_controls, reference_equilibrium,
+                      reference_rates, reference_simulate, same_bits)
 
 
 def steering_law_shape(i, shape, params):
@@ -101,6 +102,21 @@ class TestSteeringLaw:
         with pytest.raises(CollisionError) as err:
             control_profile(world, params)
         assert err.value.pair == (0, 1)
+
+    def test_negative_zero_dot_product(self):
+        # agent 1 heads up with agent 2 and the beacon straight below it:
+        # both products of each dot product are -0, and so is the
+        # rotation term (both agents move alike), so u_1 is -0
+        params = _two_agent_params(alpha=0.0, alpha0=0.0)
+        world = WorldState([[0.0, 1.0], [0.0, 0.0]],
+                           [[0.0, 1.0], [0.0, 1.0]], beacon=[0.0, -1.0])
+        u = control_profile(world, params)
+        assert same_bits(u, np.array([-0.0, 0.0]))
+        assert same_bits(u, reference_controls(world.positions,
+                                               world.headings, world.beacon,
+                                               params))
+        _, d_headings = _rates(world, params)
+        assert same_bits(d_headings, np.array([[0.0, -0.0], [-0.0, 0.0]]))
 
 
 class TestLeadingAxes:
@@ -227,6 +243,57 @@ class TestLawProperties:
                              np.roll(getattr(traj, name), -k, axis=1))
 
 
+def _off_origin(world, shift):
+    """The world translated by shift, beacon included."""
+    return WorldState(world.positions + shift, world.headings,
+                      world.beacon + shift)
+
+
+def _outcome(run, *args, **kwargs):
+    """A run's result, or the (message, pair, time) of its collision."""
+    try:
+        return run(*args, **kwargs)
+    except CollisionError as err:
+        return str(err), err.pair, err.t
+
+
+class TestPackedLawMatchesOracle:
+    """The packed one-pass law against the agent-major component law,
+    bit for bit, with heterogeneous parameters and the beacon off the
+    origin."""
+
+    @_PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 9),
+           shift=st.tuples(st.floats(-50, 50), st.floats(-50, 50)),
+           members=st.integers(2, 4))
+    def test_controls_and_rates(self, seed, n, shift, members):
+        _, params = _random_case(seed, n)
+        worlds = [_off_origin(_random_case((seed + k) % 2**32, n)[0], shift)
+                  for k in range(members)]
+        batch = WorldState(np.stack([w.positions for w in worlds]),
+                           np.stack([w.headings for w in worlds]),
+                           worlds[0].beacon)
+        for w in (worlds[0], batch):
+            args = (w.positions, w.headings, w.beacon, params)
+            assert same_bits(control_profile(w, params),
+                             reference_controls(*args))
+            assert same_bits(particle_rates(*args), reference_rates(*args))
+
+    @_PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 9),
+           shift=st.tuples(st.floats(-50, 50), st.floats(-50, 50)))
+    def test_run(self, seed, n, shift):
+        world, params = _random_case(seed, n)
+        world = _off_origin(world, shift)
+        run = _outcome(simulate, world, params, T=1.0, dt=1e-2)
+        oracle = _outcome(reference_simulate, world, params, T=1.0, dt=1e-2)
+        if isinstance(oracle, tuple):
+            assert run == oracle
+            return
+        for name in ("t", "positions", "headings", "controls", "beacon"):
+            assert same_bits(getattr(run, name), getattr(oracle, name)), name
+
+
 def _rates(world, params):
     """World-state rates through the particle-model field."""
     return particle_rates(world.positions, world.headings, world.beacon,
@@ -318,6 +385,44 @@ class TestSimulate:
         assert err.value.t is not None and 0.9 < err.value.t < 1.1
         assert err.value.pair is not None
 
+    def test_recorded_controls_in_blocks(self, monkeypatch):
+        world, params = _random_case(4, 5)
+        oracle = reference_simulate(world, params, T=0.1, dt=1e-2)
+        monkeypatch.setattr(full_space, "_RECORD_BLOCK", 3)
+        run = simulate(world, params, T=0.1, dt=1e-2)
+        assert same_bits(run.controls, oracle.controls)
+
+    def test_chase_collision_reported_before_beacon(self):
+        # agent 1 sits on the beacon and agents 2 and 3 on each other:
+        # the chase pair is reported, at the first step
+        params = ControlParams.homogeneous(3, alpha=0.2, alpha0=0.4)
+        world = WorldState.from_polar([[1.0, 1.0], [2.0, 0.5], [2.0, 0.5]],
+                                      [0.0, 1.0, 2.0], beacon=[1.0, 1.0])
+        with pytest.raises(CollisionError) as err:
+            simulate(world, params, T=0.1, dt=1e-2)
+        assert err.value.pair == (1, 2)
+        assert str(err.value) == "agents 2 and 3 are collocated"
+        assert err.value.t == 1e-2
+
+    def test_each_step_is_one_rk4_step_of_four_evaluations(
+            self, monkeypatch, reference_params):
+        # per-step tracing wraps numerics.rk4_step and the field it is
+        # given; a step inlined into the driver would hide both
+        counts = {"steps": 0, "fields": 0}
+        step = numerics.rk4_step
+
+        def counting_step(field, state, dt):
+            counts["steps"] += 1
+
+            def counting_field(vec):
+                counts["fields"] += 1
+                return field(vec)
+            return step(counting_field, state, dt)
+
+        monkeypatch.setattr(numerics, "rk4_step", counting_step)
+        simulate(random_world(3, seed=1), reference_params, T=0.07, dt=1e-2)
+        assert counts == {"steps": 7, "fields": 28}
+
     def test_trajectory_csv_layout(self, tmp_path):
         config = __file__.rsplit("/", 2)[0] + "/configs/reference.cfg"
         cfg = cli.parse_config(config, "simulate",
@@ -332,3 +437,54 @@ class TestSimulate:
             "r3_x", "r3_y", "heading_3", "beacon_x", "beacon_y",
             "u_1", "u_2", "u_3"]
         assert any(ln.startswith("# seed = 1") for ln in lines)
+
+
+_RUN_PROPERTY = settings(derandomize=True, deadline=None, max_examples=20)
+
+
+class TestRunProperties:
+    @_RUN_PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 9),
+           angle=st.floats(-np.pi, np.pi),
+           shift=st.tuples(st.floats(-50, 50), st.floats(-50, 50)))
+    def test_rigid_motion_leaves_shape_run_unchanged(self, seed, n, angle,
+                                                     shift):
+        world, params = _random_case(seed, n)
+        c, s = np.cos(angle), np.sin(angle)
+        rot = np.array([[c, -s], [s, c]])
+        moved = WorldState(world.positions @ rot.T + shift,
+                           world.headings @ rot.T,
+                           rot @ world.beacon + shift)
+        run = _outcome(simulate, world, params, T=1.0, dt=1e-2)
+        moved_run = _outcome(simulate, moved, params, T=1.0, dt=1e-2)
+        if isinstance(run, tuple):
+            assert moved_run[1] == run[1]
+            return
+        rho, kappa, theta, rho_b, kappa_b = extract_shape_trajectory(run)
+        got = extract_shape_trajectory(moved_run)
+        assert np.max(np.abs(got[0] - rho)) < 1e-9
+        assert np.max(np.abs(got[3] - rho_b)) < 1e-9
+        for moved_angle, angle_ in zip(got[1:3] + got[4:], (kappa, theta,
+                                                            kappa_b)):
+            assert np.max(np.abs(wrap_angle(moved_angle - angle_))) < 1e-9
+
+    @_RUN_PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 9))
+    def test_full_and_shape_routes_agree(self, seed, n):
+        # criterion 03's tolerance over random A1-A3 parameters
+        world, _ = _random_case(seed, n)
+        rng = np.random.default_rng(seed)
+        mu = float(rng.uniform(0.2, 3.0))
+        params = ControlParams(
+            n=n, mu=mu, lam=float(rng.uniform(0.05, 0.95)),
+            alpha=rng.uniform(-3, 3, n), alpha0=float(rng.uniform(-3, 3)),
+            mu_b=mu, nu=1.0)
+        full = simulate(world, params, T=0.5, dt=1e-3, record_every=10)
+        shape = integrate_shape(extract_shape(world), params, T=0.5,
+                                dt=1e-3, record_every=10)
+        rho, kappa, theta, rho_b, kappa_b = extract_shape_trajectory(full)
+        assert np.max(np.abs(rho - shape.rho)) < 1e-4
+        assert np.max(np.abs(rho_b - shape.rho_b)) < 1e-4
+        for got, want in [(kappa, shape.kappa), (theta, shape.theta),
+                          (kappa_b, shape.kappa_b)]:
+            assert np.max(np.abs(wrap_angle(got - want))) < 1e-4

@@ -69,6 +69,38 @@ class TestRK4:
         with pytest.raises(IntegrationError, match="index 1"):
             rk4_step(bad, np.zeros(3), 0.1)
 
+    def test_nonfinite_later_stage_names_index_and_stage(self):
+        calls = []
+
+        def bad(s):
+            calls.append(1)
+            k = np.ones(4)
+            if len(calls) == 3:
+                k[2] = np.inf
+            return k
+
+        with pytest.raises(IntegrationError,
+                           match=r"index 2 \(RK4 stage 3\)"):
+            rk4_step(bad, np.zeros(4), 0.1)
+
+    def test_opposite_infinities_name_first_index(self):
+        # their sum is NaN, so the stage takes the exact check
+        def bad(s):
+            return np.array([1.0, np.inf, -np.inf])
+
+        with np.errstate(invalid="ignore"), pytest.raises(
+                IntegrationError, match=r"index 1 \(RK4 stage 1\)"):
+            rk4_step(bad, np.zeros(3), 0.1)
+
+    def test_finite_entries_with_overflowing_sum_pass(self):
+        # the entries sum past the largest double; the step itself does not
+        def big(s):
+            return np.full(10, 2.5e307)
+
+        with np.errstate(over="ignore"):
+            state = rk4_step(big, np.zeros(10), 1.0)
+        assert np.all(state == 2.5e307)
+
 
 class TestHorizon:
     @pytest.mark.parametrize("T,dt,steps", [
