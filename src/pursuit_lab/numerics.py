@@ -145,7 +145,10 @@ def rk4_integrate(field, y0, T, dt, record_every=1, post_step=None):
         t = step * dt
         try:
             y = rk4_step(field, y, dt)
-            if not np.isfinite(y).all():
+            # the sum gate of rk4_step: only a non-finite sum takes the
+            # exact check
+            if (not math.isfinite(np.add.reduce(y, axis=None))
+                    and not np.isfinite(y).all()):
                 raise NumericError(f"non-finite state at t = {t:.6g}")
             if post_step is not None:
                 y = post_step(y, t)

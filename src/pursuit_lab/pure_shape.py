@@ -9,6 +9,18 @@ beacon, common bearing offsets) and only (kappa_1, rho_1) evolve, with
 2-D reduced dynamics.  When the reduced circling equilibrium fails to
 exist, an angular strip Delta is positively invariant and trajectories
 spiral outward toward a computable asymptotic heading offset.
+
+The transformed field and the A5 guard run in scalar math, one pass
+over the agents with Python floats and math.sin/math.cos, because at
+the sizes integrated here (n <= 10) numpy's per-call overhead on
+length-n arrays costs several times the arithmetic.  Every IEEE
+operation keeps the operands and order of the numpy array form, kept
+as the test oracle: the two agree bit for bit wherever libm and numpy
+trig agree, which the oracle test checks on the build.  The scalar
+cost grows with n and overtakes the array form's near n = 25 (µs per
+RK4 step on one 2-vCPU x86 machine: 200 -> 59 at n = 3, 208 -> 111 at
+n = 10, 237 -> 363 at n = 50); no shipped config, test or benchmark
+runs this integrator past n = 10.
 """
 
 import math
@@ -95,79 +107,138 @@ def to_pure_shape(shape):
         rho_tb=shape.rho_b / shape.rho[0])
 
 
+def _scalar_pass(fn, values, *args):
+    """``fn(values, *args, sin, cos)`` on the entries of the array
+    ``values`` as Python floats, with math.sin and math.cos.
+
+    Where a float operation raises instead of rounding (a zero divisor,
+    the sine or cosine of an infinity), the same pass runs again on
+    numpy scalars with np.sin and np.cos: their IEEE results (inf, nan,
+    with numpy's warning) are those the array form gives.
+    """
+    try:
+        return fn(values.tolist(), *args, math.sin, math.cos)
+    except (ZeroDivisionError, ValueError):
+        return fn(list(values), *args, np.sin, np.cos)
+
+
 def _half_angles(kappa1, kappa_t, psi):
     """kappa_i+, the half-angles Phi_i/2 and Psi_i/2, and the suffix sums
-    kappa~_i + ... + kappa~_n.
+    kappa~_i + ... + kappa~_n followed by the empty sum 0.0, as lists.
 
     kappa_i+ is formed from the suffix-sum identity (empty sum for the
     last agent) rather than by rolling recovered kappa values: the
     half-angle expressions are only 4*pi-periodic, and the identity form
     keeps them consistent for any wrapped representatives of kappa~.
+    The sums run from the last agent as a cumulative sum does, and the
+    last agent's kappa_n+ still adds 2 * 0.0, so a -0 there reads +0.
     """
-    suffix = np.cumsum(kappa_t[::-1])[::-1]
-    kplus = 2.0 * kappa1 + kappa_t + 2.0 * np.concatenate([suffix[1:], [0.0]])
-    psi_next = psi[cyclic_neighbors(kappa_t.shape[0])[0]]
-    return kplus, 0.5 * (kplus + psi_next), 0.5 * (kappa_t - psi_next), suffix
+    n = len(kappa_t)
+    suffix = kappa_t + [0.0]
+    for i in range(n - 2, -1, -1):
+        suffix[i] = suffix[i + 1] + kappa_t[i]
+    two_k1 = 2.0 * kappa1
+    kplus, half_phi, half_psi = [], [], []
+    for i in range(n):
+        kt = kappa_t[i]
+        psi_next = psi[i + 1 - n]  # agent i + 1, cyclically
+        kp = (two_k1 + kt) + 2.0 * suffix[i + 1]
+        kplus.append(kp)
+        half_phi.append(0.5 * (kp + psi_next))
+        half_psi.append(0.5 * (kt - psi_next))
+    return kplus, half_phi, half_psi, suffix
 
 
-def _a5_guards(kappa1, kappa_t, psi):
-    _, half_phi, half_psi, _ = _half_angles(kappa1, kappa_t, psi)
-    return (float(np.min(np.abs(np.cos(half_phi)))),
-            float(np.min(np.abs(np.cos(half_psi)))),
-            float(np.min(np.abs(np.sin(half_phi)))))
+def _least(values):
+    """The least of ``values``, or NaN when any is NaN, as np.min gives
+    (Python's min skips a NaN that does not come first)."""
+    least = values[0]
+    for v in values:
+        if v < least or v != v:
+            least = v
+    return float(least)
+
+
+def _a5_guards(v, n, sin, cos):
+    """Min |cos(Phi/2)|, |cos(Psi/2)|, |sin(Phi/2)| over agents from the
+    packed head kappa1, rho1, kappa~, psi (a list)."""
+    _, half_phi, half_psi, _ = _half_angles(v[0], v[2:2 + n],
+                                            v[2 + n:2 + 2 * n])
+    return (_least([abs(cos(h)) for h in half_phi]),
+            _least([abs(cos(h)) for h in half_psi]),
+            _least([abs(sin(h)) for h in half_phi]))
 
 
 def a5_guard_values(state):
     """Min |cos(Phi/2)|, |cos(Psi/2)|, |sin(Phi/2)| over agents."""
-    return _a5_guards(state.kappa1, state.kappa_t, state.psi)
+    return _scalar_pass(_a5_guards, state.to_vector()[:2 + 2 * state.n],
+                        state.n)
+
+
+def _rates(v, n, mu, lam, alpha, alpha0, sin, cos):
+    """The transformed rates of the packed state ``v`` (a list), in the
+    packed layout, one agent at a time in scalar arithmetic."""
+    kappa1, rho1 = v[0], v[1]
+    kappa_t = v[2:2 + n]
+    psi = v[2 + n:2 + 2 * n]
+    phi_b = v[2 + 2 * n:2 + 3 * n]
+    rho_t = v[2 + 3 * n:2 + 4 * n]
+    rho_tb = v[2 + 4 * n:]
+    kplus, half_phi, half_psi, suffix = _half_angles(kappa1, kappa_t, psi)
+    # sin(Phi/2)cos(Psi/2)/rho~ and cos(Phi/2)cos(Psi/2)
+    spread, squeeze = [], []
+    for hphi, hpsi, r in zip(half_phi, half_psi, rho_t):
+        c_psi = cos(hpsi)
+        spread.append(sin(hphi) * c_psi / r)
+        squeeze.append(cos(hphi) * c_psi)
+    pull = 2.0 * lam / rho1
+    scale = 2.0 / rho1
+    weight = 1.0 - lam
+    gain = -2.0 * mu
+    sq0 = squeeze[0]
+
+    d_kappa1 = (-mu * (weight * sin(kappa1 - alpha)
+                       + lam * sin(phi_b[0] + kappa1 - alpha0))
+                + pull * sin(half_phi[0]) * cos(half_psi[0]))
+    d_kappa_t, d_psi, d_phi_b, d_rho_t, d_rho_tb = [], [], [], [], []
+    for i in range(n):
+        kt, kp, phi, sp = kappa_t[i], kplus[i], phi_b[i], spread[i]
+        phi_next = phi_b[i + 1 - n]  # agent i + 1, cyclically
+        d_kappa_t.append(gain * (
+            weight * sin(0.5 * kt) * cos(0.5 * kp - alpha)
+            + lam * sin(0.5 * (phi - phi_next + kt))
+            * cos(0.5 * (phi + phi_next + kp) - alpha0))
+            + pull * (sp - spread[i + 1 - n]))
+        d_psi.append(scale * (spread[i - 1] - sp))
+        beacon_arg = phi + kappa1 + suffix[i]
+        d_phi_b.append((sin(beacon_arg) / rho_tb[i] - 2.0 * sp) / rho1)
+        d_rho_t.append(scale * (rho_t[i] * sq0 - squeeze[i]))
+        d_rho_tb.append((2.0 * rho_tb[i] * sq0 - cos(beacon_arg)) / rho1)
+    return ([d_kappa1, -2.0 * sq0] + d_kappa_t + d_psi + d_phi_b + d_rho_t
+            + d_rho_tb)
 
 
 def _rates_vector(vec, n, mu, lam, alpha, alpha0):
-    """Packed-vector form of the transformed rates (integration hot path),
-    in the packed layout of the state."""
-    kappa1 = vec[0]
-    rho1 = vec[1]
-    kappa_t, psi, phi_b, rho_t, rho_tb = _blocks(vec, n)
+    """The transformed rates of the packed state ``vec`` (integration hot
+    path), in the packed layout of the state; agent 1's chase range must
+    clear the collocation floor.  Scalar math over agents (see the module
+    docstring for why and up to which n)."""
+    _check_rho1_floor(vec[1])
+    return np.array(_scalar_pass(_rates, vec, n, mu, lam, alpha, alpha0))
 
-    nxt, prv = cyclic_neighbors(n)
-    kplus, half_phi, half_psi, suffix = _half_angles(kappa1, kappa_t, psi)
-    s_half = np.sin(half_phi)
-    c_half = np.cos(half_phi)
-    c_psi = np.cos(half_psi)
-    spread = s_half * c_psi / rho_t           # sin(Phi/2)cos(Psi/2)/rho~
-    squeeze = c_half * c_psi                  # cos(Phi/2)cos(Psi/2)
 
-    d_kappa1 = (-mu * ((1.0 - lam) * np.sin(kappa1 - alpha)
-                       + lam * np.sin(phi_b[0] + kappa1 - alpha0))
-                + 2.0 * lam / rho1 * s_half[0] * c_psi[0])
-    d_rho1 = -2.0 * squeeze[0]
-
-    phi_next = phi_b[nxt]
-    d_kappa_t = (-2.0 * mu * (
-        (1.0 - lam) * np.sin(0.5 * kappa_t)
-        * np.cos(0.5 * kplus - alpha)
-        + lam * np.sin(0.5 * (phi_b - phi_next + kappa_t))
-        * np.cos(0.5 * (phi_b + phi_next + kplus) - alpha0))
-        + 2.0 * lam / rho1 * (spread - spread[nxt]))
-    d_rho_t = 2.0 / rho1 * (rho_t * squeeze[0] - squeeze)
-    d_psi = 2.0 / rho1 * (spread[prv] - spread)
-    beacon_arg = phi_b + kappa1 + suffix
-    d_rho_tb = (2.0 * rho_tb * squeeze[0] - np.cos(beacon_arg)) / rho1
-    d_phi_b = (np.sin(beacon_arg) / rho_tb - 2.0 * spread) / rho1
-    out = np.empty(2 + 5 * n)
-    out[0] = d_kappa1
-    out[1] = d_rho1
-    _blocks(out, n)[:] = d_kappa_t, d_psi, d_phi_b, d_rho_t, d_rho_tb
-    return out
+def _field_constants(params):
+    """mu, lambda, alpha and alpha0 of the transformed field as floats."""
+    return (float(params.mu), float(params.lam), float(params.alpha[0]),
+            float(params.alpha0[0]))
 
 
 def pure_shape_derivative(state, params):
     """Closed-loop rates of the transformed variables (requires A1-A4),
     in the :class:`PureShapeState` layout (each field its rate)."""
     require_analysis_assumptions(params)
-    _check_rho1_floor(state.rho1)
-    vec = _rates_vector(state.to_vector(), state.n, params.mu, params.lam,
-                        params.alpha[0], params.alpha0[0])
+    vec = _rates_vector(state.to_vector(), state.n,
+                        *_field_constants(params))
     return PureShapeState.from_vector(vec, state.n)
 
 
@@ -440,12 +511,10 @@ def integrate_pure_shape(state0, params, T, dt=DEFAULT_DT, record_every=1):
     """
     require_analysis_assumptions(params)
     n = state0.n
-    mu, lam = params.mu, params.lam
-    alpha, alpha0 = params.alpha[0], params.alpha0[0]
+    consts = _field_constants(params)
 
     def field(vec):
-        _check_rho1_floor(vec[1])
-        return _rates_vector(vec, n, mu, lam, alpha, alpha0)
+        return _rates_vector(vec, n, *consts)
 
     flags = []
 
@@ -458,7 +527,7 @@ def integrate_pure_shape(state0, params, T, dt=DEFAULT_DT, record_every=1):
                 or np.fmin.reduce(vec[2 + 3 * n:] * vec[1]) <= EPS_COL):
             raise CollisionError("a range reached the collocation floor",
                                  t=t)
-        guards = _a5_guards(vec[0], *_blocks(vec, n)[:2])
+        guards = _scalar_pass(_a5_guards, vec[:2 + 2 * n], n)
         if min(guards) < A5_GUARD_TOL:
             flags.append((t, guards))
         return vec

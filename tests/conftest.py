@@ -118,6 +118,65 @@ def _reference_geometry(px, py, beacon):
     return dx / rho, dy / rho, rho, bx / rho_b, by / rho_b
 
 
+def _reference_half_angles(kappa1, kappa_t, psi):
+    """kappa_i+, Phi_i/2, Psi_i/2 and the suffix sums kappa~_i + ... +
+    kappa~_n in numpy array form (empty sum for the last agent)."""
+    suffix = np.cumsum(kappa_t[::-1])[::-1]
+    kplus = 2.0 * kappa1 + kappa_t + 2.0 * np.concatenate([suffix[1:], [0.0]])
+    psi_next = psi[cyclic_neighbors(kappa_t.shape[0])[0]]
+    return kplus, 0.5 * (kplus + psi_next), 0.5 * (kappa_t - psi_next), suffix
+
+
+def reference_a5_guards(kappa1, kappa_t, psi):
+    """Oracle of the A5 guards: min |cos(Phi/2)|, |cos(Psi/2)|,
+    |sin(Phi/2)| over agents, in numpy array form."""
+    _, half_phi, half_psi, _ = _reference_half_angles(kappa1, kappa_t, psi)
+    return (float(np.min(np.abs(np.cos(half_phi)))),
+            float(np.min(np.abs(np.cos(half_psi)))),
+            float(np.min(np.abs(np.sin(half_phi)))))
+
+
+def reference_pure_rates(vec, n, mu, lam, alpha, alpha0):
+    """Oracle of the transformed rates of a packed pure-shape state
+    (kappa1, rho1, then the kappa~, psi, phi_b, rho~, rho~_b blocks), in
+    numpy array form and in the same layout."""
+    kappa1 = vec[0]
+    rho1 = vec[1]
+    kappa_t, psi, phi_b, rho_t, rho_tb = vec[2:].reshape(5, n)
+
+    nxt, prv = cyclic_neighbors(n)
+    kplus, half_phi, half_psi, suffix = _reference_half_angles(
+        kappa1, kappa_t, psi)
+    s_half = np.sin(half_phi)
+    c_half = np.cos(half_phi)
+    c_psi = np.cos(half_psi)
+    spread = s_half * c_psi / rho_t           # sin(Phi/2)cos(Psi/2)/rho~
+    squeeze = c_half * c_psi                  # cos(Phi/2)cos(Psi/2)
+
+    d_kappa1 = (-mu * ((1.0 - lam) * np.sin(kappa1 - alpha)
+                       + lam * np.sin(phi_b[0] + kappa1 - alpha0))
+                + 2.0 * lam / rho1 * s_half[0] * c_psi[0])
+    d_rho1 = -2.0 * squeeze[0]
+
+    phi_next = phi_b[nxt]
+    d_kappa_t = (-2.0 * mu * (
+        (1.0 - lam) * np.sin(0.5 * kappa_t)
+        * np.cos(0.5 * kplus - alpha)
+        + lam * np.sin(0.5 * (phi_b - phi_next + kappa_t))
+        * np.cos(0.5 * (phi_b + phi_next + kplus) - alpha0))
+        + 2.0 * lam / rho1 * (spread - spread[nxt]))
+    d_rho_t = 2.0 / rho1 * (rho_t * squeeze[0] - squeeze)
+    d_psi = 2.0 / rho1 * (spread[prv] - spread)
+    beacon_arg = phi_b + kappa1 + suffix
+    d_rho_tb = (2.0 * rho_tb * squeeze[0] - np.cos(beacon_arg)) / rho1
+    d_phi_b = (np.sin(beacon_arg) / rho_tb - 2.0 * spread) / rho1
+    out = np.empty(2 + 5 * n)
+    out[0] = d_kappa1
+    out[1] = d_rho1
+    out[2:].reshape(5, n)[:] = d_kappa_t, d_psi, d_phi_b, d_rho_t, d_rho_tb
+    return out
+
+
 def reference_controls(positions, headings, beacon, params):
     """Oracle of the steering law: the agent-major component form, one
     term at a time.

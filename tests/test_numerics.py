@@ -101,6 +101,24 @@ class TestRK4:
             state = rk4_step(big, np.zeros(10), 1.0)
         assert np.all(state == 2.5e307)
 
+    def test_state_overflowing_to_inf_stops_the_run(self):
+        # every stage is finite; their weighted sum overflows the state
+        def big(s):
+            return np.array([1e308, 0.0])
+
+        with np.errstate(over="ignore"), pytest.raises(
+                NumericError, match=r"^non-finite state at t = 0\.5$"):
+            rk4_integrate(big, np.zeros(2), 1.0, 0.5)
+
+    def test_finite_state_with_overflowing_sum_runs_on(self):
+        # the state's sum overflows, so each step takes the exact check
+        y0 = np.array([1e308, 1e308, -1.0])
+        with np.errstate(over="ignore"):
+            times, samples = rk4_integrate(lambda s: np.zeros_like(s), y0,
+                                           1.0, 0.25)
+        assert times.size == 5
+        assert np.array_equal(samples, np.tile(y0, (5, 1)))
+
 
 class TestHorizon:
     @pytest.mark.parametrize("T,dt,steps", [

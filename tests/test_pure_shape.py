@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis.strategies import floats, integers as ints
+from hypothesis.strategies import data, floats, integers as ints, lists
 
 from pursuit_lab import (ControlParams, extract_shape, integrate_shape,
                          random_world, shape_derivative)
@@ -11,17 +11,20 @@ from pursuit_lab import (asymptote_prediction, equilibrium_shape,
                          invariant_region_check, lift, manifold_spec,
                          pure_shape_derivative, reduced_derivative,
                          reduced_equilibrium, to_pure_shape)
+from pursuit_lab import numerics
 from pursuit_lab.errors import (AssumptionError, CollisionError,
                                 InconclusiveError, PreconditionError,
                                 UndefinedManifoldError)
-from pursuit_lab.numerics import wrap_angle
-from pursuit_lab.pure_shape import (GridSpec, a5_guard_values,
-                                    _reduced_rates, _require_manifold,
-                                    integrate_pure_shape, integrate_reduced,
-                                    phase_portrait, reduced_params)
-from pursuit_lab.numerics import cyclic_neighbors
+from pursuit_lab.numerics import cyclic_neighbors, rk4_integrate, wrap_angle
+from pursuit_lab.pure_shape import (A5_GUARD_TOL, GridSpec, PureShapeState,
+                                    a5_guard_values, _reduced_rates,
+                                    _require_manifold, integrate_pure_shape,
+                                    integrate_reduced, phase_portrait,
+                                    reduced_params)
+from pursuit_lab.shape_space import EPS_COL
 
-from conftest import reference_equilibrium, same_bits
+from conftest import (reference_a5_guards, reference_equilibrium,
+                      reference_pure_rates, same_bits)
 
 
 def pure_constraint_residuals(state):
@@ -157,6 +160,160 @@ class TestTransformedDynamics:
         st = to_pure_shape(extract_shape(random_world(3, seed=5)))
         with pytest.raises(AssumptionError, match="A4"):
             pure_shape_derivative(st, params)
+
+
+def _oracle_rates(state, params):
+    return reference_pure_rates(state.to_vector(), state.n, params.mu,
+                                params.lam, params.alpha[0],
+                                params.alpha0[0])
+
+
+def _oracle_guards(state):
+    return reference_a5_guards(state.kappa1, state.kappa_t, state.psi)
+
+
+def _reference_integrate_pure_shape(state0, params, T, dt, record_every=1):
+    """The transformed dynamics through ``rk4_integrate`` with the oracle
+    field and the post-step of ``integrate_pure_shape`` (re-wrap, range
+    floors, A5 flags) over the oracle guards: times, samples, flags."""
+    n = state0.n
+    consts = (params.mu, params.lam, params.alpha[0], params.alpha0[0])
+
+    def field(vec):
+        if vec[1] <= EPS_COL:
+            raise CollisionError("rho_1 at or below collocation floor",
+                                 pair=(0, 1))
+        return reference_pure_rates(vec, n, *consts)
+
+    flags = []
+
+    def rewrap_and_guard(vec, t):
+        vec[0] = wrap_angle(vec[0])
+        vec[2:2 + 3 * n] = wrap_angle(vec[2:2 + 3 * n])
+        if (vec[1] <= EPS_COL
+                or np.fmin.reduce(vec[2 + 3 * n:] * vec[1]) <= EPS_COL):
+            raise CollisionError("a range reached the collocation floor",
+                                 t=t)
+        guards = reference_a5_guards(vec[0], vec[2:2 + n],
+                                     vec[2 + n:2 + 2 * n])
+        if min(guards) < A5_GUARD_TOL:
+            flags.append((t, guards))
+        return vec
+
+    times, rows = rk4_integrate(field, state0.to_vector(), T, dt,
+                                record_every, rewrap_and_guard)
+    return times, rows, flags
+
+
+class TestScalarFieldMatchesNumpyOracle:
+    """The transformed field and the A5 guard run in scalar math over
+    agents; the numpy array forms in conftest are their oracles, bit for
+    bit (libm and numpy trig agree on the build)."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(n=ints(2, 12), mu=floats(0.1, 5.0), lam=floats(0.01, 0.99),
+           alpha=floats(-np.pi, np.pi), alpha0=floats(-np.pi, np.pi),
+           kappa1=floats(-4 * np.pi, 4 * np.pi),
+           rho1=floats(0.05, 20.0, exclude_min=True, exclude_max=True),
+           draw=data())
+    def test_rates_and_guards_bit_for_bit(self, n, mu, lam, alpha, alpha0,
+                                          kappa1, rho1, draw):
+        # the half-angle forms are only 4*pi-periodic: angles unwrapped
+        angles = draw.draw(lists(floats(-4 * np.pi, 4 * np.pi),
+                                 min_size=3 * n, max_size=3 * n))
+        ratios = draw.draw(lists(floats(0.05, 20.0, exclude_min=True,
+                                        exclude_max=True),
+                                 min_size=2 * n, max_size=2 * n))
+        state = PureShapeState.from_vector(
+            np.array([kappa1, rho1] + angles + ratios), n)
+        params = ControlParams.homogeneous(n, mu=mu, lam=lam, alpha=alpha,
+                                           alpha0=alpha0)
+        assert same_bits(pure_shape_derivative(state, params).to_vector(),
+                         _oracle_rates(state, params))
+        assert same_bits(np.array(a5_guard_values(state)),
+                         np.array(_oracle_guards(state)))
+
+    @pytest.mark.parametrize("offset", [0.0, 1e-2])
+    def test_fig5_run_bit_for_bit(self, spiral_params, offset):
+        # the fig5 start on M_2, and the same start moved off the manifold
+        st, _ = lift(manifold_spec(3, 2), kappa1=2.894, rho1=1.0)
+        vec = st.to_vector()
+        vec[2:] += offset * np.sin(np.arange(vec.size - 2))
+        state0 = PureShapeState.from_vector(vec, 3)
+        traj = integrate_pure_shape(state0, spiral_params, T=1.0, dt=2e-3)
+        times, rows, flags = _reference_integrate_pure_shape(
+            state0, spiral_params, T=1.0, dt=2e-3)
+        assert same_bits(traj.t, times)
+        assert same_bits(traj.states, rows)
+        assert traj.a5_flags == flags
+
+    def test_last_agent_negative_zero_reads_positive(self,
+                                                     reference_params):
+        # 2*kappa1 + kappa~_n is -0; kappa_n+ adds 2 * 0.0 and reads +0,
+        # which leaves d phi_b of agent n at -0 and d psi of agent n at -0
+        z = np.full(3, -0.0)
+        st = PureShapeState(-0.0, 1.0, z.copy(), z.copy(), z.copy(),
+                            np.ones(3), np.ones(3))
+        rates = pure_shape_derivative(st, reference_params)
+        assert same_bits(rates.to_vector(),
+                         _oracle_rates(st, reference_params))
+        assert np.array_equal(np.signbit(rates.phi_b),
+                              [False, False, True])
+        assert np.array_equal(np.signbit(rates.psi), [False, False, True])
+
+    def test_guard_nan_propagates(self):
+        # psi of agent 3 enters agent 2's half-angles: the NaN sits past
+        # the first agent, where Python's min would skip it
+        st, _ = lift(manifold_spec(4, 1), kappa1=0.3, rho1=1.0)
+        st.psi[2] = np.nan
+        assert all(math.isnan(g) for g in a5_guard_values(st))
+        assert all(math.isnan(g) for g in _oracle_guards(st))
+
+    def test_zero_divisor_and_infinity_follow_ieee(self, reference_params):
+        # a zero ratio divides by zero and an infinite angle has no sine:
+        # the results are the oracle's infinities and NaNs (a NaN's sign
+        # and payload are the hardware's), not a Python error
+        def same_or_both_nan(a, b):
+            nan = np.isnan(a)
+            return (np.array_equal(nan, np.isnan(b))
+                    and same_bits(a[~nan], b[~nan]))
+
+        st, _ = lift(manifold_spec(3, 1), kappa1=0.3, rho1=1.0)
+        st.rho_tb[1] = 0.0
+        st.rho_t[2] = 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rates = pure_shape_derivative(st, reference_params).to_vector()
+            assert same_or_both_nan(rates, _oracle_rates(st, reference_params))
+            assert np.isinf(rates).any()
+            st.kappa_t[0] = np.inf
+            assert same_or_both_nan(
+                pure_shape_derivative(st, reference_params).to_vector(),
+                _oracle_rates(st, reference_params))
+            assert same_or_both_nan(np.array(a5_guard_values(st)),
+                                    np.array(_oracle_guards(st)))
+
+
+class TestPureShapeTracedSteps:
+    def test_each_step_and_field_call_goes_through_numerics(
+            self, monkeypatch, spiral_params):
+        # a tracer wraps numerics.rk4_step: every step and every field
+        # evaluation of the run must pass through it
+        counts = {"steps": 0, "fields": 0}
+        step = numerics.rk4_step
+
+        def counted_step(field, state, dt):
+            counts["steps"] += 1
+
+            def counted_field(vec):
+                counts["fields"] += 1
+                return field(vec)
+
+            return step(counted_field, state, dt)
+
+        monkeypatch.setattr(numerics, "rk4_step", counted_step)
+        st, _ = lift(manifold_spec(3, 2), kappa1=2.894, rho1=1.0)
+        integrate_pure_shape(st, spiral_params, T=0.05, dt=1e-3)
+        assert counts == {"steps": 50, "fields": 200}
 
 
 class TestManifoldSpec:
@@ -496,6 +653,11 @@ class TestPortraitAndGuards:
         traj = integrate_pure_shape(st, reference_params, T=20.0, dt=5e-3,
                                     record_every=100)
         assert len(traj.a5_flags) > 0
+        # flag times and guard values bit for bit with the numpy oracle
+        _, rows, flags = _reference_integrate_pure_shape(
+            st, reference_params, T=20.0, dt=5e-3, record_every=100)
+        assert same_bits(traj.states, rows)
+        assert traj.a5_flags == flags
 
 
 class TestCollisionTime:
