@@ -3,7 +3,7 @@
 Library layout:
 
 * :mod:`pursuit_lab.numerics` -- the RK4 step and driver, angle
-  wrapping, polynomial roots, 5x5 complex eigenvalues;
+  wrapping, roots of monic polynomial tables, 5x5 complex eigenvalues;
 * :mod:`pursuit_lab.params` -- controller parameters and the homogeneity
   assumptions;
 * :mod:`pursuit_lab.full_space` -- planar particle model, steering law,

@@ -2,18 +2,17 @@
 
 The fixed-step RK4 step and the one driver loop every integrator runs
 through, the step count of a horizon, cyclic neighbour indices, angle
-normalization, polynomial root finding
-(Aberth-Ehrlich simultaneous iteration) and eigenvalues of stacked 5x5
-complex matrices via the characteristic polynomial.  All functions are
-pure.
+normalization, the roots of tables of monic polynomials
+(Aberth-Ehrlich simultaneous iteration), which solves the cubic factors
+of the spectrum, and LAPACK eigenvalues of stacked 5x5 complex blocks.
+All functions are pure.
 
 Conventions used package-wide:
 
 * state vectors are 1-D float arrays of fixed length;
-* polynomials are complex coefficient arrays along the last axis,
-  highest degree first, with a nonzero leading coefficient; leading
-  axes stack independent polynomials (or matrices, for the eigenvalue
-  kernels), each computed exactly as it would be alone;
+* a polynomial table holds one monic polynomial per row, complex
+  coefficients highest degree first, and each row is solved exactly as
+  it would be alone;
 * angles are stored wrapped to (-pi, pi] and compared circularly.
 """
 
@@ -32,6 +31,8 @@ _HORIZON_TOL = 1e-9
 # Aberth step test: a row stops once its largest step is below this,
 # relative to 1 + its largest root estimate.
 _STEP_TOL = 1e-14
+# Aberth sweeps a row may take before poly_roots gives up on it.
+_MAX_SWEEPS = 500
 
 
 def step_count(T, dt):
@@ -229,13 +230,13 @@ def _polish_clusters(coeffs, roots, scale):
     return out
 
 
-def _aberth(c, residual_tol, max_iter):
+def _aberth(c, residual_tol):
     """Aberth-Ehrlich sweeps on the monic rows ``c`` (B, n+1), n >= 2.
 
     Every row runs its own iteration: it stops updating at the sweep
     where its own residual or step test passes, so it takes exactly the
     sweeps it would take alone.  Raises NumericError if any row is still
-    iterating after ``max_iter`` sweeps.
+    iterating after ``_MAX_SWEEPS`` sweeps.
     """
     n = c.shape[1] - 1
     dc = c[:, :-1] * np.arange(n, 0, -1)
@@ -254,7 +255,7 @@ def _aberth(c, residual_tol, max_iter):
         c, dc = c[keep], dc[keep]
         return keep
 
-    for _ in range(max_iter):
+    for _ in range(_MAX_SWEEPS):
         pv = _horner(c, za)
         converged = np.abs(pv).max(axis=1) <= tol
         if converged.any():
@@ -279,22 +280,29 @@ def _aberth(c, residual_tol, max_iter):
                 break
     if live.size:
         raise NumericError(
-            f"polynomial root iteration did not converge in {max_iter} sweeps"
+            "polynomial root iteration did not converge in "
+            f"{_MAX_SWEEPS} sweeps"
         )
     return z
 
 
-def _deflated_roots(c, zero_roots, scale, max_iter):
-    """Roots of the monic rows ``c`` (B, n+1), n >= 1, followed by
-    ``zero_roots`` exact zeros (the deflated trailing zero
-    coefficients)."""
-    zeros = np.zeros((c.shape[0], zero_roots), dtype=complex)
-    if c.shape[1] == 2:
-        return np.concatenate([-c[:, 1:], zeros], axis=1)
-    roots = np.concatenate(
-        [_aberth(c, 1e-13 * scale, max_iter), zeros], axis=1)
-    full = np.concatenate([c, zeros], axis=1)
-    polish_scale = 1.0 + np.max(np.abs(full), axis=1)
+def poly_roots(c):
+    """The roots of the monic polynomials ``c`` (B, d+1), d >= 2, one per
+    row, highest degree first, each with a nonzero constant term: a
+    (B, d) array, residuals below ``1e-9 * (1 + max |coefficient|)``.
+
+    Aberth-Ehrlich simultaneous iteration from estimates on a circle
+    inside the Cauchy root bound, with an angular offset that breaks
+    symmetric stalling; root clusters left by multiple roots are then
+    collapsed onto a polished multiple root.  Each row is solved exactly
+    as it would be alone.  Raises NumericError if any row has not
+    converged after ``_MAX_SWEEPS`` sweeps.
+    """
+    c = np.asarray(c, dtype=complex)
+    if not c.shape[0]:
+        return np.empty((0, c.shape[1] - 1), dtype=complex)
+    scale = 1.0 + np.max(np.abs(c), axis=1)
+    roots = _aberth(c, 1e-13 * scale)
     # Only a row with two roots inside twice the cluster radius of
     # _polish_clusters can have a cluster; the others are left as they are.
     radius = 1e-2 * (1.0 + np.max(np.abs(roots), axis=1))
@@ -303,100 +311,21 @@ def _deflated_roots(c, zero_roots, scale, max_iter):
     gap[:, diag, diag] = np.inf
     for row in np.flatnonzero(
             (gap < 2.0 * radius[:, None, None]).any(axis=(1, 2))):
-        roots[row] = _polish_clusters(full[row], roots[row],
-                                      float(polish_scale[row]))
+        roots[row] = _polish_clusters(c[row], roots[row], float(scale[row]))
     return roots
-
-
-def poly_roots(coeffs, max_iter=500):
-    """All complex roots (with multiplicity) of polynomials.
-
-    Aberth-Ehrlich simultaneous iteration; initial estimates sit on a
-    circle inside the Cauchy root bound with an angular offset that breaks
-    symmetric stalling.  Root clusters left by multiple roots are
-    collapsed onto a polished multiple root afterwards.
-
-    Parameters
-    ----------
-    coeffs : array_like, shape (..., d+1)
-        Complex coefficients, highest degree first; leading entry
-        nonzero.  Leading axes hold independent polynomials, each solved
-        exactly as it would be alone.
-
-    Returns
-    -------
-    ndarray, shape (..., d)
-        The complex roots of each polynomial, residuals below
-        ``1e-9 * (1 + max |coefficient|)``; the exact zero roots of
-        trailing zero coefficients come last, as exact zeros.
-
-    Raises
-    ------
-    NumericError
-        If any polynomial has not converged after ``max_iter`` sweeps.
-    """
-    c = np.asarray(coeffs, dtype=complex)
-    if c.ndim < 1 or c.shape[-1] < 2:
-        raise ValueError("polynomial degree must be at least 1")
-    if np.any(c[..., 0] == 0):
-        raise ValueError("leading coefficient must be nonzero")
-    lead, deg = c.shape[:-1], c.shape[-1] - 1
-    c = c.reshape(-1, deg + 1)
-    scale = 1.0 + np.max(np.abs(c), axis=1)
-    c = c / c[:, :1]
-
-    # Exact zero roots deflate immediately (keeps multiple roots at the
-    # origin from slowing the simultaneous iteration); rows are solved in
-    # groups of equal deflated degree.
-    zero_roots = np.cumprod(c[:, ::-1] == 0, axis=1).sum(axis=1)
-    roots = np.empty((c.shape[0], deg), dtype=complex)
-    for zeros in range(deg):
-        rows = np.flatnonzero(zero_roots == zeros)
-        if rows.size:
-            roots[rows] = _deflated_roots(c[rows, :deg + 1 - zeros], zeros,
-                                          scale[rows], max_iter)
-    roots[zero_roots == deg] = 0.0
-    return roots.reshape(lead + (deg,))
-
-
-def characteristic_polynomial(matrix):
-    """Characteristic polynomials of square complex matrices.
-
-    Faddeev-LeVerrier recurrence; exact in exact arithmetic, no
-    eigendecomposition involved.  A (..., k, k) stack gives (..., k+1)
-    coefficients, highest degree first, monic.
-    """
-    a = np.asarray(matrix, dtype=complex)
-    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
-        raise ValueError("matrix must be square")
-    k = a.shape[-1]
-    coeffs = np.empty(a.shape[:-2] + (k + 1,), dtype=complex)
-    coeffs[..., 0] = 1.0
-    mk = np.zeros_like(a)
-    eye = np.eye(k)
-    for j in range(1, k + 1):
-        mk = a @ (mk + coeffs[..., j - 1, None, None] * eye)
-        coeffs[..., j] = -np.trace(mk, axis1=-2, axis2=-1) / j
-    return coeffs
 
 
 def eig5(matrix):
     """The 5 eigenvalues of each 5x5 complex matrix of a (..., 5, 5)
-    stack, as a (..., 5) array.
+    stack, as a (..., 5) array, from LAPACK (``np.linalg.eigvals``).
 
-    Computed as the roots of the characteristic polynomial with the
-    Aberth-Ehrlich solver; backward error at working precision for
-    well-conditioned blocks.  It is the reference the block-circulant
-    split is checked against (acceptance criterion 05), not the
-    spectrum's route, which solves the factored cubics.  A near-triple
-    eigenvalue can stall the iteration: the mode-1 block of n = 31,
-    mu = 3, lambda = 1/32, alpha = -1, alpha0 = 0, winding 1 raises
-    NumericError.  Raises NumericError when any member has a non-finite
-    entry.
+    Off the analysis path, which solves the factored cubics; the
+    benchmark tracer (``benchmarks/spans.py``) wraps it by name.  Raises
+    NumericError when any member has a non-finite entry.
     """
     a = np.asarray(matrix, dtype=complex)
     if a.shape[-2:] != (5, 5):
         raise ValueError("eig5 expects 5x5 matrices")
     if not np.isfinite(a).all():
         raise NumericError("matrix has non-finite entries")
-    return poly_roots(characteristic_polynomial(a))
+    return np.linalg.eigvals(a)

@@ -149,6 +149,12 @@ def _half_angles(kappa1, kappa_t, psi):
     return kplus, half_phi, half_psi, suffix
 
 
+def _wrap(angle):
+    """``wrap_angle`` of one float, bit for bit: Python's float % rounds
+    as np.mod does (fmod, then the divisor's sign)."""
+    return math.pi - (math.pi - angle) % (2.0 * math.pi)
+
+
 def _least(values):
     """The least of ``values``, or NaN when any is NaN, as np.min gives
     (Python's min skips a NaN that does not come first)."""
@@ -520,14 +526,16 @@ def integrate_pure_shape(state0, params, T, dt=DEFAULT_DT, record_every=1):
 
     def rewrap_and_guard(vec, t):
         # packed layout: kappa1, rho1, then the kappa~, psi, phi_b angle
-        # blocks, then the rho~, rho~_b ratio blocks
-        vec[0] = wrap_angle(vec[0])
-        vec[2:2 + 3 * n] = wrap_angle(vec[2:2 + 3 * n])
-        if (vec[1] <= EPS_COL
-                or np.fmin.reduce(vec[2 + 3 * n:] * vec[1]) <= EPS_COL):
+        # blocks, then the rho~, rho~_b ratio blocks; the state is finite
+        # (rk4_integrate checks it), so math.sin and math.cos cannot raise
+        v = vec.tolist()
+        v[0] = _wrap(v[0])
+        v[2:2 + 3 * n] = [_wrap(a) for a in v[2:2 + 3 * n]]
+        vec[:2 + 3 * n] = v[:2 + 3 * n]
+        if v[1] <= EPS_COL or min(v[2 + 3 * n:]) * v[1] <= EPS_COL:
             raise CollisionError("a range reached the collocation floor",
                                  t=t)
-        guards = _scalar_pass(_a5_guards, vec[:2 + 2 * n], n)
+        guards = _a5_guards(v, n, math.sin, math.cos)
         if min(guards) < A5_GUARD_TOL:
             flags.append((t, guards))
         return vec

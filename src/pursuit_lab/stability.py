@@ -465,13 +465,13 @@ def _cubic_table(params, co):
 def _cubic_roots(table):
     """Roots of the monic cubics ``table`` (B, 4), row by row.
 
-    Where a cubic has a known simple root r, its roots are the quadratic
-    factor's, in closed form, then r itself: r is 0 where the constant
-    term is exactly 0 (every k = 0 cubic; ``poly_roots`` never sees
-    these rows), or the third root where ``poly_roots`` merged two close
-    roots onto one double root.  That keeps close but distinct roots
-    apart and the zero root exact.  Every root then takes two Newton
-    steps on its cubic, each kept only where it lowers |p|.
+    ``poly_roots`` solves the rows with a nonzero constant term.  Where a
+    cubic has a known simple root r, its roots are the quadratic factor's
+    in closed form, then r: 0 where the constant term is exactly 0 (every
+    k = 0 cubic), else the third root where ``poly_roots`` merged two
+    close roots onto one double root.  That keeps close but distinct
+    roots apart and the zero root exact.  Every root then takes two
+    Newton steps on its cubic, each kept only where it lowers |p|.
     """
     c1, c2, c3 = (table[:, i, None] for i in (1, 2, 3))
     zero = c3[:, 0] == 0

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.linalg import expm
 
-from pursuit_lab import ControlParams
+from pursuit_lab import ControlParams, abd, cubic_coeffs, numerics
 from pursuit_lab.errors import IntegrationError, NumericError
-from pursuit_lab.numerics import (characteristic_polynomial, cyclic_neighbors,
-                                  eig5, poly_roots, rk4_integrate, rk4_step,
-                                  step_count, wrap_angle)
+from pursuit_lab.numerics import (cyclic_neighbors, eig5, poly_roots,
+                                  rk4_integrate, rk4_step, step_count,
+                                  wrap_angle)
 from pursuit_lab.stability import block_triple, dk
 
 from conftest import multiset_distance, same_bits
@@ -154,64 +155,44 @@ class TestCyclicNeighbors:
             prv[0] = 1
 
 
-class TestPolyRoots:
-    def test_x_squared_plus_one(self):
-        roots = poly_roots([1.0, 0.0, 1.0])
-        assert multiset_distance(roots, [1j, -1j]) < 1e-12
+def _table(rows):
+    return np.array(rows, dtype=complex)
 
+
+class TestPolyRoots:
     def test_cubic_with_integer_roots(self):
         # (x-1)(x-2)(x-3) = x^3 - 6x^2 + 11x - 6
-        roots = poly_roots([1.0, -6.0, 11.0, -6.0])
+        roots = poly_roots(_table([[1.0, -6.0, 11.0, -6.0]]))[0]
         assert multiset_distance(roots, [1.0, 2.0, 3.0]) < 1e-10
-
-    def test_reference_cubic_factor(self):
-        # x^3 + 0.78656 x^2 + 0.72856 x; oracle: quadratic formula on the
-        # deflated quadratic factor
-        b, c = 0.78656, 0.72856
-        disc = np.sqrt(complex(b * b - 4.0 * c))
-        expected = [0.0, (-b + disc) / 2.0, (-b - disc) / 2.0]
-        roots = poly_roots([1.0, b, c, 0.0])
-        assert multiset_distance(roots, expected) < 1e-10
-        assert multiset_distance(
-            roots, [0.0, -0.39328 + 0.75756j, -0.39328 - 0.75756j]) < 1e-4
 
     def test_random_roundtrip(self):
         # expand from separated random roots, recover within 1e-8
         rng = np.random.default_rng(0)
-        for _ in range(50):
-            deg = int(rng.integers(2, 6))
-            while True:
-                roots = rng.uniform(-2, 2, deg) + 1j * rng.uniform(-2, 2, deg)
-                sep = np.abs(roots[:, None] - roots[None, :])
-                np.fill_diagonal(sep, np.inf)
-                if sep.min() > 0.15:
-                    break
-            coeffs = np.poly(roots)
-            assert multiset_distance(poly_roots(coeffs), roots) < 1e-8
+        expected = []
+        while len(expected) < 50:
+            roots = rng.uniform(-2, 2, 3) + 1j * rng.uniform(-2, 2, 3)
+            sep = np.abs(roots[:, None] - roots[None, :])
+            np.fill_diagonal(sep, np.inf)
+            if sep.min() > 0.15:
+                expected.append(roots)
+        got = poly_roots(np.array([np.poly(r) for r in expected]))
+        for roots, want in zip(got, expected):
+            assert multiset_distance(roots, want) < 1e-8
 
     def test_residual_contract(self):
         rng = np.random.default_rng(1)
-        for _ in range(20):
-            coeffs = rng.normal(size=6) + 1j * rng.normal(size=6)
-            roots = poly_roots(coeffs)
-            assert roots.size == 5
-            scale = 1.0 + np.max(np.abs(coeffs))
-            residuals = np.abs(np.polyval(coeffs, roots))
-            assert np.max(residuals) < 1e-9 * scale
+        coeffs = rng.normal(size=(20, 4)) + 1j * rng.normal(size=(20, 4))
+        coeffs[:, 0] = 1.0
+        roots = poly_roots(coeffs)
+        assert roots.shape == (20, 3)
+        for row, z in zip(coeffs, roots):
+            scale = 1.0 + np.max(np.abs(row))
+            assert np.max(np.abs(np.polyval(row, z))) < 1e-9 * scale
 
-    def test_multiple_root_at_origin(self):
-        roots = poly_roots([1.0, 0.0, 0.0])  # x^2
-        assert multiset_distance(roots, [0.0, 0.0]) < 1e-7
-
-    def test_degree_zero_rejected(self):
-        with pytest.raises(ValueError):
-            poly_roots([2.0])
-        with pytest.raises(ValueError):
-            poly_roots([0.0, 1.0])
-
-    def test_nonconvergence_raises(self):
+    def test_nonconvergence_raises(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_MAX_SWEEPS", 1)
         with pytest.raises(NumericError):
-            poly_roots(np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]), max_iter=1)
+            poly_roots(_table([[1.0, 2.0, 3.0, 4.0]]))
 
 
 class TestEig5:
@@ -230,18 +211,11 @@ class TestEig5:
         assert multiset_distance(eigs, expected) < 1e-4
 
     def test_matches_charpoly_route(self):
-        # cross-route: np.poly builds the characteristic polynomial via
-        # LAPACK eigenvalues, independent of the Faddeev-LeVerrier path
+        # cross-route: the roots of the characteristic polynomial
         rng = np.random.default_rng(2)
         for _ in range(20):
             m = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-            assert multiset_distance(eig5(m), poly_roots(np.poly(m))) < 1e-6
-
-    def test_charpoly_matches_numpy(self):
-        rng = np.random.default_rng(3)
-        m = rng.normal(size=(5, 5))
-        assert np.max(np.abs(characteristic_polynomial(m) - np.poly(m))) \
-            < 1e-10
+            assert multiset_distance(eig5(m), np.roots(np.poly(m))) < 1e-6
 
     def test_nonfinite_rejected(self):
         m = np.zeros((5, 5))
@@ -254,20 +228,81 @@ class TestEig5:
             eig5(np.eye(4))
 
 
-def _sweeps(matrix):
-    """Sweeps the root iteration of one matrix takes on its own."""
-    coeffs = characteristic_polynomial(matrix)
-    for max_iter in range(1, 100):
+_SPREAD = st.just(0.0) | st.floats(-10.0, -1.0).map(lambda e: 10.0 ** e)
+_TURN = st.floats(0.0, 2.0 * np.pi)
+
+
+@st.composite
+def _cubic_row(draw):
+    """The roots of one monic cubic, and which of them stand alone.
+
+    Three anchors at least 0.5 apart; a separated row takes all three, a
+    clustered pair puts a second root within 0.1 of the first anchor (or
+    on it), a near-triple puts two there."""
+    r0 = complex(draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0)))
+    turn = draw(_TURN)
+    r1 = r0 + draw(st.floats(0.5, 2.0)) * np.exp(1j * turn)
+    r2 = r0 + draw(st.floats(0.5, 2.0)) * np.exp(
+        1j * (turn + draw(st.floats(0.5 * np.pi, 1.5 * np.pi))))
+
+    def near():
+        return r0 + draw(_SPREAD) * np.exp(1j * draw(_TURN))
+
+    kind = draw(st.sampled_from(["separated", "pair", "near-triple"]))
+    if kind == "separated":
+        return [r0, r1, r2], [r0, r1, r2]
+    if kind == "pair":
+        return [r0, near(), r1], [r1]
+    return [r0, near(), near()], []
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.lists(_cubic_row(), min_size=1, max_size=6))
+def test_table_equals_single_calls_and_lapack(rows):
+    table = np.array([np.poly(roots) for roots, _ in rows])
+    assume(np.all(table[:, 3] != 0))
+    got = poly_roots(table)
+    assert same_bits(got, np.stack([poly_roots(row[None])[0]
+                                    for row in table]))
+    for row, z, (_, alone) in zip(table, got, rows):
+        tol = 1e-9 * (1.0 + np.max(np.abs(row)))
+        assert np.max(np.abs(np.polyval(row, z))) < tol
+        lapack = np.roots(row)
+        # a lone root is well conditioned: both solvers find it
+        for r in alone:
+            ours = z[np.argmin(np.abs(z - r))]
+            assert abs(ours - lapack[np.argmin(np.abs(lapack - r))]) < tol
+
+
+def _sweeps(monkeypatch, row):
+    """Sweeps the root iteration of one cubic takes on its own."""
+    for sweeps in range(1, 100):
+        monkeypatch.setattr(numerics, "_MAX_SWEEPS", sweeps)
         try:
-            poly_roots(coeffs, max_iter=max_iter)
-            return max_iter
+            poly_roots(row[None])
+            return sweeps
         except NumericError:
             pass
     raise AssertionError("no convergence within 100 sweeps")
 
 
 class TestStacks:
-    """Leading axes: every member is computed exactly as alone."""
+    """Tables: every row is computed exactly as it would be alone."""
+
+    def _table(self):
+        params = ControlParams.homogeneous(7, mu=1.3, lam=0.4,
+                                           alpha=np.pi / 6, alpha0=np.pi / 4)
+        rng = np.random.default_rng(5)
+        random = np.ones(4, dtype=complex)
+        random[1:] = rng.normal(size=3) + 1j * rng.normal(size=3)
+        return np.stack([
+            cubic_coeffs(params, 1, 2).polynomial(params.mu,
+                                                  abd(params, 1).a),
+            np.poly([1.0, 1.0, 1.0]),          # triple-root polish
+            np.poly([0.5j, 0.5j, -1.0]),       # double-root polish
+            random,
+            np.poly([1.0, 2.0, 3.0]),
+        ]).astype(complex)
 
     def _stack(self):
         params = ControlParams.homogeneous(7, mu=1.3, lam=0.4,
@@ -275,16 +310,17 @@ class TestStacks:
         blocks, _ = block_triple(params, 1)
         rng = np.random.default_rng(5)
         return np.stack([
-            dk(blocks, 2, 7),                    # generic mode block
-            np.diag([0.0, 1.0, 2.0, 3.0, 4.0]),  # deflates a zero root
-            np.eye(5),                           # quintuple-root polish
+            dk(blocks, 2, 7),
+            np.diag([0.0, 1.0, 2.0, 3.0, 4.0]),
+            np.eye(5),
             dk(blocks, 0, 7),
             rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)),
             np.diag([1.0, 2.0, 3.0, 4.0, 5.0]),
         ]).astype(complex)
 
-    def test_rows_converge_at_different_sweeps(self):
-        assert len({_sweeps(m) for m in self._stack()}) > 1
+    def test_rows_converge_at_different_sweeps(self, monkeypatch):
+        assert len({_sweeps(monkeypatch, row)
+                    for row in self._table()}) > 1
 
     def test_eig5_rows_equal_single_calls(self):
         stack = self._stack()
@@ -299,30 +335,21 @@ class TestStacks:
             for j in range(3):
                 assert same_bits(eigs[i, j], eig5(stack[i, j]))
 
-    def test_max_iter_counts_per_row(self):
-        stack = self._stack()
-        coeffs = characteristic_polynomial(stack)
-        most = max(_sweeps(m) for m in stack)
-        roots = poly_roots(coeffs, max_iter=most)
-        assert same_bits(roots, eig5(stack))
+    def test_sweep_limit_counts_per_row(self, monkeypatch):
+        table = self._table()
+        most = max(_sweeps(monkeypatch, row) for row in table)
+        monkeypatch.setattr(numerics, "_MAX_SWEEPS", most)
+        roots = poly_roots(table)
+        assert same_bits(roots, np.stack([poly_roots(row[None])[0]
+                                          for row in table]))
+        monkeypatch.setattr(numerics, "_MAX_SWEEPS", most - 1)
         with pytest.raises(NumericError):
-            poly_roots(coeffs, max_iter=most - 1)
+            poly_roots(table)
 
     def test_poly_rows_equal_single_calls(self):
-        rng = np.random.default_rng(6)
-        rows = rng.normal(size=(8, 5)) + 1j * rng.normal(size=(8, 5))
-        rows[1, -1] = 0.0       # one zero root
-        rows[2, -3:] = 0.0      # deflates to degree 1
-        rows[3, 1:] = 0.0       # all roots at the origin
-        rows[4] = np.poly([1.0, 1.0, 1.0, 2.0])   # triple-root polish
-        rows[5] = np.poly([0.5j, 0.5j, -1.0, 2.0])
-        single = np.stack([poly_roots(r) for r in rows])
-        assert same_bits(poly_roots(rows), single)
-
-    def test_charpoly_rows_equal_single_calls(self):
-        stack = self._stack()
-        single = np.stack([characteristic_polynomial(m) for m in stack])
-        assert same_bits(characteristic_polynomial(stack), single)
+        table = self._table()
+        single = np.stack([poly_roots(row[None])[0] for row in table])
+        assert same_bits(poly_roots(table), single)
 
     def test_nonfinite_member_rejected(self):
         stack = self._stack()
@@ -330,18 +357,14 @@ class TestStacks:
         with pytest.raises(NumericError):
             eig5(stack)
 
-    def test_one_sweep_rejected(self):
-        coeffs = characteristic_polynomial(self._stack())
+    def test_one_sweep_rejected(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_MAX_SWEEPS", 1)
         with pytest.raises(NumericError):
-            poly_roots(coeffs, max_iter=1)
+            poly_roots(self._table())
 
     def test_wrong_block_size_rejected(self):
         with pytest.raises(ValueError):
             eig5(np.zeros((3, 4, 4)))
-
-    def test_zero_leading_coefficient_in_any_row_rejected(self):
-        with pytest.raises(ValueError):
-            poly_roots([[1.0, 2.0, 3.0], [0.0, 1.0, 2.0]])
 
     @pytest.mark.parametrize("n", [17, 50])
     def test_mode_block_stack(self, n):

@@ -18,7 +18,8 @@ from pursuit_lab.errors import (AssumptionError, CollisionError,
 from pursuit_lab.numerics import cyclic_neighbors, rk4_integrate, wrap_angle
 from pursuit_lab.pure_shape import (A5_GUARD_TOL, GridSpec, PureShapeState,
                                     a5_guard_values, _reduced_rates,
-                                    _require_manifold, integrate_pure_shape,
+                                    _require_manifold, _wrap,
+                                    integrate_pure_shape,
                                     integrate_reduced, phase_portrait,
                                     reduced_params)
 from pursuit_lab.shape_space import EPS_COL
@@ -291,6 +292,21 @@ class TestScalarFieldMatchesNumpyOracle:
                 _oracle_rates(st, reference_params))
             assert same_or_both_nan(np.array(a5_guard_values(st)),
                                     np.array(_oracle_guards(st)))
+
+    def test_scalar_wrap_equals_wrap_angle(self):
+        # the post-step re-wraps with Python's float %, which must round
+        # as np.mod does, boundary and far values included
+        rng = np.random.default_rng(8)
+        pi = np.pi
+        angles = np.concatenate([
+            [0.0, -0.0, pi, -pi, 2 * pi, -2 * pi, 3 * pi, -3 * pi, 1e6,
+             -1e6, 1e300, -1e300, 5e-324, -5e-324,
+             np.nextafter(pi, 0.0), np.nextafter(pi, 4.0),
+             np.nextafter(-pi, 0.0), np.nextafter(-pi, -4.0)],
+            rng.uniform(-4 * pi, 4 * pi, 100_000),
+            rng.uniform(-1e6, 1e6, 1_000)])
+        assert same_bits(np.array([_wrap(a) for a in angles.tolist()]),
+                         wrap_angle(angles))
 
 
 class TestPureShapeTracedSteps:
