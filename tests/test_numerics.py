@@ -8,7 +8,7 @@ from pursuit_lab.errors import IntegrationError, NumericError
 from pursuit_lab.numerics import (cyclic_neighbors, eig5, poly_roots,
                                   rk4_integrate, rk4_step, step_count,
                                   wrap_angle)
-from pursuit_lab.stability import block_triple, dk
+from pursuit_lab.stability import _cubic_roots, block_triple, dk
 
 from conftest import multiset_distance, same_bits
 
@@ -160,6 +160,10 @@ def _table(rows):
 
 
 class TestPolyRoots:
+    def test_x_squared_plus_one(self):
+        roots = poly_roots(_table([[1.0, 0.0, 1.0]]))[0]
+        assert multiset_distance(roots, [1j, -1j]) < 1e-12
+
     def test_cubic_with_integer_roots(self):
         # (x-1)(x-2)(x-3) = x^3 - 6x^2 + 11x - 6
         roots = poly_roots(_table([[1.0, -6.0, 11.0, -6.0]]))[0]
@@ -188,6 +192,22 @@ class TestPolyRoots:
         for row, z in zip(coeffs, roots):
             scale = 1.0 + np.max(np.abs(row))
             assert np.max(np.abs(np.polyval(row, z))) < 1e-9 * scale
+
+    def test_reference_cubic_factor(self):
+        # x^3 + 0.78656 x^2 + 0.72856 x; its zero root is the spectrum's
+        # cubic solver's to split off.  Oracle: the quadratic formula on
+        # the deflated quadratic factor
+        b, c = 0.78656, 0.72856
+        disc = np.sqrt(complex(b * b - 4.0 * c))
+        expected = [0.0, (-b + disc) / 2.0, (-b - disc) / 2.0]
+        roots = _cubic_roots(_table([[1.0, b, c, 0.0]]))[0]
+        assert multiset_distance(roots, expected) < 1e-10
+        assert multiset_distance(
+            roots, [0.0, -0.39328 + 0.75756j, -0.39328 - 0.75756j]) < 1e-4
+
+    def test_multiple_root_at_origin(self):
+        roots = _cubic_roots(_table([[1.0, 0.0, 0.0, 0.0]]))[0]  # x^3
+        assert multiset_distance(roots, [0.0, 0.0, 0.0]) < 1e-7
 
     def test_nonconvergence_raises(self, monkeypatch):
         monkeypatch.setattr(numerics, "_MAX_SWEEPS", 1)
@@ -335,7 +355,7 @@ class TestStacks:
             for j in range(3):
                 assert same_bits(eigs[i, j], eig5(stack[i, j]))
 
-    def test_sweep_limit_counts_per_row(self, monkeypatch):
+    def test_max_iter_counts_per_row(self, monkeypatch):
         table = self._table()
         most = max(_sweeps(monkeypatch, row) for row in table)
         monkeypatch.setattr(numerics, "_MAX_SWEEPS", most)
