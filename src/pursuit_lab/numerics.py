@@ -2,14 +2,19 @@
 
 The fixed-step RK4 step and the one driver loop every integrator runs
 through, the step count of a horizon, cyclic neighbour indices, angle
-normalization, the roots of tables of monic polynomials
-(Aberth-Ehrlich simultaneous iteration), which solves the cubic factors
-of the spectrum, and LAPACK eigenvalues of stacked 5x5 complex blocks.
+normalization (of arrays and of one float), the scalar pass that runs
+a field in Python floats with an IEEE fallback, the roots of tables of
+monic polynomials (Aberth-Ehrlich simultaneous iteration), which solves
+the cubic factors of the spectrum, and LAPACK eigenvalues of stacked
+5x5 complex blocks.
 All functions are pure.
 
 Conventions used package-wide:
 
-* state vectors are 1-D float arrays of fixed length;
+* state vectors are 1-D float arrays of fixed length; a state whose
+  field runs in scalar math is a Python list of floats instead, and
+  ``rk4_step`` and ``rk4_integrate`` step it as a list, bit for bit as
+  they step the same state as an array;
 * a polynomial table holds one monic polynomial per row, complex
   coefficients highest degree first, and each row is solved exactly as
   it would be alone;
@@ -18,6 +23,7 @@ Conventions used package-wide:
 
 import functools
 import math
+from array import array
 
 import numpy as np
 
@@ -75,6 +81,27 @@ def wrap_angle(theta):
     return np.pi - np.mod(np.pi - theta, 2.0 * np.pi)
 
 
+def _wrap(angle):
+    """``wrap_angle`` of one float, bit for bit: Python's float % rounds
+    as np.mod does (fmod, then the divisor's sign)."""
+    return math.pi - (math.pi - angle) % (2.0 * math.pi)
+
+
+def _scalar_pass(fn, values, *args):
+    """``fn(values, *args, sin, cos)`` on the list of floats ``values``,
+    with math.sin and math.cos.
+
+    Where a float operation raises instead of rounding (a zero divisor,
+    the sine or cosine of an infinity), the same pass runs again on
+    numpy scalars with np.sin and np.cos: their IEEE results (inf, nan,
+    with numpy's warning) are those the array form gives.
+    """
+    try:
+        return fn(values, *args, math.sin, math.cos)
+    except (ZeroDivisionError, ValueError):
+        return fn([np.float64(v) for v in values], *args, np.sin, np.cos)
+
+
 def _check_finite(k, stage):
     if not np.isfinite(k).all():
         bad = int(np.argmin(np.isfinite(k)))
@@ -90,21 +117,42 @@ def rk4_step(field, state, dt):
     ----------
     field : callable
         Maps a state vector to its time derivative (autonomous system).
-    state : ndarray
-        Current state.
+    state : ndarray or list of float
+        Current state.  A list is stepped entry by entry in Python
+        floats, and its field takes and returns lists; every entry takes
+        the array form's operations in its order, so the result has the
+        same bits.
     dt : float
         Step size, > 0.
 
     Returns
     -------
-    ndarray
-        The state after one step.  Deterministic for fixed inputs.
+    ndarray or list of float
+        The state after one step, of the type of ``state``.
+        Deterministic for fixed inputs.
     """
     if not dt > 0.0:
         raise ValueError("dt must be positive")
     # Each stage is gated by the finiteness of its sum: a non-finite entry
     # always makes the sum non-finite, and a finite sum that overflows
     # only takes the exact check, which passes.
+    if isinstance(state, list):
+        half = 0.5 * dt
+        k1 = field(state)
+        if not math.isfinite(sum(k1)):
+            _check_finite(k1, 1)
+        k2 = field([y + half * k for y, k in zip(state, k1)])
+        if not math.isfinite(sum(k2)):
+            _check_finite(k2, 2)
+        k3 = field([y + half * k for y, k in zip(state, k2)])
+        if not math.isfinite(sum(k3)):
+            _check_finite(k3, 3)
+        k4 = field([y + dt * k for y, k in zip(state, k3)])
+        if not math.isfinite(sum(k4)):
+            _check_finite(k4, 4)
+        sixth = dt / 6.0
+        return [y + sixth * (a + 2.0 * b + 2.0 * c + d)
+                for y, a, b, c, d in zip(state, k1, k2, k3, k4)]
     k1 = np.asarray(field(state), dtype=float)
     if not math.isfinite(np.add.reduce(k1, axis=None)):
         _check_finite(k1, 1)
@@ -128,10 +176,13 @@ def rk4_integrate(field, y0, T, dt, record_every=1, post_step=None):
     rejected with ValueError).  After each step the state
     must be finite (else :class:`NumericError`); then ``post_step(y, t)``,
     when given, returns the state to carry on with (re-wrapped,
-    renormalized, checked).  The state is sampled at t = 0, every
-    ``record_every`` steps and after the last step.  A
-    :class:`CollisionError` raised by the field or by ``post_step``
-    without a time is re-raised carrying the time of the step.
+    renormalized, checked).  A list ``y0`` is stepped as a list of floats
+    (see :func:`rk4_step`), and ``post_step`` gets and returns that list;
+    the samples are the same float array either way.  The state is
+    sampled at t = 0, every ``record_every`` steps and after the last
+    step.  A :class:`CollisionError` raised by the field or by
+    ``post_step`` without a time is re-raised carrying the time of the
+    step.
 
     Returns
     -------
@@ -139,17 +190,24 @@ def rk4_integrate(field, y0, T, dt, record_every=1, post_step=None):
     samples : ndarray, shape (m, len(y0))
     """
     n_steps = step_count(T, dt)
-    y = np.array(y0, dtype=float)
+    scalar = isinstance(y0, list)
+    if scalar:
+        y = [float(v) for v in y0]
+        # the samples of a list state, row after row, as raw doubles: a
+        # copied list would keep a float object alive per entry
+        samples = array("d", y)
+    else:
+        y = np.array(y0, dtype=float)
+        samples = [y.copy()]
     times = [0.0]
-    samples = [y.copy()]
     for step in range(1, n_steps + 1):
         t = step * dt
         try:
             y = rk4_step(field, y, dt)
             # the sum gate of rk4_step: only a non-finite sum takes the
             # exact check
-            if (not math.isfinite(np.add.reduce(y, axis=None))
-                    and not np.isfinite(y).all()):
+            total = sum(y) if scalar else np.add.reduce(y, axis=None)
+            if not math.isfinite(total) and not np.isfinite(y).all():
                 raise NumericError(f"non-finite state at t = {t:.6g}")
             if post_step is not None:
                 y = post_step(y, t)
@@ -159,7 +217,12 @@ def rk4_integrate(field, y0, T, dt, record_every=1, post_step=None):
             raise CollisionError(str(err), pair=err.pair, t=t) from None
         if step % record_every == 0 or step == n_steps:
             times.append(t)
-            samples.append(y.copy())
+            if scalar:
+                samples.fromlist(y)
+            else:
+                samples.append(y.copy())
+    if scalar:
+        samples = np.frombuffer(samples).reshape(len(times), len(y))
     return np.asarray(times), np.asarray(samples)
 
 

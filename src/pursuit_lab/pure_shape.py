@@ -13,14 +13,17 @@ spiral outward toward a computable asymptotic heading offset.
 The transformed field and the A5 guard run in scalar math, one pass
 over the agents with Python floats and math.sin/math.cos, because at
 the sizes integrated here (n <= 10) numpy's per-call overhead on
-length-n arrays costs several times the arithmetic.  Every IEEE
-operation keeps the operands and order of the numpy array form, kept
-as the test oracle: the two agree bit for bit wherever libm and numpy
-trig agree, which the oracle test checks on the build.  The scalar
-cost grows with n and overtakes the array form's near n = 25 (µs per
-RK4 step on one 2-vCPU x86 machine: 200 -> 59 at n = 3, 208 -> 111 at
-n = 10, 237 -> 363 at n = 50); no shipped config, test or benchmark
-runs this integrator past n = 10.
+length-n arrays costs several times the arithmetic.  The integrators
+step their state as a list of floats, so no stage converts to or from
+an array.  Every IEEE operation keeps the operands and order of the
+numpy array form, kept as the test oracle: the two agree bit for bit
+wherever libm and numpy trig agree, which the oracle test checks on
+the build.  The scalar cost grows with n and overtakes the array
+form's near n = 25 (µs per RK4 step with its post-step, array form ->
+list state, best of 7 in two runs on one loaded 2-vCPU x86 VM:
+266-397 -> 66-82 at n = 3, 318-329 -> 123-148 at n = 10, 315-347 ->
+335-399 at n = 25, 353-435 -> 615-715 at n = 50); no shipped config,
+test or benchmark runs this integrator past n = 10.
 """
 
 import math
@@ -31,8 +34,8 @@ import numpy as np
 from .errors import (CollisionError, InconclusiveError,
                      PreconditionError, UndefinedManifoldError)
 from .full_space import WorldState, heading_from_angle
-from .numerics import (DEFAULT_DT, cyclic_neighbors, rk4_integrate,
-                       wrap_angle)
+from .numerics import (DEFAULT_DT, _scalar_pass, _wrap, cyclic_neighbors,
+                       rk4_integrate, wrap_angle)
 from .params import (require_a6, require_analysis_assumptions, satisfies_a6)
 from .shape_space import EPS_COL
 
@@ -107,21 +110,6 @@ def to_pure_shape(shape):
         rho_tb=shape.rho_b / shape.rho[0])
 
 
-def _scalar_pass(fn, values, *args):
-    """``fn(values, *args, sin, cos)`` on the entries of the array
-    ``values`` as Python floats, with math.sin and math.cos.
-
-    Where a float operation raises instead of rounding (a zero divisor,
-    the sine or cosine of an infinity), the same pass runs again on
-    numpy scalars with np.sin and np.cos: their IEEE results (inf, nan,
-    with numpy's warning) are those the array form gives.
-    """
-    try:
-        return fn(values.tolist(), *args, math.sin, math.cos)
-    except (ZeroDivisionError, ValueError):
-        return fn(list(values), *args, np.sin, np.cos)
-
-
 def _half_angles(kappa1, kappa_t, psi):
     """kappa_i+, the half-angles Phi_i/2 and Psi_i/2, and the suffix sums
     kappa~_i + ... + kappa~_n followed by the empty sum 0.0, as lists.
@@ -149,12 +137,6 @@ def _half_angles(kappa1, kappa_t, psi):
     return kplus, half_phi, half_psi, suffix
 
 
-def _wrap(angle):
-    """``wrap_angle`` of one float, bit for bit: Python's float % rounds
-    as np.mod does (fmod, then the divisor's sign)."""
-    return math.pi - (math.pi - angle) % (2.0 * math.pi)
-
-
 def _least(values):
     """The least of ``values``, or NaN when any is NaN, as np.min gives
     (Python's min skips a NaN that does not come first)."""
@@ -177,7 +159,8 @@ def _a5_guards(v, n, sin, cos):
 
 def a5_guard_values(state):
     """Min |cos(Phi/2)|, |cos(Psi/2)|, |sin(Phi/2)| over agents."""
-    return _scalar_pass(_a5_guards, state.to_vector()[:2 + 2 * state.n],
+    return _scalar_pass(_a5_guards,
+                        state.to_vector()[:2 + 2 * state.n].tolist(),
                         state.n)
 
 
@@ -224,13 +207,13 @@ def _rates(v, n, mu, lam, alpha, alpha0, sin, cos):
             + d_rho_tb)
 
 
-def _rates_vector(vec, n, mu, lam, alpha, alpha0):
-    """The transformed rates of the packed state ``vec`` (integration hot
-    path), in the packed layout of the state; agent 1's chase range must
-    clear the collocation floor.  Scalar math over agents (see the module
-    docstring for why and up to which n)."""
-    _check_rho1_floor(vec[1])
-    return np.array(_scalar_pass(_rates, vec, n, mu, lam, alpha, alpha0))
+def _rates_vector(v, n, mu, lam, alpha, alpha0):
+    """The transformed rates of the packed state ``v`` (a list), in the
+    packed layout of the state (integration hot path); agent 1's chase
+    range must clear the collocation floor.  Scalar math over agents (see
+    the module docstring for why and up to which n)."""
+    _check_rho1_floor(v[1])
+    return _scalar_pass(_rates, v, n, mu, lam, alpha, alpha0)
 
 
 def _field_constants(params):
@@ -243,9 +226,9 @@ def pure_shape_derivative(state, params):
     """Closed-loop rates of the transformed variables (requires A1-A4),
     in the :class:`PureShapeState` layout (each field its rate)."""
     require_analysis_assumptions(params)
-    vec = _rates_vector(state.to_vector(), state.n,
-                        *_field_constants(params))
-    return PureShapeState.from_vector(vec, state.n)
+    rates = _rates_vector(state.to_vector().tolist(), state.n,
+                          *_field_constants(params))
+    return PureShapeState.from_vector(rates, state.n)
 
 
 @dataclass(frozen=True)
@@ -359,13 +342,13 @@ def integrate_reduced(kappa1, rho1, params, k, T, dt=DEFAULT_DT,
     keeping the recorded curve continuous for portrait use.  A scale
     rho1 reaching zero raises :class:`CollisionError` carrying the time.
     """
-    consts = _require_manifold(params, k)
+    consts = [float(c) for c in _require_manifold(params, k)]
 
     def field(y):
         if not y[1] > 0.0:
             raise CollisionError("reduced scale rho1 reached zero",
                                  pair=(0, 1))
-        return np.array(_reduced_rates(y[0], y[1], *consts))
+        return list(_reduced_rates(y[0], y[1], *consts))
 
     times, rows = rk4_integrate(field, [float(kappa1), float(rho1)], T, dt,
                                 record_every)
@@ -519,28 +502,26 @@ def integrate_pure_shape(state0, params, T, dt=DEFAULT_DT, record_every=1):
     n = state0.n
     consts = _field_constants(params)
 
-    def field(vec):
-        return _rates_vector(vec, n, *consts)
+    def field(v):
+        return _rates_vector(v, n, *consts)
 
     flags = []
 
-    def rewrap_and_guard(vec, t):
+    def rewrap_and_guard(v, t):
         # packed layout: kappa1, rho1, then the kappa~, psi, phi_b angle
         # blocks, then the rho~, rho~_b ratio blocks; the state is finite
         # (rk4_integrate checks it), so math.sin and math.cos cannot raise
-        v = vec.tolist()
         v[0] = _wrap(v[0])
         v[2:2 + 3 * n] = [_wrap(a) for a in v[2:2 + 3 * n]]
-        vec[:2 + 3 * n] = v[:2 + 3 * n]
         if v[1] <= EPS_COL or min(v[2 + 3 * n:]) * v[1] <= EPS_COL:
             raise CollisionError("a range reached the collocation floor",
                                  t=t)
         guards = _a5_guards(v, n, math.sin, math.cos)
         if min(guards) < A5_GUARD_TOL:
             flags.append((t, guards))
-        return vec
+        return v
 
-    times, rows = rk4_integrate(field, state0.to_vector(), T, dt,
+    times, rows = rk4_integrate(field, state0.to_vector().tolist(), T, dt,
                                 record_every, rewrap_and_guard)
     return PureShapeTrajectory(t=times, states=rows, n=n, a5_flags=flags)
 

@@ -8,20 +8,42 @@ These 5n variables overparameterize the relative configuration and are
 tied together by a cycle-closure constraint g0 and per-agent consistency
 pairs (g1_i, g2_i); all three residual families are invariants of the
 closed loop and are monitored, never projected away.
+
+The field, the range guard and the per-step drift screen run in scalar
+math, one pass over the agents of the packed agent-major state (a list
+of 5n Python floats) with math.sin and math.cos, for the reason given
+in :mod:`pursuit_lab.pure_shape`: at n <= 10, numpy's per-call overhead
+on length-n arrays costs several times the arithmetic.  The field keeps
+the operands and order of the numpy array form, kept as the test
+oracle, and equals it bit for bit wherever libm and numpy trig agree.
+The scalar step overtakes the array form's between n = 25 and n = 50
+(µs per RK4 step with its post-step, array form -> list state, best of
+7 in two runs on one loaded 2-vCPU x86 VM: 208-326 -> 36-54 at n = 3,
+290-348 -> 102-127 at n = 10, 226-302 -> 175-214 at n = 25, 324-334 ->
+404-423 at n = 50); no shipped config, test or benchmark runs it past
+n = 10.  The recorded residual columns stay in numpy (``_residuals``).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CollisionError, ConstraintDriftError
-from .numerics import DEFAULT_DT, cyclic_neighbors, rk4_integrate, wrap_angle
+from .numerics import (DEFAULT_DT, _scalar_pass, _wrap, cyclic_neighbors,
+                       rk4_integrate, wrap_angle)
 from .params import require_shape_assumptions
 
 # Hard collocation floor (length units); distances at or below it abort.
 EPS_COL = 1e-6
 # Residual drift beyond this aborts a shape-space integration.
 DRIFT_TOL = 1e-4
+# The scalar drift screen passes a step whose largest residual is at or
+# below this; any other step is decided by ``_residuals``.  The margin is
+# far above the roundoff by which the screen's sequential g0 sum can
+# differ from np.sum's pairwise one (below 6e-14 on consistent shapes up
+# to n = 50).
+_DRIFT_SCREEN = DRIFT_TOL - 1e-9
 
 
 @dataclass
@@ -118,52 +140,126 @@ def shape_derivative(shape, params):
     range sits at or below the collocation floor.
     """
     require_shape_assumptions(params)
-    blocks = shape.to_blocks()
-    _check_ranges(blocks)
-    return ShapeRates(*np.moveaxis(_rates(blocks, params), -1, 0))
+    rates = _field(shape.to_vector().tolist(), *_field_constants(params))
+    return ShapeRates.from_vector(rates, shape.n)
 
 
-def _rates(blocks, params):
-    """Closed-loop rates of shape blocks (..., n, 5), in the same layout,
-    without validation (integration hot path)."""
-    mu = params.mu
-    lam = params.lam
-    alpha0 = params.alpha0[0]
+def _field(v, mu, lam, alpha, alpha0):
+    """The range guard, then the closed-loop rates, of the packed state
+    ``v`` (a list), as a list in the same layout: the field of
+    :func:`integrate_shape` and :func:`shape_derivative`."""
+    _check_ranges(v)
+    return _scalar_pass(_rates, v, mu, lam, alpha, alpha0)
 
-    nxt, prv = cyclic_neighbors(blocks.shape[-2])
-    rho, kappa, theta, rho_b, kappa_b = np.moveaxis(blocks, -1, 0)
-    theta_next = theta[..., nxt]
-    lead = (np.sin(kappa) + np.sin(theta_next)) / rho
 
-    out = np.empty_like(blocks)
-    d_kappa = (-mu * ((1.0 - lam) * np.sin(kappa - params.alpha)
-                      + lam * np.sin(kappa_b - alpha0))
-               + lam * lead)
-    out[..., 0] = -(np.cos(kappa) + np.cos(theta_next))
-    out[..., 1] = d_kappa
-    out[..., 2] = d_kappa - lead + lead[..., prv]
-    out[..., 3] = -np.cos(kappa_b)
-    out[..., 4] = d_kappa - lead + np.sin(kappa_b) / rho_b
+def _field_constants(params):
+    """mu, lambda, the per-agent alpha (a list) and the common alpha0 of
+    the shape field, as floats."""
+    return (float(params.mu), float(params.lam), params.alpha.tolist(),
+            float(params.alpha0[0]))
+
+
+def _rates(v, mu, lam, alpha, alpha0, sin, cos):
+    """Closed-loop rates of the packed agent-major state ``v`` (a list:
+    rho_i, kappa_i, theta_i, rho_ib, kappa_ib per agent), in the same
+    layout, one agent at a time in scalar arithmetic, without validation
+    (integration hot path)."""
+    weight = 1.0 - lam
+    kappa = v[1::5]
+    theta = v[2::5]
+    theta_next = theta[1:] + theta[:1]
+    # (sin kappa_i + sin theta_{i+1}) / rho_i, and its value at agent i - 1
+    lead = [(sin(k) + sin(t)) / r
+            for k, t, r in zip(kappa, theta_next, v[0::5])]
+    out = []
+    for kap, t_next, kap_b, rho_b, a, ld, ld_prev in zip(
+            kappa, theta_next, v[4::5], v[3::5], alpha, lead,
+            lead[-1:] + lead[:-1]):
+        d_kappa = (-mu * (weight * sin(kap - a) + lam * sin(kap_b - alpha0))
+                   + lam * ld)
+        turn = d_kappa - ld
+        out += (-(cos(kap) + cos(t_next)), d_kappa, turn + ld_prev,
+                -cos(kap_b), turn + sin(kap_b) / rho_b)
     return out
 
 
-def _check_ranges(blocks, t=None):
+def _check_ranges(v, t=None):
     """Raise :class:`CollisionError` naming the first chase range, else
-    the first beacon range, of the (n, 5) blocks at or below the floor.
-    One ``fmin`` over columns 0 and 3 (``::3``) decides; it skips a NaN,
-    so it decides as ``np.any(x <= EPS_COL)`` did."""
-    ranges = blocks[:, ::3]
-    if not np.fmin.reduce(ranges, axis=None) <= EPS_COL:
+    the first beacon range, of the packed state ``v`` (a list of 5n
+    floats) at or below the floor.  A NaN range is skipped, as
+    ``np.fmin`` skips it: Python's min returns NaN only when a NaN comes
+    first, and that case falls to the scan, which skips it."""
+    if min(v[0::5]) > EPS_COL and min(v[3::5]) > EPS_COL:
         return
-    n = blocks.shape[0]
-    column, i = divmod(int(np.argmax(ranges.T <= EPS_COL)), n)
-    if column == 0:
-        raise CollisionError(
-            f"chase range rho_{i + 1} at or below collocation floor",
-            pair=(i, (i + 1) % n), t=t)
-    raise CollisionError(
-        f"beacon range rho_{i + 1}b at or below collocation floor",
-        pair=(i, "beacon"), t=t)
+    n = len(v) // 5
+    for i, r in enumerate(v[0::5]):
+        if r <= EPS_COL:
+            raise CollisionError(
+                f"chase range rho_{i + 1} at or below collocation floor",
+                pair=(i, (i + 1) % n), t=t)
+    for i, r in enumerate(v[3::5]):
+        if r <= EPS_COL:
+            raise CollisionError(
+                f"beacon range rho_{i + 1}b at or below collocation floor",
+                pair=(i, "beacon"), t=t)
+
+
+def _largest_residual(v):
+    """max(|g0|, |g1_i|, |g2_i|) of the finite packed state ``v`` (a
+    list) in scalar math, with the operands of ``_residuals``; g0 sums
+    in sequence where np.sum sums pairwise."""
+    sin, cos = math.sin, math.cos
+    theta = v[2::5]
+    rho_b = v[3::5]
+    kappa_b = v[4::5]
+    total = 0.0
+    worst = 0.0
+    for rho, kappa, rb, kb, t_next, rb_next, kb_next in zip(
+            v[0::5], v[1::5], rho_b, kappa_b, theta[1:] + theta[:1],
+            rho_b[1:] + rho_b[:1], kappa_b[1:] + kappa_b[:1]):
+        total += math.pi + kappa - t_next
+        rot_i = kb - kappa
+        rot_next = kb_next - t_next
+        g1 = abs(rho - rb * cos(rot_i) - rb_next * cos(rot_next))
+        g2 = abs(rb * sin(rot_i) + rb_next * sin(rot_next))
+        if g1 > worst:
+            worst = g1
+        if g2 > worst:
+            worst = g2
+    return max(abs(_wrap(total)), worst)
+
+
+def _rewrap_and_check(v, t):
+    """The post-step of :func:`integrate_shape`, one scalar pass over the
+    packed state ``v`` (a finite list, so math.sin and math.cos cannot
+    raise): re-wrap kappa, theta and kappa_b in place, then the range
+    guard, then the drift gate.
+
+    The drift gate only has to agree with ``_residuals`` on the threshold
+    decision.  A scalar screen passes a step whose largest residual is at
+    or below ``_DRIFT_SCREEN``; any other step (a residual within 1e-9 of
+    ``DRIFT_TOL`` or above it, or a NaN g0) is decided, and its error
+    message formed, by ``_residuals`` itself.
+    """
+    for b in range(0, len(v), 5):
+        v[b + 1] = _wrap(v[b + 1])
+        v[b + 2] = _wrap(v[b + 2])
+        v[b + 4] = _wrap(v[b + 4])
+    _check_ranges(v, t=t)
+    if not _largest_residual(v) <= _DRIFT_SCREEN:
+        _check_drift(np.reshape(v, (-1, 5)), t)
+    return v
+
+
+def _check_drift(blocks, t):
+    """Raise :class:`ConstraintDriftError` when the largest residual of
+    the (n, 5) blocks exceeds ``DRIFT_TOL``."""
+    g0, max_g1, max_g2 = _residual_summary(blocks)
+    worst = max(abs(g0), max_g1, max_g2)
+    if worst > DRIFT_TOL:
+        raise ConstraintDriftError(
+            f"constraint residual {worst:.3e} exceeds {DRIFT_TOL:.1e} "
+            f"at t = {t:.6g}")
 
 
 @dataclass
@@ -196,30 +292,19 @@ def integrate_shape(shape0, params, T, dt=DEFAULT_DT, record_every=1):
     :class:`ConstraintDriftError` (the constraints are conserved by the
     exact flow, so drift signals integration failure), and a range at or
     below the collocation floor raises :class:`CollisionError`.
+
+    The state steps as a list of floats through the scalar field, and
+    each step ends in :func:`_rewrap_and_check`.
     """
     require_shape_assumptions(params)
     n = shape0.n
+    consts = _field_constants(params)
 
-    def field(vec):
-        blocks = vec.reshape(n, 5)
-        _check_ranges(blocks)
-        return _rates(blocks, params).ravel()
+    def field(v):
+        return _field(v, *consts)
 
-    def rewrap_and_check(vec, t):
-        blocks = vec.reshape(n, 5)
-        # the angle columns kappa, theta and kappa_b
-        blocks[:, [1, 2, 4]] = wrap_angle(blocks[:, [1, 2, 4]])
-        _check_ranges(blocks, t=t)
-        g0, max_g1, max_g2 = _residual_summary(blocks)
-        worst = max(abs(g0), max_g1, max_g2)
-        if worst > DRIFT_TOL:
-            raise ConstraintDriftError(
-                f"constraint residual {worst:.3e} exceeds {DRIFT_TOL:.1e} "
-                f"at t = {t:.6g}")
-        return vec
-
-    times, samples = rk4_integrate(field, shape0.to_vector(), T, dt,
-                                   record_every, rewrap_and_check)
+    times, samples = rk4_integrate(field, shape0.to_vector().tolist(), T,
+                                   dt, record_every, _rewrap_and_check)
     stacked = samples.reshape(len(samples), n, 5)
     return ShapeTrajectory(
         t=times,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from pursuit_lab import ControlParams
+from pursuit_lab import ControlParams, numerics
 from pursuit_lab.errors import CollisionError
 from pursuit_lab.full_space import FullTrajectory
 from pursuit_lab.numerics import cyclic_neighbors, rk4_integrate
@@ -54,6 +54,26 @@ def assemble_block_circulant(blocks, n):
         j = (i - 1) % n
         big[5 * i:5 * i + 5, 5 * j:5 * j + 5] += blocks.Am1
     return big
+
+
+@pytest.fixture
+def traced_step_counts(monkeypatch):
+    """Wrap numerics.rk4_step as a tracer does; the counts of steps and of
+    field evaluations that pass through it."""
+    counts = {"steps": 0, "fields": 0}
+    step = numerics.rk4_step
+
+    def counted_step(field, state, dt):
+        counts["steps"] += 1
+
+        def counted_field(vec):
+            counts["fields"] += 1
+            return field(vec)
+
+        return step(counted_field, state, dt)
+
+    monkeypatch.setattr(numerics, "rk4_step", counted_step)
+    return counts
 
 
 @pytest.fixture
@@ -174,6 +194,30 @@ def reference_pure_rates(vec, n, mu, lam, alpha, alpha0):
     out[0] = d_kappa1
     out[1] = d_rho1
     out[2:].reshape(5, n)[:] = d_kappa_t, d_psi, d_phi_b, d_rho_t, d_rho_tb
+    return out
+
+
+def reference_shape_rates(blocks, params):
+    """Oracle of the closed-loop shape rates of shape blocks (..., n, 5),
+    in numpy array form and in the same layout."""
+    mu = params.mu
+    lam = params.lam
+    alpha0 = params.alpha0[0]
+
+    nxt, prv = cyclic_neighbors(blocks.shape[-2])
+    rho, kappa, theta, rho_b, kappa_b = np.moveaxis(blocks, -1, 0)
+    theta_next = theta[..., nxt]
+    lead = (np.sin(kappa) + np.sin(theta_next)) / rho
+
+    out = np.empty_like(blocks)
+    d_kappa = (-mu * ((1.0 - lam) * np.sin(kappa - params.alpha)
+                      + lam * np.sin(kappa_b - alpha0))
+               + lam * lead)
+    out[..., 0] = -(np.cos(kappa) + np.cos(theta_next))
+    out[..., 1] = d_kappa
+    out[..., 2] = d_kappa - lead + lead[..., prv]
+    out[..., 3] = -np.cos(kappa_b)
+    out[..., 4] = d_kappa - lead + np.sin(kappa_b) / rho_b
     return out
 
 

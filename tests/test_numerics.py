@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -119,6 +121,108 @@ class TestRK4:
                                            1.0, 0.25)
         assert times.size == 5
         assert np.array_equal(samples, np.tile(y0, (5, 1)))
+
+
+class TestListState:
+    """A list state steps in Python floats: the array path's operations
+    in its order, its stage gates and its state gate."""
+
+    def test_nonfinite_stage_names_index_and_stage(self):
+        calls = []
+
+        def bad(s):
+            calls.append(1)
+            k = [1.0] * 4
+            if len(calls) == 3:
+                k[2] = math.inf
+            return k
+
+        with pytest.raises(IntegrationError,
+                           match=r"^non-finite derivative entry at index 2 "
+                                 r"\(RK4 stage 3\)$"):
+            rk4_step(bad, [0.0] * 4, 0.1)
+        assert len(calls) == 3
+
+    def test_opposite_infinities_name_first_index(self):
+        # their sum is NaN, so the stage takes the exact check
+        with pytest.raises(IntegrationError,
+                           match=r"index 1 \(RK4 stage 1\)"):
+            rk4_step(lambda s: [1.0, math.inf, -math.inf], [0.0] * 3, 0.1)
+
+    def test_finite_entries_with_overflowing_sum_run_on(self):
+        # the entries sum past the largest double; the step itself does not
+        state = rk4_step(lambda s: [2.5e307] * 10, [0.0] * 10, 1.0)
+        assert state == [2.5e307] * 10
+        with np.errstate(over="ignore"):
+            assert same_bits(np.array(state),
+                             rk4_step(lambda s: np.full(10, 2.5e307),
+                                      np.zeros(10), 1.0))
+
+    def test_state_overflowing_to_inf_stops_the_run(self):
+        with pytest.raises(NumericError,
+                           match=r"^non-finite state at t = 0\.5$"):
+            rk4_integrate(lambda s: [1e308, 0.0], [0.0, 0.0], 1.0, 0.5)
+
+    def test_finite_state_with_overflowing_sum_runs_on(self):
+        y0 = [1e308, 1e308, -1.0]
+        times, samples = rk4_integrate(lambda s: [0.0] * 3, y0, 1.0, 0.25)
+        assert times.size == 5
+        assert same_bits(samples, np.tile(y0, (5, 1)))
+
+    def test_integrate_from_list_equals_array(self):
+        seen = []
+
+        def post_list(y, t):
+            seen.append(type(y))
+            y[0] = math.fmod(y[0], 1.0)
+            return y
+
+        def post_array(y, t):
+            y[0] = np.fmod(y[0], 1.0)
+            return y
+
+        def field(s):
+            return [math.sin(s[1]) * s[2], s[0] - s[2] * s[2],
+                    math.cos(s[0] + s[1])]
+
+        args = (0.6, 0.02)
+        got = rk4_integrate(field, [0.9, -0.4, 2], *args, record_every=7,
+                            post_step=post_list)
+        want = rk4_integrate(lambda s: np.array(field(s.tolist())),
+                             np.array([0.9, -0.4, 2.0]), *args,
+                             record_every=7, post_step=post_array)
+        assert set(seen) == {list} and len(seen) == 30
+        assert same_bits(got[0], want[0])
+        assert same_bits(got[1], want[1])
+        assert got[1].shape == (6, 3)
+
+
+@st.composite
+def _scalar_field(draw):
+    """A nonlinear field on Python floats, of dimension 1-52: entry i is
+    a_i sin(y_p(i)) + b_i y_i y_q(i) + c_i cos(y_i), and a start."""
+    d = draw(st.integers(1, 52))
+    coeff = st.lists(st.floats(-3.0, 3.0), min_size=d, max_size=d)
+    index = st.lists(st.integers(0, d - 1), min_size=d, max_size=d)
+    a, b, c = draw(coeff), draw(coeff), draw(coeff)
+    p, q = draw(index), draw(index)
+    y0 = draw(st.lists(st.floats(-10.0, 10.0), min_size=d, max_size=d))
+
+    def field(y):
+        return [a[i] * math.sin(y[p[i]]) + b[i] * y[i] * y[q[i]]
+                + c[i] * math.cos(y[i]) for i in range(d)]
+
+    return field, y0
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(_scalar_field(), st.floats(1e-4, 0.5))
+def test_list_step_equals_array_step(case, dt):
+    field, y0 = case
+    got = rk4_step(field, list(y0), dt)
+    assert type(got) is list
+    want = rk4_step(lambda y: np.array(field(y.tolist())), np.array(y0), dt)
+    assert same_bits(np.array(got), want)
 
 
 class TestHorizon:

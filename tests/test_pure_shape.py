@@ -11,14 +11,14 @@ from pursuit_lab import (asymptote_prediction, equilibrium_shape,
                          invariant_region_check, lift, manifold_spec,
                          pure_shape_derivative, reduced_derivative,
                          reduced_equilibrium, to_pure_shape)
-from pursuit_lab import numerics
 from pursuit_lab.errors import (AssumptionError, CollisionError,
                                 InconclusiveError, PreconditionError,
                                 UndefinedManifoldError)
-from pursuit_lab.numerics import cyclic_neighbors, rk4_integrate, wrap_angle
+from pursuit_lab.numerics import (_wrap, cyclic_neighbors, rk4_integrate,
+                                  wrap_angle)
 from pursuit_lab.pure_shape import (A5_GUARD_TOL, GridSpec, PureShapeState,
                                     a5_guard_values, _reduced_rates,
-                                    _require_manifold, _wrap,
+                                    _require_manifold,
                                     integrate_pure_shape,
                                     integrate_reduced, phase_portrait,
                                     reduced_params)
@@ -310,26 +310,32 @@ class TestScalarFieldMatchesNumpyOracle:
 
 
 class TestPureShapeTracedSteps:
+    # a tracer wraps numerics.rk4_step: every step and every field
+    # evaluation of a run must pass through it
     def test_each_step_and_field_call_goes_through_numerics(
-            self, monkeypatch, spiral_params):
-        # a tracer wraps numerics.rk4_step: every step and every field
-        # evaluation of the run must pass through it
-        counts = {"steps": 0, "fields": 0}
-        step = numerics.rk4_step
-
-        def counted_step(field, state, dt):
-            counts["steps"] += 1
-
-            def counted_field(vec):
-                counts["fields"] += 1
-                return field(vec)
-
-            return step(counted_field, state, dt)
-
-        monkeypatch.setattr(numerics, "rk4_step", counted_step)
+            self, traced_step_counts, spiral_params):
         st, _ = lift(manifold_spec(3, 2), kappa1=2.894, rho1=1.0)
         integrate_pure_shape(st, spiral_params, T=0.05, dt=1e-3)
-        assert counts == {"steps": 50, "fields": 200}
+        assert traced_step_counts == {"steps": 50, "fields": 200}
+
+    def test_each_reduced_step_is_one_call_of_four_evaluations(
+            self, traced_step_counts, spiral_params):
+        integrate_reduced(2.894, 1.0, spiral_params, 2, T=0.5, dt=1e-2)
+        assert traced_step_counts == {"steps": 50, "fields": 200}
+
+
+def test_reduced_run_equals_array_state_run(spiral_params):
+    # the reduced state steps as a list of floats; the same field on an
+    # array state, with the constants as _require_manifold gives them,
+    # yields the same bits
+    consts = _require_manifold(spiral_params, 2)
+    times, rows = rk4_integrate(
+        lambda y: np.array(_reduced_rates(y[0], y[1], *consts)),
+        np.array([2.894, 1.0]), 20.0, 1e-2, 3)
+    t, kk, rr = integrate_reduced(2.894, 1.0, spiral_params, 2, T=20.0,
+                                  dt=1e-2, record_every=3)
+    assert same_bits(t, times)
+    assert same_bits(kk, rows[:, 0]) and same_bits(rr, rows[:, 1])
 
 
 class TestManifoldSpec:
