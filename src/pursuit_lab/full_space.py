@@ -8,27 +8,40 @@ combination of constant-bearing pursuit of the next agent in the cycle
 and constant-bearing tracking of a fixed beacon.
 
 Both terms are one operation on two targets: turn the normal by a
-bearing, project it on the unit line of sight, scale by a gain.  So the
-law is written once, in :class:`_SteeringLaw`, on a packed
-component-major state: rows px, py, hx, hy over the agents, with the
-beacon appended.  There the chase and beacon lines
-of sight form one array, and the range, the collision check, the
-normalisation, the bearing rotation, the projection and the gain each
-run once for both terms.  ``simulate`` integrates the packed state and
-transposes its samples to the agent-major (..., n, 2) arrays of
-:class:`WorldState` and :class:`FullTrajectory` once, at the end; the
-public functions take agent-major arrays over any leading axes.  The
-scalar shape form is kept as a test oracle and agrees with the law to
-roundoff.
-"""
+bearing, project it on the unit line of sight, scale by a gain.  The law
+is written once, in :func:`_law`, on the 4n entries of a packed
+component-major state (px, py, hx, hy over the agents), one agent at a
+time in scalar arithmetic.  The entries are Python floats for one world
+and arrays over the leading axes for a batch, so the same function
+steps ``simulate`` and serves ``control_profile``, ``particle_rates``
+and the recorded controls.
+
+``simulate`` steps the packed state as a list of floats, for the reason
+given in :mod:`pursuit_lab.pure_shape`: at small n, numpy's per-call
+overhead on length-n arrays costs more than the arithmetic.  µs per RK4
+step with its renormalisation, packed array law -> list state, median
+of 15 alternating pairs on one 2-vCPU x86 VM: 82 -> 44 at n = 3,
+83 -> 79 at n = 10, 90 -> 176 at n = 25, 97 -> 318 at n = 50; the
+crossover is near n = 10, and the shipped configs and the benchmark run
+n <= 10.  The ranges and the heading norms come from np.hypot on the
+lists: Python's math.hypot is correctly rounded and the C library's
+hypot, which np.hypot calls, is not, so only np.hypot keeps the array
+form's bits.  Every other IEEE operation keeps the operands and order
+of the agent-major array form kept as the test oracle, so the two agree
+bit for bit.  ``simulate`` transposes its samples to the agent-major
+(..., n, 2) arrays of :class:`WorldState` and :class:`FullTrajectory`
+once, at the end; the public functions take agent-major arrays over any
+leading axes.  The scalar shape form is kept as a test oracle and
+agrees with the law to roundoff."""
 
 from dataclasses import dataclass
+from operator import mul, sub, truediv
 
 import numpy as np
 
 from .errors import CollisionError
-from .numerics import (DEFAULT_DT, cyclic_neighbors, rk4_integrate,
-                       wrap_angle)
+from .numerics import (DEFAULT_DT, _scalar_pass, cyclic_neighbors,
+                       rk4_integrate, wrap_angle)
 from .shape_space import EPS_COL, ShapeState
 
 # Side of the beacon-centered square random_world draws positions from.
@@ -100,140 +113,83 @@ def _check_ranges(rho, rho_b):
                              pair=(i, "beacon"))
 
 
-class _SteeringLaw:
-    """The steering law of one parameter set and beacon, over one leading
-    shape of independent worlds.
+def _constants(params, beacon):
+    """The steering law's constants as Python floats: n, the beacon's x
+    and y, per agent the tuple of -cos, cos and sin of alpha and of
+    alpha0, mu_b, nu and -nu, then mu, the list of nu, 1 - lambda and
+    lambda."""
+    cos_a, cos_b = np.cos(params.alpha), np.cos(params.alpha0)
+    agents = list(zip((-cos_a).tolist(), cos_a.tolist(),
+                      np.sin(params.alpha).tolist(), (-cos_b).tolist(),
+                      cos_b.tolist(), np.sin(params.alpha0).tolist(),
+                      params.mu_b.tolist(), params.nu.tolist(),
+                      (-params.nu).tolist()))
+    return (params.n, float(beacon[0]), float(beacon[1]), agents,
+            float(params.mu), params.nu.tolist(), float(1.0 - params.lam),
+            float(params.lam))
 
-    Each world is held packed, component-major, as ``packed`` (..., 4n)
-    is given: rows px, py, hx, hy over the agents; the beacon's x and y
-    follow them in one buffer.  One gather through a fixed index table
-    lays out, as contiguous (..., 2, 2, n) blocks (component, term,
-    agent), each agent's two targets (the next agent, the beacon), the
-    agent itself and its heading; the two terms of the law then run as
-    one pass: range, collision check, normalisation, bearing rotation,
-    projection and gain each once.  Written on components, the normal
-    y = (-hy, hx) turned by a bearing with cos c and sin s is
-    (c (-hy) - s hx, c hx - s hy), so with the cos stacked as (-c, c)
-    the rotation is (-c, c) (hy, hx) - s (hx, hy); a dot product is
-    a_0 b_0 + a_1 b_1.  Every buffer and view is made here, once, so an
-    evaluation only runs ufuncs into them.
+
+def _law(v, const, rates, *trig):
+    """The curvature commands, or with ``rates`` the particle-model rates
+    r' = nu x and x' = nu u y packed as the state is, of the packed state
+    ``v``: its 4n entries px, py, hx, hy over the agents, Python floats
+    for one world or arrays of one shape for a batch of worlds.
+
+    ``const`` is :func:`_constants`; ``trig`` (the sine and cosine that
+    ``numerics._scalar_pass`` supplies) is unused, as the bearings enter
+    through ``const``.  Both terms, pursuit of the next agent and
+    tracking of the beacon, turn the normal y = (-hy, hx) by a bearing,
+    project it on the unit line of sight and scale it by a gain; turned
+    by cos c and sin s, y is ((-c) hy - s hx, c hx - s hy).  The ranges
+    of both terms come from one np.hypot, and one minimum over them
+    decides the collision check: Python's min for floats, which skips a
+    NaN unless it comes first, and that case falls to
+    :func:`_check_ranges`, which skips it too; np.fmin for arrays.
     """
+    n, bx, by, agents, mu, nu, weight, lam = const
+    px, py, hx, hy = v[:n], v[n:2 * n], v[2 * n:3 * n], v[3 * n:]
+    # lines of sight to the next agent, then to the beacon
+    dx = list(map(sub, px[1:] + px[:1] + [bx] * n, px + px))
+    dy = list(map(sub, py[1:] + py[:1] + [by] * n, py + py))
+    stacked = np.hypot(dx, dy)
+    if stacked.ndim == 1:
+        ranges = stacked.tolist()
+        nearest = min(ranges)
+    else:
+        ranges = list(stacked)
+        nearest = np.fmin.reduce(stacked, axis=None)
+    if not nearest > EPS_COL:
+        _check_ranges(np.moveaxis(stacked[:n], 0, -1),
+                      np.moveaxis(stacked[n:], 0, -1))
+    # the velocities nu x, which are also the position rates
+    vx = list(map(mul, nu, hx))
+    vy = list(map(mul, nu, hy))
+    # the controls u and the heading rates nu u y = nu u (-hy, hx)
+    u, turn_x, turn_y = [], [], []
+    for ((nca, ca, sa, ncb, cb, sb, mb, s, neg_s), x, y, sx, sy, sx_next,
+         sy_next, ex, ey, rho, fx, fy, rho_b) in zip(
+            agents, hx, hy, vx, vy, vx[1:] + vx[:1], vy[1:] + vy[:1], dx,
+            dy, ranges, dx[n:], dy[n:], ranges[n:]):
+        lx = ex / rho
+        ly = ey / rho
+        chase = mu * ((nca * y - sa * x) * lx + (ca * x - sa * y) * ly)
+        # the rotation of the line of sight to the next agent, from the
+        # velocity relative to it, w = nu x - (nu x)_next
+        chase = chase + ((ly * (sx - sx_next) - lx * (sy - sy_next))
+                         / (s * rho))
+        bearing = mb * ((ncb * y - sb * x) * (fx / rho_b)
+                        + (cb * x - sb * y) * (fy / rho_b))
+        c = weight * chase + lam * bearing
+        u.append(c)
+        turn_x.append((neg_s * c) * y)
+        turn_y.append((s * c) * x)
+    return vx + vy + turn_x + turn_y if rates else u
 
-    def __init__(self, params, beacon, packed):
-        n = params.n
-        lead = packed.shape[:-1]
-        nxt, _ = cyclic_neighbors(n)
-        agents = np.arange(n)
-        px, py, hx, hy = agents, n + agents, 2 * n + agents, 3 * n + agents
-        bx, by = np.full(n, 4 * n), np.full(n, 4 * n + 1)
-        # gathered blocks: targets, sources, swapped heading and heading,
-        # each component by term by agent, then the next agent's swapped
-        # heading
-        self._index = np.concatenate([
-            px[nxt], bx, py[nxt], by, px, px, py, py, hy, hy, hx, hx,
-            hx, hx, hy, hy, hy[nxt], hx[nxt]])
-        self._buffer = np.empty(lead + (4 * n + 2,))
-        self._buffer[..., 4 * n:] = beacon
-        self._packed = self._buffer[..., :4 * n]
-        self._packed[...] = packed
-        self._head = self._packed[..., 2 * n:].reshape(lead + (2, n))
-        self._gathered = np.empty(lead + (18 * n,))
-        self._targets, self._sources, self._swapped_pair, self._head_pair = (
-            self._gathered[..., 4 * n * b:4 * n * (b + 1)]
-            .reshape(lead + (2, 2, n)) for b in range(4))
-        self._swapped = self._swapped_pair[..., 0, :]
-        self._next_swapped = self._gathered[..., 16 * n:].reshape(
-            lead + (2, n))
 
-        (self._signed_cos, self._sin, self._gain, self._weight,
-         self._signed_nu) = params._steering_coefficients
-        self._nu = params.nu
-        self._nu_next = params.nu[nxt]
-
-        self._sight = np.empty(lead + (2, 2, n))
-        self._sight_x = self._sight[..., 0, :, :]
-        self._sight_y = self._sight[..., 1, :, :]
-        self._chase_sight = self._sight[..., 0, :]
-        self._range = np.empty(lead + (2, n))
-        self._all_ranges = self._range.reshape(-1)
-        self._range_pair = self._range[..., None, :, :]
-        self._chase_range = self._range[..., 0, :]
-        self._beacon_range = self._range[..., 1, :]
-        self._turned = np.empty(lead + (2, 2, n))
-        self._turned_x = self._turned[..., 0, :, :]
-        self._turned_y = self._turned[..., 1, :, :]
-        self._product = np.empty(lead + (2, 2, n))
-        self._terms = np.empty(lead + (2, n))
-        self._chase_term = self._terms[..., 0, :]
-        self._beacon_term = self._terms[..., 1, :]
-        self._relative = np.empty(lead + (2, n))
-        self._next_velocity = np.empty(lead + (2, n))
-        self._cross = np.empty(lead + (2, n))
-        self._cross_x = self._cross[..., 0, :]
-        self._cross_y = self._cross[..., 1, :]
-        self._rotation = np.empty(lead + (n,))
-        self._scale = np.empty(lead + (n,))
-        self._u = np.empty(lead + (n,))
-        self._u_pair = self._u[..., None, :]
-        self._nu_u = np.empty(lead + (2, n))
-        self._rates = np.empty(lead + (4 * n,))
-        self._velocity = self._rates[..., :2 * n].reshape(lead + (2, n))
-        self._turning = self._rates[..., 2 * n:].reshape(lead + (2, n))
-
-    def _controls(self):
-        """Curvature commands of the packed state, into ``self._u``."""
-        np.take(self._buffer, self._index, axis=-1, out=self._gathered,
-                mode="clip")
-        sight, rng = self._sight, self._range
-        np.subtract(self._targets, self._sources, out=sight)
-        np.hypot(self._sight_x, self._sight_y, out=rng)
-        # fmin skips NaN, so this decides as np.any(rng <= EPS_COL) does
-        if np.fmin.reduce(self._all_ranges) <= EPS_COL:
-            _check_ranges(self._chase_range, self._beacon_range)
-        np.divide(sight, self._range_pair, out=sight)
-        turned = self._turned
-        np.multiply(self._signed_cos, self._swapped_pair, out=turned)
-        np.multiply(self._sin, self._head_pair, out=self._product)
-        np.subtract(turned, self._product, out=turned)
-        np.multiply(turned, sight, out=turned)
-        terms = self._terms
-        np.add(self._turned_x, self._turned_y, out=terms)
-        np.multiply(self._gain, terms, out=terms)
-        # the rotation of the line of sight to the next agent: with the
-        # relative velocity w = nu x - (nu x)_next held swapped, (wy, wx),
-        # it is ly wx - lx wy
-        relative = self._relative
-        np.multiply(self._nu, self._swapped, out=relative)
-        np.multiply(self._nu_next, self._next_swapped,
-                    out=self._next_velocity)
-        np.subtract(relative, self._next_velocity, out=relative)
-        np.multiply(self._chase_sight, relative, out=self._cross)
-        rotation = self._rotation
-        np.subtract(self._cross_y, self._cross_x, out=rotation)
-        np.multiply(self._nu, self._chase_range, out=self._scale)
-        np.divide(rotation, self._scale, out=rotation)
-        np.add(self._chase_term, rotation, out=self._chase_term)
-        np.multiply(self._weight, terms, out=terms)
-        return np.add(self._chase_term, self._beacon_term, out=self._u)
-
-    def controls(self):
-        """Curvature commands (..., n) of the packed state."""
-        return self._controls().copy()
-
-    def rates(self):
-        """Particle-model rates r' = nu x and x' = nu u y of the packed
-        state, packed as the state is: (..., 4n)."""
-        self._controls()
-        np.multiply(self._nu, self._head, out=self._velocity)
-        # (-nu u, nu u) (hy, hx) is nu u (-hy, hx)
-        np.multiply(self._signed_nu, self._u_pair, out=self._nu_u)
-        np.multiply(self._nu_u, self._swapped, out=self._turning)
-        return self._rates.copy()
-
-    def field(self, vec):
-        """Packed rates of a packed state vector (4n,)."""
-        np.copyto(self._packed, vec)
-        return self.rates()
+def _entries(packed):
+    """The 4n entries of packed states (..., 4n), each an array over the
+    leading axes (a numpy scalar for one world)."""
+    return list(np.moveaxis(packed, -1, 0))
 
 
 def _packed(positions, headings):
@@ -246,8 +202,8 @@ def _packed(positions, headings):
 
 def control_profile(world, params):
     """Curvature commands for all agents of a world state."""
-    return _SteeringLaw(params, world.beacon,
-                        _packed(world.positions, world.headings)).controls()
+    return np.stack(_law(_entries(_packed(world.positions, world.headings)),
+                         _constants(params, world.beacon), False), axis=-1)
 
 
 def particle_rates(positions, headings, beacon, params):
@@ -256,7 +212,8 @@ def particle_rates(positions, headings, beacon, params):
     positions/headings: (..., n, 2); returns one (2, ..., n, 2) array
     stacking r' and x'.
     """
-    rates = _SteeringLaw(params, beacon, _packed(positions, headings)).rates()
+    rates = np.stack(_law(_entries(_packed(positions, headings)),
+                          _constants(params, beacon), True), axis=-1)
     rates = rates.reshape(rates.shape[:-1] + (2, 2, -1))
     return np.ascontiguousarray(np.moveaxis(rates, -3, 0).swapaxes(-1, -2))
 
@@ -281,33 +238,46 @@ class FullTrajectory:
                           self.beacon.copy(), t=float(self.t[idx]))
 
 
+def _unit_headings(v, n, *trig):
+    """Divide each heading of the packed list state ``v`` by its np.hypot
+    norm, in place (``trig``, from ``numerics._scalar_pass``, is
+    unused)."""
+    norms = np.hypot(v[2 * n:3 * n], v[3 * n:]).tolist()
+    v[2 * n:] = map(truediv, v[2 * n:], norms + norms)
+    return v
+
+
 def simulate(world0, params, T, dt=DEFAULT_DT, record_every=1):
     """Fixed-step RK4 simulation of the full planar dynamics.
 
     The integrated state is packed component-major (px, py, hx, hy
-    rows); a non-finite stage derivative is reported at its index there.
-    Headings are renormalized to unit length after every step (the exact
-    flow preserves them; the discrete step does not), so |r'_i| = nu_i
-    holds exactly at every sample.  The run aborts with CollisionError,
+    rows) and steps as a list of Python floats; a non-finite stage
+    derivative is reported at its index there.  Headings are
+    renormalized to unit length after every step (the exact flow
+    preserves them; the discrete step does not), so |r'_i| = nu_i holds
+    exactly at every sample.  The run aborts with CollisionError,
     carrying time and pair, if any monitored range reaches the
     collocation floor.
     """
     n = world0.n
     beacon = world0.beacon.copy()
+    const = _constants(params, beacon)
 
-    def renormalize(vec, t):
-        head = vec[2 * n:].reshape(2, n)
-        np.divide(head, np.hypot(head[0], head[1]), out=head)
-        return vec
+    def field(v):
+        return _scalar_pass(_law, v, const, True)
 
-    y0 = _packed(world0.positions, world0.headings)
-    times, samples = rk4_integrate(_SteeringLaw(params, beacon, y0).field,
-                                   y0, T, dt, record_every, renormalize)
+    def renormalize(v, t):
+        return _scalar_pass(_unit_headings, v, n)
+
+    times, samples = rk4_integrate(
+        field, _packed(world0.positions, world0.headings).tolist(), T, dt,
+        record_every, renormalize)
     try:
         # every sample but the last already fed a field evaluation; the
-        # law's buffers are sized to a block of samples, not the record
+        # law's scratch arrays are sized to a block of samples, not the
+        # record
         controls = np.concatenate([
-            _SteeringLaw(params, beacon, block).controls()
+            np.stack(_law(_entries(block), const, False), axis=-1)
             for block in np.split(samples, range(_RECORD_BLOCK,
                                                  len(samples),
                                                  _RECORD_BLOCK))])

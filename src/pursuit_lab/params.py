@@ -3,7 +3,6 @@
 gates are the only checks of them, and behind a gate the common values
 are read directly (``params.alpha[0]``, ``params.alpha0[0]``)."""
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -103,22 +102,6 @@ class ControlParams:
         """Convenience constructor with common beacon gain mu_b = mu."""
         return cls(n=n, mu=mu, lam=lam, alpha=alpha, alpha0=alpha0,
                    mu_b=mu, nu=nu)
-
-    @functools.cached_property
-    def _steering_coefficients(self):
-        """The steering law's coefficients, stacked over its two terms
-        (pursuit of the next agent, tracking of the beacon) and computed
-        on first use, once per parameter set.  By component, term and
-        agent, (2, 2, n): -cos and cos of (alpha, alpha0), and their
-        sin twice.  By term and agent, (2, n): the gains (mu, mu_b) and
-        the weights (1 - lambda, lambda).  Then (-nu, nu), (2, n)."""
-        cos = np.stack((np.cos(self.alpha), np.cos(self.alpha0)))
-        sin = np.stack((np.sin(self.alpha), np.sin(self.alpha0)))
-        return (np.stack((-cos, cos)), np.stack((sin, sin)),
-                np.stack((np.full(self.n, self.mu), self.mu_b)),
-                np.stack((np.full(self.n, 1.0 - self.lam),
-                          np.full(self.n, self.lam))),
-                np.stack((-self.nu, self.nu)))
 
     def flags(self):
         """The homogeneity flags for assumptions A1-A4 (derived once, at

@@ -6,11 +6,12 @@ from pursuit_lab import (ControlParams, cli, extract_shape, full_space,
                          integrate_shape, numerics, random_world, simulate)
 from pursuit_lab import constraint_residuals
 from pursuit_lab.equilibria import embed_world
-from pursuit_lab.errors import CollisionError
-from pursuit_lab.full_space import (WorldState, control_profile,
+from pursuit_lab.errors import CollisionError, IntegrationError
+from pursuit_lab.full_space import (WorldState, _constants, _entries, _law,
+                                    _packed, control_profile,
                                     extract_shape_trajectory,
                                     particle_rates)
-from pursuit_lab.numerics import wrap_angle
+from pursuit_lab.numerics import _scalar_pass, wrap_angle
 
 from conftest import (reference_controls, reference_equilibrium,
                       reference_rates, reference_simulate, same_bits)
@@ -257,9 +258,10 @@ def _outcome(run, *args, **kwargs):
         return str(err), err.pair, err.t
 
 
-class TestPackedLawMatchesOracle:
-    """The packed one-pass law against the agent-major component law,
-    bit for bit, with heterogeneous parameters and the beacon off the
+class TestLawMatchesOracle:
+    """The list-form law, on numpy scalars, on stacked arrays and (in
+    ``simulate``) on floats, against the agent-major component law, bit
+    for bit, with heterogeneous parameters and the beacon off the
     origin."""
 
     @_PROPERTY
@@ -292,6 +294,163 @@ class TestPackedLawMatchesOracle:
             return
         for name in ("t", "positions", "headings", "controls", "beacon"):
             assert same_bits(getattr(run, name), getattr(oracle, name)), name
+
+
+_LIST_PROPERTY = settings(derandomize=True, deadline=None, max_examples=200)
+
+
+def _list_state(world, params):
+    """The packed state of a world as a list of floats, and the law's
+    constants."""
+    return (_packed(world.positions, world.headings).tolist(),
+            _constants(params, world.beacon))
+
+
+def _collision(fn, *args):
+    """The (message, pair) of the CollisionError ``fn`` raises."""
+    with pytest.raises(CollisionError) as err:
+        fn(*args)
+    return str(err.value), err.value.pair
+
+
+class TestFloatAndArrayEntries:
+    """``_law`` on the array entries of a stacked batch against ``_law``
+    on each member's list of floats, bit for bit."""
+
+    @_LIST_PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 12),
+           shift=st.tuples(st.floats(-50, 50), st.floats(-50, 50)),
+           members=st.integers(1, 4))
+    def test_batch_equals_each_member(self, seed, n, shift, members):
+        _, params = _random_case(seed, n)
+        worlds = [_off_origin(_random_case((seed + k) % 2**32, n)[0], shift)
+                  for k in range(members)]
+        packed = np.stack([_packed(w.positions, w.headings) for w in worlds])
+        const = _constants(params, worlds[0].beacon)
+        for rates in (False, True):
+            batch = np.stack(_law(_entries(packed), const, rates), axis=-1)
+            each = np.array([_law(row.tolist(), const, rates)
+                             for row in packed])
+            assert same_bits(batch, each)
+
+    def test_recorded_controls_are_the_law_per_sample(self, monkeypatch):
+        # 11 samples in blocks of 4, 4 and 3
+        world, params = _random_case(11, 6)
+        world = _off_origin(world, (3.0, -2.0))
+        monkeypatch.setattr(full_space, "_RECORD_BLOCK", 4)
+        run = simulate(world, params, T=0.1, dt=1e-2)
+        const = _constants(params, run.beacon)
+        per_sample = np.array([
+            _law(_packed(p, h).tolist(), const, False)
+            for p, h in zip(run.positions, run.headings)])
+        assert len(run.t) == 11
+        assert same_bits(run.controls, per_sample)
+
+
+class TestListGuards:
+    """The float path of the law and of the heading renormalisation
+    decides and fails as the array form does."""
+
+    def test_nan_first_range_is_skipped(self):
+        params = ControlParams.homogeneous(4, alpha=0.2, alpha0=0.4)
+        world = WorldState([[0.0, 0.0], [1.0, 0.5], [0.5, 2.0], [-1.0, 1.0]],
+                           random_world(4, seed=3).headings, [2.0, -1.0])
+        world.positions[0, 0] = np.nan
+        v, const = _list_state(world, params)
+        assert np.isnan(_law(v, const, False)[0])
+        with np.errstate(invalid="ignore"):
+            oracle = reference_controls(world.positions, world.headings,
+                                        world.beacon, params)
+        assert same_bits(np.array(_law(v, const, False)), oracle)
+
+    def test_nan_next_to_collocated_range_raises(self):
+        params = ControlParams.homogeneous(4, alpha=0.2, alpha0=0.4)
+        headings = random_world(4, seed=3).headings
+        # the NaN range comes first, and then after the collocated one
+        for nan_at, pair in (((0, 0), (1, 2)), ((2, 1), (0, 1))):
+            positions = np.array([[0.0, 0.0], [1.0, 0.5], [0.5, 2.0],
+                                  [-1.0, 1.0]])
+            positions[pair[1]] = positions[pair[0]]
+            positions[nan_at] = np.nan
+            world = WorldState(positions, headings, [2.0, -1.0])
+            v, const = _list_state(world, params)
+            message = f"agents {pair[0] + 1} and {pair[1] + 1} are collocated"
+            assert _collision(_law, v, const, True) == (message, pair)
+            with np.errstate(invalid="ignore"):
+                assert _collision(reference_controls, world.positions,
+                                  world.headings, world.beacon,
+                                  params) == (message, pair)
+
+    def test_chase_reported_before_beacon_in_one_evaluation(self):
+        params = ControlParams.homogeneous(3, alpha=0.2, alpha0=0.4)
+        world = WorldState.from_polar([[1.0, 1.0], [2.0, 0.5], [2.0, 0.5]],
+                                      [0.0, 1.0, 2.0], beacon=[1.0, 1.0])
+        v, const = _list_state(world, params)
+        assert _collision(_law, v, const, False) == (
+            "agents 2 and 3 are collocated", (1, 2))
+
+    def test_collision_at_the_last_sample_carries_its_time(self):
+        # the beacon sits where agent 1 ends the one step, which no stage
+        # evaluates: the recorded controls find it, at t = T
+        params = ControlParams.homogeneous(2, mu=1.0, lam=0.5, alpha=0.3,
+                                           alpha0=0.5)
+        world = WorldState.from_polar(
+            [[0.0, 0.0], [3.0, 1.0]], [0.0, 2.0],
+            beacon=[0.09999999140746768, -5.058719883856961e-05])
+        want = ("agent 1 is collocated with the beacon", (0, "beacon"), 0.1)
+        assert _outcome(simulate, world, params, T=0.1, dt=0.1) == want
+        assert _outcome(reference_simulate, world, params, T=0.1,
+                        dt=0.1) == want
+
+    def test_underflowing_divisor_takes_the_array_outcome(self):
+        # nu_1 * rho_1 rounds to 0: a float division raises there, and
+        # the numpy-scalar rerun gives the array form's infinities
+        params = ControlParams(n=3, mu=1.0, lam=0.5, alpha=0.2, alpha0=0.4,
+                               mu_b=1.0, nu=[5e-324, 1.0, 1.0])
+        world = WorldState.from_polar([[0.0, 0.0], [0.3, 0.1], [1.0, 1.0]],
+                                      [0.1, 1.0, 2.0], beacon=[2.0, -1.0])
+        v, const = _list_state(world, params)
+        with pytest.raises(ZeroDivisionError):
+            _law(v, const, True)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            got = np.array(_scalar_pass(_law, v, const, True))
+            want = np.stack(_law(_entries(np.array([v])), const, True),
+                            axis=-1)[0]
+            assert same_bits(got, want)
+            assert not np.isfinite(want).all()
+            bad = int(np.argmin(np.isfinite(want)))
+            with pytest.raises(IntegrationError) as err:
+                simulate(world, params, T=1e-2, dt=1e-2)
+        assert str(err.value) == (f"non-finite derivative entry at index "
+                                  f"{bad} (RK4 stage 1)")
+
+    def test_zero_heading_takes_the_array_outcome(self):
+        params = ControlParams.homogeneous(3, alpha=0.2, alpha0=0.4)
+        world = WorldState([[0.0, 0.0], [1.0, 0.5], [0.5, 2.0]],
+                           [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]], [2.0, -1.0])
+        with np.errstate(invalid="ignore"):
+            run = simulate(world, params, T=1e-2, dt=1e-2)
+            oracle = reference_simulate(world, params, T=1e-2, dt=1e-2)
+            for name in ("t", "positions", "headings"):
+                assert same_bits(getattr(run, name), getattr(oracle, name))
+            assert np.isnan(run.headings[-1, 0]).all()
+            # the oracle negates hy where the law negates cos, so only the
+            # signs of the NaN controls may differ
+            assert np.array_equal(run.controls, oracle.controls,
+                                  equal_nan=True)
+            with pytest.raises(IntegrationError) as err:
+                simulate(world, params, T=2e-2, dt=1e-2)
+        assert str(err.value) == ("non-finite derivative entry at index 0 "
+                                  "(RK4 stage 1)")
+
+    def test_negative_zero_on_floats(self):
+        # the world of TestSteeringLaw.test_negative_zero_dot_product
+        params = _two_agent_params(alpha=0.0, alpha0=0.0)
+        world = WorldState([[0.0, 1.0], [0.0, 0.0]],
+                           [[0.0, 1.0], [0.0, 1.0]], beacon=[0.0, -1.0])
+        v, const = _list_state(world, params)
+        assert same_bits(np.array(_law(v, const, False)),
+                         np.array([-0.0, 0.0]))
 
 
 def _rates(world, params):
@@ -409,6 +568,7 @@ class TestSimulate:
         # per-step tracing wraps numerics.rk4_step and the field it is
         # given; a step inlined into the driver would hide both
         counts = {"steps": 0, "fields": 0}
+        kinds = set()
         step = numerics.rk4_step
 
         def counting_step(field, state, dt):
@@ -416,12 +576,15 @@ class TestSimulate:
 
             def counting_field(vec):
                 counts["fields"] += 1
+                kinds.add(type(vec))
                 return field(vec)
             return step(counting_field, state, dt)
 
         monkeypatch.setattr(numerics, "rk4_step", counting_step)
         simulate(random_world(3, seed=1), reference_params, T=0.07, dt=1e-2)
         assert counts == {"steps": 7, "fields": 28}
+        # the state steps as a list of floats
+        assert kinds == {list}
 
     def test_trajectory_csv_layout(self, tmp_path):
         config = __file__.rsplit("/", 2)[0] + "/configs/reference.cfg"
