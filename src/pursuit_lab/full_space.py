@@ -9,33 +9,56 @@ and constant-bearing tracking of a fixed beacon.
 
 Both terms are one operation on two targets: turn the normal by a
 bearing, project it on the unit line of sight, scale by a gain.  The law
-is written once, in :func:`_law`, on the 4n entries of a packed
-component-major state (px, py, hx, hy over the agents), one agent at a
-time in scalar arithmetic.  The entries are Python floats for one world
-and arrays over the leading axes for a batch, so the same function
-steps ``simulate`` and serves ``control_profile``, ``particle_rates``
-and the recorded controls.
+is written once, as the template :data:`_AGENT` of one agent's terms,
+and runs as one straight-line function per agent count n, with no loop
+over agents.  :func:`_law_source` writes the kernel of n: one unpacking
+of the 4n entries of a packed component-major state (px, py, hx, hy over
+the agents) and of the flat constants, the lines of sight, one call of
+:func:`_ranges` (one np.hypot and the collision check), then n agent
+blocks whose chase term, beacon term and control are named locals.
+:func:`_kernel` compiles it on first use and caches it per n; its code
+is filed as ``<pursuit_lab law n=...>``, so a traceback names the kernel
+and shows its lines, and ``print(_law_source(3))`` shows a whole one.
+Only n enters the source: every parameter value is an argument, built
+once per call by :func:`_constants`, so no configured value reaches
+``exec`` and parameter sets of one n share one kernel.
+
+The law is generated because it is evaluated four times per RK4 step,
+and at small n a loop over agents costs more in interpreter overhead
+(zipped iterables, tuple unpacking, appends) than in arithmetic.  µs per
+law evaluation on floats, per-agent loop -> kernel, median of 7
+alternating process pairs on one 2-vCPU x86 VM: 9.2 -> 4.7 at n = 3,
+15.9 -> 10.6 at n = 10, 31 -> 27 at n = 25, 58 -> 52 at n = 50.  The
+first call at an n builds its kernel: about 1, 3, 8, 15 and 56 ms at
+n = 3, 10, 25, 50 and 200.  The entries are Python floats for one world
+and arrays over the leading axes for a batch, so the same kernel steps
+``simulate`` and serves ``control_profile``, ``particle_rates`` and the
+recorded controls; asked for the controls alone, it returns them before
+any heading-rate product.
 
 ``simulate`` steps the packed state as a list of floats, for the reason
 given in :mod:`pursuit_lab.pure_shape`: at small n, numpy's per-call
 overhead on length-n arrays costs more than the arithmetic.  µs per RK4
-step with its renormalisation, packed array law -> list state, median
-of 15 alternating pairs on one 2-vCPU x86 VM: 82 -> 44 at n = 3,
-83 -> 79 at n = 10, 90 -> 176 at n = 25, 97 -> 318 at n = 50; the
-crossover is near n = 10, and the shipped configs and the benchmark run
-n <= 10.  The ranges and the heading norms come from np.hypot on the
-lists: Python's math.hypot is correctly rounded and the C library's
-hypot, which np.hypot calls, is not, so only np.hypot keeps the array
-form's bits.  Every other IEEE operation keeps the operands and order
-of the agent-major array form kept as the test oracle, so the two agree
-bit for bit.  ``simulate`` transposes its samples to the agent-major
-(..., n, 2) arrays of :class:`WorldState` and :class:`FullTrajectory`
-once, at the end; the public functions take agent-major arrays over any
-leading axes.  The scalar shape form is kept as a test oracle and
-agrees with the law to roundoff."""
+step with its renormalisation, same pairs: 49 -> 30 at n = 3, 85 -> 65
+at n = 10, 181 -> 164 at n = 25; unresolved at n = 50 (321 -> 342,
+kernel faster in 3 of 7) and n = 200 (1262 -> 1304, 2 of 7).  Of an
+n = 10 step of 62 µs, the four law calls take 42, the RK4 stage
+arithmetic on lists 12.5, the renormalisation 3.6 and the driver's gate
+and recording 4.  The ranges and the heading
+norms come from np.hypot on the lists: Python's math.hypot is correctly
+rounded and the C library's hypot, which np.hypot calls, is not, so
+only np.hypot keeps the array form's bits.  Every other IEEE operation
+keeps the operands and order of the agent-major array form kept as the
+test oracle, so the two agree bit for bit.  ``simulate`` transposes its
+samples to the agent-major (..., n, 2) arrays of :class:`WorldState`
+and :class:`FullTrajectory` once, at the end; the public functions take
+agent-major arrays over any leading axes.  The scalar shape form is kept
+as a test oracle and agrees with the law to roundoff."""
 
+import functools
+import linecache
 from dataclasses import dataclass
-from operator import mul, sub, truediv
+from operator import truediv
 
 import numpy as np
 
@@ -46,7 +69,8 @@ from .shape_space import EPS_COL, ShapeState
 
 # Side of the beacon-centered square random_world draws positions from.
 WORLD_SIDE = 4.0
-# Samples per steering-law evaluation of a recorded trajectory's controls.
+# Samples per steering-law evaluation of a recorded trajectory's controls
+# (bounds the size of the law's array temporaries).
 _RECORD_BLOCK = 4096
 
 
@@ -114,19 +138,114 @@ def _check_ranges(rho, rho_b):
 
 
 def _constants(params, beacon):
-    """The steering law's constants as Python floats: n, the beacon's x
-    and y, per agent the tuple of -cos, cos and sin of alpha and of
-    alpha0, mu_b, nu and -nu, then mu, the list of nu, 1 - lambda and
-    lambda."""
+    """The steering law's constants: n, and one flat tuple of Python
+    floats that the kernel of n unpacks: the beacon's x and y, mu,
+    1 - lambda and lambda, then over the agents -cos, cos and sin of
+    alpha, the same of alpha0, mu_b, nu and -nu."""
     cos_a, cos_b = np.cos(params.alpha), np.cos(params.alpha0)
-    agents = list(zip((-cos_a).tolist(), cos_a.tolist(),
-                      np.sin(params.alpha).tolist(), (-cos_b).tolist(),
-                      cos_b.tolist(), np.sin(params.alpha0).tolist(),
-                      params.mu_b.tolist(), params.nu.tolist(),
-                      (-params.nu).tolist()))
-    return (params.n, float(beacon[0]), float(beacon[1]), agents,
-            float(params.mu), params.nu.tolist(), float(1.0 - params.lam),
-            float(params.lam))
+    agents = np.concatenate((-cos_a, cos_a, np.sin(params.alpha), -cos_b,
+                             cos_b, np.sin(params.alpha0), params.mu_b,
+                             params.nu, -params.nu))
+    return params.n, (float(beacon[0]), float(beacon[1]), float(params.mu),
+                      float(1.0 - params.lam), float(params.lam),
+                      *agents.tolist())
+
+
+def _ranges(dx, dy):
+    """The ranges np.hypot(dx, dy) of the 2n lines of sight, to the next
+    agent and then to the beacon, as a list of floats (list entries) or
+    of arrays, after the collision check.
+
+    One minimum over the ranges decides the check: Python's min for
+    floats, which skips a NaN unless it comes first, and that case falls
+    to :func:`_check_ranges`, which skips it too; np.fmin for arrays.
+    """
+    stacked = np.hypot(dx, dy)
+    if stacked.ndim == 1:
+        ranges = stacked.tolist()
+        nearest = min(ranges)
+    else:
+        ranges = list(stacked)
+        nearest = np.fmin.reduce(stacked, axis=None)
+    if not nearest > EPS_COL:
+        n = len(ranges) // 2
+        _check_ranges(np.moveaxis(stacked[:n], 0, -1),
+                      np.moveaxis(stacked[n:], 0, -1))
+    return ranges
+
+
+# The law of agent {i}, whose successor is agent {j}: both terms turn the
+# normal y = (-hy, hx) by a bearing, project it on the unit line of sight
+# and scale it by a gain; turned by cos c and sin s, y is
+# ((-c) hy - s hx, c hx - s hy).  The chase term adds the rotation of the
+# line of sight to the successor, from the velocity relative to it.
+_AGENT = """\
+    lx{i} = ex{i} / r{i}
+    ly{i} = ey{i} / r{i}
+    chase{i} = mu * ((nca{i} * hy{i} - sa{i} * hx{i}) * lx{i}
+        + (ca{i} * hx{i} - sa{i} * hy{i}) * ly{i})
+    chase{i} = chase{i} + ((ly{i} * (wx{i} - wx{j}) - lx{i} * (wy{i} - wy{j}))
+        / (nu{i} * r{i}))
+    beacon{i} = mub{i} * ((ncb{i} * hy{i} - sb{i} * hx{i}) * (fx{i} / rb{i})
+        + (cb{i} * hx{i} - sb{i} * hy{i}) * (fy{i} / rb{i}))
+    u{i} = weight * chase{i} + lam * beacon{i}"""
+
+
+def _names(n, head, patterns, tail):
+    """``head``, one line per pattern naming agents 0..n-1 by it, and
+    ``tail``, as generated source."""
+    rows = (", ".join(p.format(i=i) for i in range(n)) for p in patterns)
+    return head + ",\n        ".join(rows) + tail
+
+
+def _law_source(n):
+    """The Python source of the steering law of n agents: ``law(v, c,
+    rates)`` on the packed state ``v`` and the flat constants ``c`` of
+    :func:`_constants`, one :data:`_AGENT` block per agent and no loop.
+
+    Only n enters the source; every parameter value arrives through
+    ``c`` at call time.
+    """
+    lines = ["def law(v, c, rates):",
+             _names(n, "    (", ("px{i}", "py{i}", "hx{i}", "hy{i}"), ") = v"),
+             _names(n, "    (bx, by, mu, weight, lam, ",
+                    [name + "{i}" for name in ("nca", "ca", "sa", "ncb", "cb",
+                                               "sb", "mub", "nu", "nnu")],
+                    ") = c"),
+             "    # lines of sight to the next agent, then to the beacon"]
+    for i in range(n):
+        j = (i + 1) % n
+        lines += [f"    ex{i} = px{j} - px{i}", f"    ey{i} = py{j} - py{i}"]
+    for i in range(n):
+        lines += [f"    fx{i} = bx - px{i}", f"    fy{i} = by - py{i}"]
+    lines += [_names(n, "    (", ("r{i}", "rb{i}"), ") = _ranges("),
+              _names(n, "        [", ("ex{i}", "fx{i}"), "],"),
+              _names(n, "        [", ("ey{i}", "fy{i}"), "])"),
+              "    # the velocities nu x, which are also the position rates"]
+    for i in range(n):
+        lines += [f"    wx{i} = nu{i} * hx{i}", f"    wy{i} = nu{i} * hy{i}"]
+    lines += [_AGENT.format(i=i, j=(i + 1) % n) for i in range(n)]
+    # the controls, or the rates with the heading rates nu u y
+    lines += ["    if not rates:",
+              _names(n, "        return [", ("u{i}",), "]"),
+              _names(n, "    return [", ("wx{i}", "wy{i}",
+                                         "(nnu{i} * u{i}) * hy{i}",
+                                         "(nu{i} * u{i}) * hx{i}"), "]")]
+    return "\n".join(lines) + "\n"
+
+
+@functools.lru_cache(maxsize=None)
+def _kernel(n):
+    """The compiled steering law of n agents (:func:`_law_source`), built
+    on first use.  Its code is registered with linecache under its file
+    name, ``<pursuit_lab law n=...>``, so a traceback shows its lines."""
+    source = _law_source(n)
+    filename = f"<pursuit_lab law n={n}>"
+    linecache.cache[filename] = (len(source), None,
+                                 source.splitlines(True), filename)
+    namespace = {"_ranges": _ranges}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace["law"]
 
 
 def _law(v, const, rates, *trig):
@@ -137,53 +256,10 @@ def _law(v, const, rates, *trig):
 
     ``const`` is :func:`_constants`; ``trig`` (the sine and cosine that
     ``numerics._scalar_pass`` supplies) is unused, as the bearings enter
-    through ``const``.  Both terms, pursuit of the next agent and
-    tracking of the beacon, turn the normal y = (-hy, hx) by a bearing,
-    project it on the unit line of sight and scale it by a gain; turned
-    by cos c and sin s, y is ((-c) hy - s hx, c hx - s hy).  The ranges
-    of both terms come from one np.hypot, and one minimum over them
-    decides the collision check: Python's min for floats, which skips a
-    NaN unless it comes first, and that case falls to
-    :func:`_check_ranges`, which skips it too; np.fmin for arrays.
+    through ``const``.  The work is the kernel of n (:func:`_kernel`).
     """
-    n, bx, by, agents, mu, nu, weight, lam = const
-    px, py, hx, hy = v[:n], v[n:2 * n], v[2 * n:3 * n], v[3 * n:]
-    # lines of sight to the next agent, then to the beacon
-    dx = list(map(sub, px[1:] + px[:1] + [bx] * n, px + px))
-    dy = list(map(sub, py[1:] + py[:1] + [by] * n, py + py))
-    stacked = np.hypot(dx, dy)
-    if stacked.ndim == 1:
-        ranges = stacked.tolist()
-        nearest = min(ranges)
-    else:
-        ranges = list(stacked)
-        nearest = np.fmin.reduce(stacked, axis=None)
-    if not nearest > EPS_COL:
-        _check_ranges(np.moveaxis(stacked[:n], 0, -1),
-                      np.moveaxis(stacked[n:], 0, -1))
-    # the velocities nu x, which are also the position rates
-    vx = list(map(mul, nu, hx))
-    vy = list(map(mul, nu, hy))
-    # the controls u and the heading rates nu u y = nu u (-hy, hx)
-    u, turn_x, turn_y = [], [], []
-    for ((nca, ca, sa, ncb, cb, sb, mb, s, neg_s), x, y, sx, sy, sx_next,
-         sy_next, ex, ey, rho, fx, fy, rho_b) in zip(
-            agents, hx, hy, vx, vy, vx[1:] + vx[:1], vy[1:] + vy[:1], dx,
-            dy, ranges, dx[n:], dy[n:], ranges[n:]):
-        lx = ex / rho
-        ly = ey / rho
-        chase = mu * ((nca * y - sa * x) * lx + (ca * x - sa * y) * ly)
-        # the rotation of the line of sight to the next agent, from the
-        # velocity relative to it, w = nu x - (nu x)_next
-        chase = chase + ((ly * (sx - sx_next) - lx * (sy - sy_next))
-                         / (s * rho))
-        bearing = mb * ((ncb * y - sb * x) * (fx / rho_b)
-                        + (cb * x - sb * y) * (fy / rho_b))
-        c = weight * chase + lam * bearing
-        u.append(c)
-        turn_x.append((neg_s * c) * y)
-        turn_y.append((s * c) * x)
-    return vx + vy + turn_x + turn_y if rates else u
+    n, flat = const
+    return _kernel(n)(v, flat, rates)
 
 
 def _entries(packed):
@@ -274,8 +350,8 @@ def simulate(world0, params, T, dt=DEFAULT_DT, record_every=1):
         record_every, renormalize)
     try:
         # every sample but the last already fed a field evaluation; the
-        # law's scratch arrays are sized to a block of samples, not the
-        # record
+        # law's array temporaries are sized to a block of samples, not
+        # the record
         controls = np.concatenate([
             np.stack(_law(_entries(block), const, False), axis=-1)
             for block in np.split(samples, range(_RECORD_BLOCK,

@@ -23,6 +23,7 @@ Conventions used package-wide:
 
 import functools
 import math
+import operator
 from array import array
 
 import numpy as np
@@ -180,9 +181,10 @@ def rk4_integrate(field, y0, T, dt, record_every=1, post_step=None):
     (see :func:`rk4_step`), and ``post_step`` gets and returns that list;
     the samples are the same float array either way.  The state is
     sampled at t = 0, every ``record_every`` steps and after the last
-    step.  A :class:`CollisionError` raised by the field or by
-    ``post_step`` without a time is re-raised carrying the time of the
-    step.
+    step; a ``record_every`` that is not a positive integer is rejected
+    with ValueError before the first step.  A :class:`CollisionError`
+    raised by the field or by ``post_step`` without a time is re-raised
+    carrying the time of the step.
 
     Returns
     -------
@@ -190,6 +192,13 @@ def rk4_integrate(field, y0, T, dt, record_every=1, post_step=None):
     samples : ndarray, shape (m, len(y0))
     """
     n_steps = step_count(T, dt)
+    try:
+        every = operator.index(record_every)
+    except TypeError:
+        every = 0
+    if every < 1:
+        raise ValueError(f"record_every must be a positive integer, got "
+                         f"{record_every!r}")
     scalar = isinstance(y0, list)
     if scalar:
         y = [float(v) for v in y0]
@@ -215,7 +224,7 @@ def rk4_integrate(field, y0, T, dt, record_every=1, post_step=None):
             if err.t is not None:
                 raise
             raise CollisionError(str(err), pair=err.pair, t=t) from None
-        if step % record_every == 0 or step == n_steps:
+        if step % every == 0 or step == n_steps:
             times.append(t)
             if scalar:
                 samples.fromlist(y)

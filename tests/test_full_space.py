@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pursuit_lab import (ControlParams, cli, extract_shape, full_space,
                          integrate_shape, numerics, random_world, simulate)
@@ -268,6 +268,7 @@ class TestLawMatchesOracle:
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 9),
            shift=st.tuples(st.floats(-50, 50), st.floats(-50, 50)),
            members=st.integers(2, 4))
+    @example(seed=2025, n=25, shift=(7.5, -3.25), members=3)
     def test_controls_and_rates(self, seed, n, shift, members):
         _, params = _random_case(seed, n)
         worlds = [_off_origin(_random_case((seed + k) % 2**32, n)[0], shift)
@@ -284,6 +285,7 @@ class TestLawMatchesOracle:
     @_PROPERTY
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 9),
            shift=st.tuples(st.floats(-50, 50), st.floats(-50, 50)))
+    @example(seed=2025, n=25, shift=(7.5, -3.25))
     def test_run(self, seed, n, shift):
         world, params = _random_case(seed, n)
         world = _off_origin(world, shift)
@@ -321,6 +323,7 @@ class TestFloatAndArrayEntries:
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 12),
            shift=st.tuples(st.floats(-50, 50), st.floats(-50, 50)),
            members=st.integers(1, 4))
+    @example(seed=2025, n=25, shift=(7.5, -3.25), members=3)
     def test_batch_equals_each_member(self, seed, n, shift, members):
         _, params = _random_case(seed, n)
         worlds = [_off_origin(_random_case((seed + k) % 2**32, n)[0], shift)
@@ -346,6 +349,54 @@ class TestFloatAndArrayEntries:
         assert len(run.t) == 11
         assert same_bits(run.controls, per_sample)
 
+
+
+class TestKernel:
+    """One generated law per agent count, built from n alone."""
+
+    def test_built_once_per_n_across_runs(self):
+        full_space._kernel.cache_clear()
+        world, params = _random_case(5, 4)
+        _, other = _random_case(6, 4)
+        simulate(world, params, T=0.05, dt=1e-2)
+        simulate(world, other, T=0.05, dt=1e-2)
+        info = full_space._kernel.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+
+    def test_parameter_sets_share_one_kernel(self):
+        world, params = _random_case(7, 5)
+        world = _off_origin(world, (3.0, -2.0))
+        _, other = _random_case(8, 5)
+        assert _constants(params, world.beacon)[1] != \
+            _constants(other, world.beacon)[1]
+        kernel = full_space._kernel(5)
+        for p in (params, other):
+            args = (world.positions, world.headings, world.beacon, p)
+            assert same_bits(control_profile(world, p),
+                             reference_controls(*args))
+            assert same_bits(particle_rates(*args), reference_rates(*args))
+            assert full_space._kernel(5) is kernel
+
+    def test_source_depends_on_n_alone(self):
+        # every parameter value arrives as an argument, so the code holds
+        # no float
+        law = full_space._kernel(3)
+        assert not [c for c in law.__code__.co_consts
+                    if isinstance(c, float)]
+
+    def test_traceback_names_the_kernel(self):
+        # the params and world of test_underflowing_divisor_takes_the_
+        # array_outcome: nu_1 * rho_1 rounds to 0 in the chase term
+        params = ControlParams(n=3, mu=1.0, lam=0.5, alpha=0.2, alpha0=0.4,
+                               mu_b=1.0, nu=[5e-324, 1.0, 1.0])
+        world = WorldState.from_polar([[0.0, 0.0], [0.3, 0.1], [1.0, 1.0]],
+                                      [0.1, 1.0, 2.0], beacon=[2.0, -1.0])
+        v, const = _list_state(world, params)
+        with pytest.raises(ZeroDivisionError) as err:
+            _law(v, const, True)
+        entry = err.traceback[-1]
+        assert str(entry.path) == "<pursuit_lab law n=3>"
+        assert "/ (nu0 * r0)" in str(entry.statement)
 
 class TestListGuards:
     """The float path of the law and of the heading renormalisation

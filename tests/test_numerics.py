@@ -5,11 +5,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.linalg import expm
 
-from pursuit_lab import ControlParams, abd, cubic_coeffs, numerics
+from pursuit_lab import (ControlParams, abd, cubic_coeffs, extract_shape,
+                         integrate_shape, numerics, random_world, simulate)
 from pursuit_lab.errors import IntegrationError, NumericError
 from pursuit_lab.numerics import (cyclic_neighbors, eig5, poly_roots,
                                   rk4_integrate, rk4_step, step_count,
                                   wrap_angle)
+from pursuit_lab.pure_shape import (integrate_pure_shape, integrate_reduced,
+                                    lift, manifold_spec)
 from pursuit_lab.stability import _cubic_roots, block_triple, dk
 
 from conftest import multiset_distance, same_bits
@@ -244,6 +247,44 @@ class TestHorizon:
         assert times.size == 3
         assert abs(times[-1] - 0.6) < 1e-15
 
+
+
+def _run(integrator, reference_params, spiral_params, record_every):
+    """A T = 0.1, dt = 0.01 run of one of the four library integrators."""
+    kw = dict(T=0.1, dt=0.01, record_every=record_every)
+    if integrator == "simulate":
+        return simulate(random_world(3, seed=1), reference_params, **kw)
+    if integrator == "integrate_shape":
+        return integrate_shape(extract_shape(random_world(3, seed=1)),
+                               reference_params, **kw)
+    if integrator == "integrate_pure_shape":
+        st, _ = lift(manifold_spec(3, 2), kappa1=2.894, rho1=1.0)
+        return integrate_pure_shape(st, spiral_params, **kw)
+    return integrate_reduced(2.894, 1.0, spiral_params, 2, **kw)
+
+
+class TestRecordEvery:
+    @pytest.mark.parametrize("integrator", [
+        "simulate", "integrate_shape", "integrate_pure_shape",
+        "integrate_reduced"])
+    @pytest.mark.parametrize("record_every", [0, -3, 2.5, "2", None])
+    def test_rejected_before_the_first_step(
+            self, traced_step_counts, reference_params, spiral_params,
+            integrator, record_every):
+        with pytest.raises(ValueError, match=(
+                f"record_every must be a positive integer, got "
+                f"{record_every!r}")):
+            _run(integrator, reference_params, spiral_params, record_every)
+        assert traced_step_counts == {"steps": 0, "fields": 0}
+
+    @pytest.mark.parametrize("every", [np.int64(3), np.uint8(3), True])
+    def test_integer_types_pass(self, every):
+        want = rk4_integrate(lambda s: -s, np.array([1.0]), 1.0, 0.1,
+                             record_every=int(every))
+        got = rk4_integrate(lambda s: -s, np.array([1.0]), 1.0, 0.1,
+                            record_every=every)
+        assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+        assert got[0].size == (5 if every == 3 else 11)
 
 class TestCyclicNeighbors:
     def test_gather_equals_roll(self):
