@@ -16,9 +16,11 @@ of the 4n entries of a packed component-major state (px, py, hx, hy over
 the agents) and of the flat constants, the lines of sight, one call of
 :func:`_ranges` (one np.hypot and the collision check), then n agent
 blocks whose chase term, beacon term and control are named locals.
-:func:`_kernel` compiles it on first use and caches it per n; its code
-is filed as ``<pursuit_lab law n=...>``, so a traceback names the kernel
-and shows its lines, and ``print(_law_source(3))`` shows a whole one.
+:func:`_kernel` caches it per n, compiled on first use by
+``numerics._build_kernel``, the builder of every generated kernel; its
+code is filed as ``<pursuit_lab law n=...>``, so a traceback names the
+kernel and shows its lines, and ``print(_law_source(3))`` shows a whole
+one.
 Only n enters the source: every parameter value is an argument, built
 once per call by :func:`_constants`, so no configured value reaches
 ``exec`` and parameter sets of one n share one kernel.
@@ -56,15 +58,14 @@ agent-major arrays over any leading axes.  The scalar shape form is kept
 as a test oracle and agrees with the law to roundoff."""
 
 import functools
-import linecache
 from dataclasses import dataclass
 from operator import truediv
 
 import numpy as np
 
 from .errors import CollisionError
-from .numerics import (DEFAULT_DT, _scalar_pass, cyclic_neighbors,
-                       rk4_integrate, wrap_angle)
+from .numerics import (DEFAULT_DT, _build_kernel, _names, _scalar_pass,
+                       cyclic_neighbors, rk4_integrate, wrap_angle)
 from .shape_space import EPS_COL, ShapeState
 
 # Side of the beacon-centered square random_world draws positions from.
@@ -191,13 +192,6 @@ _AGENT = """\
     u{i} = weight * chase{i} + lam * beacon{i}"""
 
 
-def _names(n, head, patterns, tail):
-    """``head``, one line per pattern naming agents 0..n-1 by it, and
-    ``tail``, as generated source."""
-    rows = (", ".join(p.format(i=i) for i in range(n)) for p in patterns)
-    return head + ",\n        ".join(rows) + tail
-
-
 def _law_source(n):
     """The Python source of the steering law of n agents: ``law(v, c,
     rates)`` on the packed state ``v`` and the flat constants ``c`` of
@@ -237,15 +231,8 @@ def _law_source(n):
 @functools.lru_cache(maxsize=None)
 def _kernel(n):
     """The compiled steering law of n agents (:func:`_law_source`), built
-    on first use.  Its code is registered with linecache under its file
-    name, ``<pursuit_lab law n=...>``, so a traceback shows its lines."""
-    source = _law_source(n)
-    filename = f"<pursuit_lab law n={n}>"
-    linecache.cache[filename] = (len(source), None,
-                                 source.splitlines(True), filename)
-    namespace = {"_ranges": _ranges}
-    exec(compile(source, filename, "exec"), namespace)
-    return namespace["law"]
+    on first use and filed as ``<pursuit_lab law n=...>``."""
+    return _build_kernel("law", _law_source, n, {"_ranges": _ranges})["law"]
 
 
 def _law(v, const, rates, *trig):

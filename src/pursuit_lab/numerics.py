@@ -3,7 +3,10 @@
 The fixed-step RK4 step and the one driver loop every integrator runs
 through, the step count of a horizon, cyclic neighbour indices, angle
 normalization (of arrays and of one float), the scalar pass that runs
-a field in Python floats with an IEEE fallback, the roots of tables of
+a field in Python floats with an IEEE fallback, the one builder of the
+generated straight-line kernels (the steering law, the shape-space and
+the pure-shape fields: one function per agent count, written from a
+template by n alone, compiled on first use), the roots of tables of
 monic polynomials (Aberth-Ehrlich simultaneous iteration), which solves
 the cubic factors of the spectrum, and LAPACK eigenvalues of stacked
 5x5 complex blocks.
@@ -22,6 +25,7 @@ Conventions used package-wide:
 """
 
 import functools
+import linecache
 import math
 import operator
 from array import array
@@ -84,7 +88,8 @@ def wrap_angle(theta):
 
 def _wrap(angle):
     """``wrap_angle`` of one float, bit for bit: Python's float % rounds
-    as np.mod does (fmod, then the divisor's sign)."""
+    as np.mod does (fmod, then the divisor's sign).  The post-steps of
+    the generated kernels write this expression inline."""
     return math.pi - (math.pi - angle) % (2.0 * math.pi)
 
 
@@ -101,6 +106,32 @@ def _scalar_pass(fn, values, *args):
         return fn(values, *args, math.sin, math.cos)
     except (ZeroDivisionError, ValueError):
         return fn([np.float64(v) for v in values], *args, np.sin, np.cos)
+
+
+def _names(n, head, patterns, tail, sep=", "):
+    """``head``, one line per pattern naming agents 0..n-1 by it, and
+    ``tail``, as generated source; ``sep`` joins the names."""
+    rows = (sep.join(p.format(i=i) for i in range(n)) for p in patterns)
+    return head + (sep.rstrip() + "\n        ").join(rows) + tail
+
+
+def _build_kernel(kind, write, n, namespace):
+    """The functions that ``write(n)``, a template's source writer,
+    defines for n agents, compiled and run in ``namespace``, which is
+    returned with them.
+
+    Only n enters the source: the writer gets nothing else, so every
+    parameter value must reach a kernel as an argument, and parameter
+    sets of one n share its code.  The source is filed with linecache
+    as ``<pursuit_lab {kind} n={n}>``, so a traceback names the kernel
+    and shows its lines.
+    """
+    source = write(n)
+    filename = f"<pursuit_lab {kind} n={n}>"
+    linecache.cache[filename] = (len(source), None,
+                                 source.splitlines(True), filename)
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace
 
 
 def _check_finite(k, stage):

@@ -10,22 +10,31 @@ beacon, common bearing offsets) and only (kappa_1, rho_1) evolve, with
 exist, an angular strip Delta is positively invariant and trajectories
 spiral outward toward a computable asymptotic heading offset.
 
-The transformed field and the A5 guard run in scalar math, one pass
-over the agents with Python floats and math.sin/math.cos, because at
-the sizes integrated here (n <= 10) numpy's per-call overhead on
-length-n arrays costs several times the arithmetic.  The integrators
+The transformed field, the A5 guard and the integrator's post-step run
+in scalar math on Python floats, as one straight-line kernel per agent
+count n with no loop over agents (:func:`_kernel`), because at the sizes
+integrated here (n <= 10) numpy's per-call overhead on length-n arrays,
+and a Python loop's per-agent overhead, cost more than the arithmetic.
+:func:`_kernel_source` writes the kernel of n from templates of one
+agent's terms, with the suffix sums, kappa_i+ and the half-angles as
+named locals, and ``numerics._build_kernel`` compiles it on first use
+(filed as ``<pursuit_lab pure-shape n=...>``); only n enters the
+source, and parameter sets of one n share one kernel.  The integrators
 step their state as a list of floats, so no stage converts to or from
 an array.  Every IEEE operation keeps the operands and order of the
 numpy array form, kept as the test oracle: the two agree bit for bit
 wherever libm and numpy trig agree, which the oracle test checks on
-the build.  The scalar cost grows with n and overtakes the array
-form's near n = 25 (µs per RK4 step with its post-step, array form ->
-list state, best of 7 in two runs on one loaded 2-vCPU x86 VM:
-266-397 -> 66-82 at n = 3, 318-329 -> 123-148 at n = 10, 315-347 ->
-335-399 at n = 25, 353-435 -> 615-715 at n = 50); no shipped config,
-test or benchmark runs this integrator past n = 10.
+the build.  µs per RK4 step with its post-step, per-agent loop ->
+kernel, best of 7 in two runs on one 2-vCPU x86 VM: 42-43 -> 23 at
+n = 3, 98-104 -> 62-63 at n = 10, 200-204 -> 147-148 at n = 25,
+372-378 -> 270-292 at n = 50.  The numpy array form costs 188-335 µs
+over that range and overtakes the kernel between n = 35 and
+n = 40; no shipped config or benchmark runs this integrator past
+n = 10.  The first call at an n builds its kernel: about 2, 5, 26 and
+109 ms at n = 3, 10, 50 and 200.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -34,8 +43,8 @@ import numpy as np
 from .errors import (CollisionError, InconclusiveError,
                      PreconditionError, UndefinedManifoldError)
 from .full_space import WorldState, heading_from_angle
-from .numerics import (DEFAULT_DT, _scalar_pass, _wrap, cyclic_neighbors,
-                       rk4_integrate, wrap_angle)
+from .numerics import (DEFAULT_DT, _build_kernel, _names, _scalar_pass,
+                       cyclic_neighbors, rk4_integrate, wrap_angle)
 from .params import (require_a6, require_analysis_assumptions, satisfies_a6)
 from .shape_space import EPS_COL
 
@@ -110,9 +119,15 @@ def to_pure_shape(shape):
         rho_tb=shape.rho_b / shape.rho[0])
 
 
-def _half_angles(kappa1, kappa_t, psi):
-    """kappa_i+, the half-angles Phi_i/2 and Psi_i/2, and the suffix sums
-    kappa~_i + ... + kappa~_n followed by the empty sum 0.0, as lists.
+# The packed state: kappa1, rho1, then the kappa~, psi, phi_b, rho~ and
+# rho~_b blocks of n entries.
+_STATE = ("kt{i}", "psi{i}", "phib{i}", "rt{i}", "rtb{i}")
+
+
+def _half_angle_lines(n):
+    """Source lines of the suffix sums s_i = kappa~_i + ... + kappa~_n
+    (and the empty sum s_n = 0), kappa_i+ and the half-angles Phi_i/2
+    and Psi_i/2, as the locals s{i}, kp{i}, hphi{i} and hpsi{i}.
 
     kappa_i+ is formed from the suffix-sum identity (empty sum for the
     last agent) rather than by rolling recovered kappa values: the
@@ -121,99 +136,139 @@ def _half_angles(kappa1, kappa_t, psi):
     The sums run from the last agent as a cumulative sum does, and the
     last agent's kappa_n+ still adds 2 * 0.0, so a -0 there reads +0.
     """
-    n = len(kappa_t)
-    suffix = kappa_t + [0.0]
-    for i in range(n - 2, -1, -1):
-        suffix[i] = suffix[i + 1] + kappa_t[i]
-    two_k1 = 2.0 * kappa1
-    kplus, half_phi, half_psi = [], [], []
+    lines = [f"    s{n} = zero", f"    s{n - 1} = kt{n - 1}"]
+    lines += [f"    s{i} = s{i + 1} + kt{i}" for i in range(n - 2, -1, -1)]
+    lines.append("    k1x2 = two * kappa1")
     for i in range(n):
-        kt = kappa_t[i]
-        psi_next = psi[i + 1 - n]  # agent i + 1, cyclically
-        kp = (two_k1 + kt) + 2.0 * suffix[i + 1]
-        kplus.append(kp)
-        half_phi.append(0.5 * (kp + psi_next))
-        half_psi.append(0.5 * (kt - psi_next))
-    return kplus, half_phi, half_psi, suffix
+        j = (i + 1) % n
+        lines += [f"    kp{i} = (k1x2 + kt{i}) + two * s{i + 1}",
+                  f"    hphi{i} = half * (kp{i} + psi{j})",
+                  f"    hpsi{i} = half * (kt{i} - psi{j})"]
+    return lines
 
 
-def _least(values):
-    """The least of ``values``, or NaN when any is NaN, as np.min gives
-    (Python's min skips a NaN that does not come first)."""
-    least = values[0]
-    for v in values:
-        if v < least or v != v:
-            least = v
-    return float(least)
+def _least(name, terms):
+    """Source lines setting ``name`` to the least of the expressions
+    ``terms``, or to NaN when any is NaN, as np.min gives (Python's min
+    skips a NaN that does not come first): a later term replaces the
+    least when it is smaller or NaN."""
+    lines = [f"    {name} = {terms[0]}"]
+    for term in terms[1:]:
+        lines += [f"    x = {term}", f"    if x < {name} or x != x:",
+                  f"        {name} = x"]
+    return lines
 
 
-def _a5_guards(v, n, sin, cos):
-    """Min |cos(Phi/2)|, |cos(Psi/2)|, |sin(Phi/2)| over agents from the
-    packed head kappa1, rho1, kappa~, psi (a list)."""
-    _, half_phi, half_psi, _ = _half_angles(v[0], v[2:2 + n],
-                                            v[2 + n:2 + 2 * n])
-    return (_least([abs(cos(h)) for h in half_phi]),
-            _least([abs(cos(h)) for h in half_psi]),
-            _least([abs(sin(h)) for h in half_phi]))
+def _guard_lines(n):
+    """Source lines of the A5 guards, min |cos(Phi/2)|, |cos(Psi/2)| and
+    |sin(Phi/2)| over agents, as the locals g_phi, g_psi and g_sin."""
+    return (_least("g_phi", [f"abs(cos(hphi{i}))" for i in range(n)])
+            + _least("g_psi", [f"abs(cos(hpsi{i}))" for i in range(n)])
+            + _least("g_sin", [f"abs(sin(hphi{i}))" for i in range(n)]))
+
+
+# The transformed rates of agent {i}, whose successor is {j} and
+# predecessor {p}; sp is sin(Phi/2) cos(Psi/2) / rho~ and sq is
+# cos(Phi/2) cos(Psi/2).
+_AGENT = """\
+    dkt{i} = (gain * (weight * sin(half * kt{i}) * cos(half * kp{i} - alpha)
+        + lam * sin(half * (phib{i} - phib{j} + kt{i}))
+        * cos(half * (phib{i} + phib{j} + kp{i}) - alpha0))
+        + pull * (sp{i} - sp{j}))
+    dpsi{i} = scale * (sp{p} - sp{i})
+    ba{i} = phib{i} + kappa1 + s{i}
+    dphib{i} = (sin(ba{i}) / rtb{i} - two * sp{i}) / rho1
+    drt{i} = scale * (rt{i} * sq0 - sq{i})
+    drtb{i} = (two * rtb{i} * sq0 - cos(ba{i})) / rho1"""
+
+
+def _kernel_source(n):
+    """The Python source of the pure-shape kernel of n agents, with no
+    loop over agents: ``rates(v, c, sin, cos)``, the transformed field
+    of the packed state ``v`` on the flat constants ``c`` of
+    :func:`_constants`, after the rho1 floor; ``guards(v, sin, cos)``,
+    the A5 guards of the packed head kappa1, rho1, kappa~, psi; and
+    ``post(v, t, flags)``, the integrator's post-step: re-wrap, the
+    rho1 and ratio floors, and the A5 guards, a flagged sample appended
+    to ``flags``.
+
+    Every IEEE operation has the operands and order of the numpy array
+    form (the test oracle).  The numbers the template needs, 0, 1/2 and
+    2, are names in the kernel's namespace, so its code holds no float.
+    """
+    head = "    (kappa1, rho1,\n        "
+    state = _names(n, head, _STATE, ") = v")
+    lines = ["def rates(v, c, sin, cos):", state,
+             "    if rho1 <= EPS_COL:",
+             "        raise CollisionError(\"rho_1 at or below collocation "
+             "floor\", pair=(0, 1))",
+             "    (mu, lam, weight, gain, alpha, alpha0) = c"]
+    lines += _half_angle_lines(n)
+    for i in range(n):
+        lines += [f"    cpsi{i} = cos(hpsi{i})",
+                  f"    sp{i} = sin(hphi{i}) * cpsi{i} / rt{i}",
+                  f"    sq{i} = cos(hphi{i}) * cpsi{i}"]
+    lines += ["    pull = two * lam / rho1", "    scale = two / rho1",
+              "    dk1 = (-mu * (weight * sin(kappa1 - alpha)",
+              "                 + lam * sin(phib0 + kappa1 - alpha0))",
+              "           + pull * sin(hphi0) * cpsi0)"]
+    lines += [_AGENT.format(i=i, j=(i + 1) % n, p=(i - 1) % n)
+              for i in range(n)]
+    lines += [_names(n, "    return [dk1, -two * sq0,\n        ",
+                     ("dkt{i}", "dpsi{i}", "dphib{i}", "drt{i}", "drtb{i}"),
+                     "]")]
+    lines += ["", "", "def guards(v, sin, cos):",
+              _names(n, head, _STATE[:2], ") = v")]
+    lines += _half_angle_lines(n) + _guard_lines(n)
+    lines += ["    return g_phi, g_psi, g_sin", "", "",
+              "def post(v, t, flags):", state,
+              "    kappa1 = pi - (pi - kappa1) % tau"]
+    lines += [f"    {name.format(i=i)} = pi - (pi - {name.format(i=i)}) % tau"
+              for name in _STATE[:3] for i in range(n)]
+    lines += ["    if (rho1 <= EPS_COL",
+              _names(n, "            or min(", _STATE[3:],
+                     ") * rho1 <= EPS_COL):"),
+              "        raise CollisionError(\"a range reached the collocation "
+              "floor\", t=t)"]
+    lines += _half_angle_lines(n) + _guard_lines(n)
+    lines += ["    if min(g_phi, g_psi, g_sin) < A5_GUARD_TOL:",
+              "        flags.append((t, (g_phi, g_psi, g_sin)))",
+              _names(n, "    return [kappa1, rho1,\n        ", _STATE, "]")]
+    return "\n".join(lines) + "\n"
+
+
+@functools.lru_cache(maxsize=None)
+def _kernel(n):
+    """The compiled pure-shape kernel of n agents (:func:`_kernel_source`),
+    built on first use and filed as ``<pursuit_lab pure-shape n=...>``:
+    a dict of its functions ``rates``, ``guards`` and ``post``."""
+    return _build_kernel("pure-shape", _kernel_source, n, {
+        "EPS_COL": EPS_COL, "A5_GUARD_TOL": A5_GUARD_TOL,
+        "CollisionError": CollisionError, "zero": 0.0, "half": 0.5,
+        "two": 2.0, "pi": math.pi, "tau": 2.0 * math.pi, "sin": math.sin,
+        "cos": math.cos})
 
 
 def a5_guard_values(state):
     """Min |cos(Phi/2)|, |cos(Psi/2)|, |sin(Phi/2)| over agents."""
-    return _scalar_pass(_a5_guards,
-                        state.to_vector()[:2 + 2 * state.n].tolist(),
-                        state.n)
+    n = state.n
+    guards = _scalar_pass(_kernel(n)["guards"],
+                          state.to_vector()[:2 + 2 * n].tolist())
+    return tuple(float(g) for g in guards)
 
 
-def _rates(v, n, mu, lam, alpha, alpha0, sin, cos):
-    """The transformed rates of the packed state ``v`` (a list), in the
-    packed layout, one agent at a time in scalar arithmetic."""
-    kappa1, rho1 = v[0], v[1]
-    kappa_t = v[2:2 + n]
-    psi = v[2 + n:2 + 2 * n]
-    phi_b = v[2 + 2 * n:2 + 3 * n]
-    rho_t = v[2 + 3 * n:2 + 4 * n]
-    rho_tb = v[2 + 4 * n:]
-    kplus, half_phi, half_psi, suffix = _half_angles(kappa1, kappa_t, psi)
-    # sin(Phi/2)cos(Psi/2)/rho~ and cos(Phi/2)cos(Psi/2)
-    spread, squeeze = [], []
-    for hphi, hpsi, r in zip(half_phi, half_psi, rho_t):
-        c_psi = cos(hpsi)
-        spread.append(sin(hphi) * c_psi / r)
-        squeeze.append(cos(hphi) * c_psi)
-    pull = 2.0 * lam / rho1
-    scale = 2.0 / rho1
-    weight = 1.0 - lam
-    gain = -2.0 * mu
-    sq0 = squeeze[0]
-
-    d_kappa1 = (-mu * (weight * sin(kappa1 - alpha)
-                       + lam * sin(phi_b[0] + kappa1 - alpha0))
-                + pull * sin(half_phi[0]) * cos(half_psi[0]))
-    d_kappa_t, d_psi, d_phi_b, d_rho_t, d_rho_tb = [], [], [], [], []
-    for i in range(n):
-        kt, kp, phi, sp = kappa_t[i], kplus[i], phi_b[i], spread[i]
-        phi_next = phi_b[i + 1 - n]  # agent i + 1, cyclically
-        d_kappa_t.append(gain * (
-            weight * sin(0.5 * kt) * cos(0.5 * kp - alpha)
-            + lam * sin(0.5 * (phi - phi_next + kt))
-            * cos(0.5 * (phi + phi_next + kp) - alpha0))
-            + pull * (sp - spread[i + 1 - n]))
-        d_psi.append(scale * (spread[i - 1] - sp))
-        beacon_arg = phi + kappa1 + suffix[i]
-        d_phi_b.append((sin(beacon_arg) / rho_tb[i] - 2.0 * sp) / rho1)
-        d_rho_t.append(scale * (rho_t[i] * sq0 - squeeze[i]))
-        d_rho_tb.append((2.0 * rho_tb[i] * sq0 - cos(beacon_arg)) / rho1)
-    return ([d_kappa1, -2.0 * sq0] + d_kappa_t + d_psi + d_phi_b + d_rho_t
-            + d_rho_tb)
+def _constants(mu, lam, alpha, alpha0):
+    """The flat constants the field kernel unpacks: mu, lambda,
+    1 - lambda, -2 mu, alpha and alpha0."""
+    return (mu, lam, 1.0 - lam, -2.0 * mu, alpha, alpha0)
 
 
 def _rates_vector(v, n, mu, lam, alpha, alpha0):
     """The transformed rates of the packed state ``v`` (a list), in the
     packed layout of the state (integration hot path); agent 1's chase
-    range must clear the collocation floor.  Scalar math over agents (see
-    the module docstring for why and up to which n)."""
-    _check_rho1_floor(v[1])
-    return _scalar_pass(_rates, v, n, mu, lam, alpha, alpha0)
+    range must clear the collocation floor.  The kernel of n."""
+    return _scalar_pass(_kernel(n)["rates"], v,
+                        _constants(mu, lam, alpha, alpha0))
 
 
 def _field_constants(params):
@@ -339,10 +394,13 @@ def integrate_reduced(kappa1, rho1, params, k, T, dt=DEFAULT_DT,
     """RK4 trajectory of the reduced dynamics.
 
     kappa1 is left unwrapped along the run (the field is 2*pi-periodic),
-    keeping the recorded curve continuous for portrait use.  A scale
-    rho1 reaching zero raises :class:`CollisionError` carrying the time.
+    keeping the recorded curve continuous for portrait use.  A starting
+    scale rho1 that is not positive raises :class:`PreconditionError`
+    before the first step; a scale reaching zero along the run raises
+    :class:`CollisionError` carrying the time.
     """
     consts = [float(c) for c in _require_manifold(params, k)]
+    _check_rho1_positive(rho1)
 
     def field(y):
         if not y[1] > 0.0:
@@ -500,26 +558,19 @@ def integrate_pure_shape(state0, params, T, dt=DEFAULT_DT, record_every=1):
     """
     require_analysis_assumptions(params)
     n = state0.n
-    consts = _field_constants(params)
+    kernel = _kernel(n)
+    rates, post = kernel["rates"], kernel["post"]
+    const = _constants(*_field_constants(params))
 
     def field(v):
-        return _rates_vector(v, n, *consts)
+        return _scalar_pass(rates, v, const)
 
     flags = []
 
     def rewrap_and_guard(v, t):
-        # packed layout: kappa1, rho1, then the kappa~, psi, phi_b angle
-        # blocks, then the rho~, rho~_b ratio blocks; the state is finite
-        # (rk4_integrate checks it), so math.sin and math.cos cannot raise
-        v[0] = _wrap(v[0])
-        v[2:2 + 3 * n] = [_wrap(a) for a in v[2:2 + 3 * n]]
-        if v[1] <= EPS_COL or min(v[2 + 3 * n:]) * v[1] <= EPS_COL:
-            raise CollisionError("a range reached the collocation floor",
-                                 t=t)
-        guards = _a5_guards(v, n, math.sin, math.cos)
-        if min(guards) < A5_GUARD_TOL:
-            flags.append((t, guards))
-        return v
+        # the state is finite (rk4_integrate checks it), so math.sin and
+        # math.cos cannot raise
+        return post(v, t, flags)
 
     times, rows = rk4_integrate(field, state0.to_vector().tolist(), T, dt,
                                 record_every, rewrap_and_guard)

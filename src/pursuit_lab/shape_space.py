@@ -9,29 +9,35 @@ tied together by a cycle-closure constraint g0 and per-agent consistency
 pairs (g1_i, g2_i); all three residual families are invariants of the
 closed loop and are monitored, never projected away.
 
-The field, the range guard and the per-step drift screen run in scalar
-math, one pass over the agents of the packed agent-major state (a list
-of 5n Python floats) with math.sin and math.cos, for the reason given
-in :mod:`pursuit_lab.pure_shape`: at n <= 10, numpy's per-call overhead
-on length-n arrays costs several times the arithmetic.  The field keeps
-the operands and order of the numpy array form, kept as the test
-oracle, and equals it bit for bit wherever libm and numpy trig agree.
-The scalar step overtakes the array form's between n = 25 and n = 50
-(µs per RK4 step with its post-step, array form -> list state, best of
-7 in two runs on one loaded 2-vCPU x86 VM: 208-326 -> 36-54 at n = 3,
-290-348 -> 102-127 at n = 10, 226-302 -> 175-214 at n = 25, 324-334 ->
-404-423 at n = 50); no shipped config, test or benchmark runs it past
-n = 10.  The recorded residual columns stay in numpy (``_residuals``).
+The field, the range guard and the post-step (re-wrap, range guard and
+drift screen) run in scalar math on the packed agent-major state (a
+list of 5n Python floats), for the reason given in
+:mod:`pursuit_lab.pure_shape`, and as it does: one straight-line kernel
+per agent count n, written by :func:`_kernel_source` from templates of
+one agent's terms and compiled on first use by
+``numerics._build_kernel`` (filed as ``<pursuit_lab shape-space
+n=...>``); only n enters the source.  The field keeps the operands and
+order of the numpy array form, kept as the test oracle, and equals it
+bit for bit wherever libm and numpy trig agree.  µs per RK4 step with
+its post-step, per-agent loop -> kernel, best of 7 in two runs on one
+2-vCPU x86 VM: 34-35 -> 18 at n = 3, 68-104 -> 45 at n = 10, 141-142 ->
+109-110 at n = 25, 257-259 -> 211-218 at n = 50.  The numpy array form
+costs 183-257 µs over that range and overtakes the kernel between
+n = 45 and n = 50; no shipped config or benchmark runs it past
+n = 10.  The first call at an n builds its kernel: about 1, 3, 18 and
+83 ms at n = 3, 10, 50 and 200.  The recorded residual columns stay
+in numpy (``_residuals``).
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CollisionError, ConstraintDriftError
-from .numerics import (DEFAULT_DT, _scalar_pass, _wrap, cyclic_neighbors,
-                       rk4_integrate, wrap_angle)
+from .numerics import (DEFAULT_DT, _build_kernel, _names, _scalar_pass,
+                       cyclic_neighbors, rk4_integrate, wrap_angle)
 from .params import require_shape_assumptions
 
 # Hard collocation floor (length units); distances at or below it abort.
@@ -140,16 +146,9 @@ def shape_derivative(shape, params):
     range sits at or below the collocation floor.
     """
     require_shape_assumptions(params)
-    rates = _field(shape.to_vector().tolist(), *_field_constants(params))
+    rates = _scalar_pass(_rates, shape.to_vector().tolist(),
+                         *_field_constants(params))
     return ShapeRates.from_vector(rates, shape.n)
-
-
-def _field(v, mu, lam, alpha, alpha0):
-    """The range guard, then the closed-loop rates, of the packed state
-    ``v`` (a list), as a list in the same layout: the field of
-    :func:`integrate_shape` and :func:`shape_derivative`."""
-    _check_ranges(v)
-    return _scalar_pass(_rates, v, mu, lam, alpha, alpha0)
 
 
 def _field_constants(params):
@@ -159,81 +158,130 @@ def _field_constants(params):
             float(params.alpha0[0]))
 
 
+def _constants(mu, lam, alpha, alpha0):
+    """The flat constants the field kernel unpacks: mu, lambda,
+    1 - lambda, the per-agent alpha, alpha0."""
+    return (mu, lam, 1.0 - lam, *alpha, alpha0)
+
+
+# The packed agent-major state: the five shape variables of each agent.
+_BLOCK = "r{i}, k{i}, th{i}, rb{i}, kb{i}"
+
+# The kappa rate of agent {i}, and the turn that its theta and kappa_b
+# rates share; ld{i} is (sin kappa_i + sin theta_{i+1}) / rho_i.
+_AGENT = """\
+    dk{i} = (-mu * (weight * sin(k{i} - a{i}) + lam * sin(kb{i} - alpha0))
+        + lam * ld{i})
+    tn{i} = dk{i} - ld{i}"""
+
+# The residuals g1_i, g2_i of agent {i}, whose successor is {j}, in
+# magnitude.
+_RESIDUAL = """\
+    rot{i} = kb{i} - k{i}
+    rotn{i} = kb{j} - th{j}
+    e{i} = abs(r{i} - rb{i} * cos(rot{i}) - rb{j} * cos(rotn{i}))
+    f{i} = abs(rb{i} * sin(rot{i}) + rb{j} * sin(rotn{i}))"""
+
+
+def _kernel_source(n):
+    """The Python source of the shape-space kernel of n agents, with no
+    loop over agents: ``ranges(v, t)``, the range guard;
+    ``rates(v, c, sin, cos)``, the field of the packed state ``v`` with
+    the range guard in front, on the flat constants ``c`` of
+    :func:`_constants`; ``residual(v)``, the drift screen's largest
+    residual; and ``post(v, t)``, the integrator's post-step.
+
+    Every IEEE operation has the operands and order of the numpy array
+    form (the test oracle), except that the screen's g0 sums in sequence
+    where np.sum sums pairwise.
+    """
+    state = ("    (" + ",\n     ".join(_BLOCK.format(i=i) for i in range(n))
+             + ") = v")
+    # the range guard's one test: a NaN range fails it, and the scan
+    # of ranges() then skips it, as np.fmin does
+    clear = _names(n, "    if not (", ("r{i} > EPS_COL", "rb{i} > EPS_COL"),
+                   "):", sep=" and ")
+    # g0 sums (pi + kappa_i - theta_{i+1}) in sequence, and the largest
+    # residual skips a NaN g1 or g2 but not a NaN g0
+    screen = [_RESIDUAL.format(i=i, j=(i + 1) % n) for i in range(n)]
+    screen += ["    g0 = (" + " +\n        ".join(
+                   f"(pi + k{i} - th{(i + 1) % n})" for i in range(n)) + ")",
+               _names(n, "    worst = max(abs(pi - (pi - g0) % tau),\n"
+                      "        ", ("e{i}, f{i}",), ")")]
+    lines = ["def ranges(v, t=None):", state]
+    for i in range(n):
+        lines += [f"    if r{i} <= EPS_COL:",
+                  f"        raise CollisionError(\"chase range rho_{i + 1} at "
+                  f"or below collocation floor\", pair=({i}, {(i + 1) % n}), "
+                  f"t=t)"]
+    for i in range(n):
+        lines += [f"    if rb{i} <= EPS_COL:",
+                  f"        raise CollisionError(\"beacon range rho_{i + 1}b "
+                  f"at or below collocation floor\", pair=({i}, \"beacon\"), "
+                  f"t=t)"]
+    lines += ["", "", "def rates(v, c, sin, cos):", state, clear,
+              "        ranges(v)",
+              _names(n, "    (mu, lam, weight, ", ("a{i}",), ", alpha0) = c")]
+    lines += [f"    ld{i} = (sin(k{i}) + sin(th{(i + 1) % n})) / r{i}"
+              for i in range(n)]
+    lines += [_AGENT.format(i=i) for i in range(n)]
+    lines += ["    return [" + ",\n        ".join(
+        f"-(cos(k{i}) + cos(th{(i + 1) % n})), dk{i}, tn{i} + ld{(i - 1) % n},"
+        f" -cos(kb{i}), tn{i} + sin(kb{i}) / rb{i}" for i in range(n)) + "]"]
+    lines += ["", "", "def residual(v):", state, *screen, "    return worst",
+              "", "", "def post(v, t):", state]
+    lines += [f"    {name}{i} = pi - (pi - {name}{i}) % tau"
+              for i in range(n) for name in ("k", "th", "kb")]
+    lines += ["    out = [" + ",\n        ".join(_BLOCK.format(i=i)
+                                         for i in range(n)) + "]",
+              clear, "        ranges(out, t)", *screen,
+              "    if not worst <= _DRIFT_SCREEN:",
+              "        _check_drift(out, t)", "    return out"]
+    return "\n".join(lines) + "\n"
+
+
+@functools.lru_cache(maxsize=None)
+def _kernel(n):
+    """The compiled shape-space kernel of n agents (:func:`_kernel_source`),
+    built on first use and filed as ``<pursuit_lab shape-space n=...>``:
+    a dict of its functions ``ranges``, ``rates``, ``residual`` and
+    ``post``."""
+    return _build_kernel("shape-space", _kernel_source, n, {
+        "EPS_COL": EPS_COL, "_DRIFT_SCREEN": _DRIFT_SCREEN,
+        "CollisionError": CollisionError, "_check_drift": _check_drift,
+        "pi": math.pi, "tau": 2.0 * math.pi, "sin": math.sin,
+        "cos": math.cos})
+
+
 def _rates(v, mu, lam, alpha, alpha0, sin, cos):
     """Closed-loop rates of the packed agent-major state ``v`` (a list:
     rho_i, kappa_i, theta_i, rho_ib, kappa_ib per agent), in the same
-    layout, one agent at a time in scalar arithmetic, without validation
-    (integration hot path)."""
-    weight = 1.0 - lam
-    kappa = v[1::5]
-    theta = v[2::5]
-    theta_next = theta[1:] + theta[:1]
-    # (sin kappa_i + sin theta_{i+1}) / rho_i, and its value at agent i - 1
-    lead = [(sin(k) + sin(t)) / r
-            for k, t, r in zip(kappa, theta_next, v[0::5])]
-    out = []
-    for kap, t_next, kap_b, rho_b, a, ld, ld_prev in zip(
-            kappa, theta_next, v[4::5], v[3::5], alpha, lead,
-            lead[-1:] + lead[:-1]):
-        d_kappa = (-mu * (weight * sin(kap - a) + lam * sin(kap_b - alpha0))
-                   + lam * ld)
-        turn = d_kappa - ld
-        out += (-(cos(kap) + cos(t_next)), d_kappa, turn + ld_prev,
-                -cos(kap_b), turn + sin(kap_b) / rho_b)
-    return out
+    layout, after the range guard: the kernel of n on the constants of
+    :func:`_field_constants`."""
+    return _kernel(len(v) // 5)["rates"](v, _constants(mu, lam, alpha,
+                                                        alpha0), sin, cos)
 
 
 def _check_ranges(v, t=None):
     """Raise :class:`CollisionError` naming the first chase range, else
     the first beacon range, of the packed state ``v`` (a list of 5n
-    floats) at or below the floor.  A NaN range is skipped, as
-    ``np.fmin`` skips it: Python's min returns NaN only when a NaN comes
-    first, and that case falls to the scan, which skips it."""
-    if min(v[0::5]) > EPS_COL and min(v[3::5]) > EPS_COL:
-        return
-    n = len(v) // 5
-    for i, r in enumerate(v[0::5]):
-        if r <= EPS_COL:
-            raise CollisionError(
-                f"chase range rho_{i + 1} at or below collocation floor",
-                pair=(i, (i + 1) % n), t=t)
-    for i, r in enumerate(v[3::5]):
-        if r <= EPS_COL:
-            raise CollisionError(
-                f"beacon range rho_{i + 1}b at or below collocation floor",
-                pair=(i, "beacon"), t=t)
+    floats) at or below the floor; a NaN range is skipped, as
+    ``np.fmin`` skips it."""
+    _kernel(len(v) // 5)["ranges"](v, t)
 
 
 def _largest_residual(v):
     """max(|g0|, |g1_i|, |g2_i|) of the finite packed state ``v`` (a
     list) in scalar math, with the operands of ``_residuals``; g0 sums
     in sequence where np.sum sums pairwise."""
-    sin, cos = math.sin, math.cos
-    theta = v[2::5]
-    rho_b = v[3::5]
-    kappa_b = v[4::5]
-    total = 0.0
-    worst = 0.0
-    for rho, kappa, rb, kb, t_next, rb_next, kb_next in zip(
-            v[0::5], v[1::5], rho_b, kappa_b, theta[1:] + theta[:1],
-            rho_b[1:] + rho_b[:1], kappa_b[1:] + kappa_b[:1]):
-        total += math.pi + kappa - t_next
-        rot_i = kb - kappa
-        rot_next = kb_next - t_next
-        g1 = abs(rho - rb * cos(rot_i) - rb_next * cos(rot_next))
-        g2 = abs(rb * sin(rot_i) + rb_next * sin(rot_next))
-        if g1 > worst:
-            worst = g1
-        if g2 > worst:
-            worst = g2
-    return max(abs(_wrap(total)), worst)
+    return _kernel(len(v) // 5)["residual"](v)
 
 
 def _rewrap_and_check(v, t):
-    """The post-step of :func:`integrate_shape`, one scalar pass over the
-    packed state ``v`` (a finite list, so math.sin and math.cos cannot
-    raise): re-wrap kappa, theta and kappa_b in place, then the range
-    guard, then the drift gate.
+    """The post-step of :func:`integrate_shape` on the packed state ``v``
+    (a finite list, so math.sin and math.cos cannot raise): re-wrap
+    kappa, theta and kappa_b, then the range guard, then the drift gate;
+    returns the re-wrapped list.
 
     The drift gate only has to agree with ``_residuals`` on the threshold
     decision.  A scalar screen passes a step whose largest residual is at
@@ -241,20 +289,13 @@ def _rewrap_and_check(v, t):
     ``DRIFT_TOL`` or above it, or a NaN g0) is decided, and its error
     message formed, by ``_residuals`` itself.
     """
-    for b in range(0, len(v), 5):
-        v[b + 1] = _wrap(v[b + 1])
-        v[b + 2] = _wrap(v[b + 2])
-        v[b + 4] = _wrap(v[b + 4])
-    _check_ranges(v, t=t)
-    if not _largest_residual(v) <= _DRIFT_SCREEN:
-        _check_drift(np.reshape(v, (-1, 5)), t)
-    return v
+    return _kernel(len(v) // 5)["post"](v, t)
 
 
-def _check_drift(blocks, t):
+def _check_drift(v, t):
     """Raise :class:`ConstraintDriftError` when the largest residual of
-    the (n, 5) blocks exceeds ``DRIFT_TOL``."""
-    g0, max_g1, max_g2 = _residual_summary(blocks)
+    the packed state ``v`` exceeds ``DRIFT_TOL``."""
+    g0, max_g1, max_g2 = _residual_summary(np.reshape(v, (-1, 5)))
     worst = max(abs(g0), max_g1, max_g2)
     if worst > DRIFT_TOL:
         raise ConstraintDriftError(
@@ -293,18 +334,20 @@ def integrate_shape(shape0, params, T, dt=DEFAULT_DT, record_every=1):
     exact flow, so drift signals integration failure), and a range at or
     below the collocation floor raises :class:`CollisionError`.
 
-    The state steps as a list of floats through the scalar field, and
-    each step ends in :func:`_rewrap_and_check`.
+    The state steps as a list of floats through the kernel of n, whose
+    post-step (:func:`_rewrap_and_check`) ends each step.
     """
     require_shape_assumptions(params)
     n = shape0.n
-    consts = _field_constants(params)
+    kernel = _kernel(n)
+    rates = kernel["rates"]
+    const = _constants(*_field_constants(params))
 
     def field(v):
-        return _field(v, *consts)
+        return _scalar_pass(rates, v, const)
 
     times, samples = rk4_integrate(field, shape0.to_vector().tolist(), T,
-                                   dt, record_every, _rewrap_and_check)
+                                   dt, record_every, kernel["post"])
     stacked = samples.reshape(len(samples), n, 5)
     return ShapeTrajectory(
         t=times,

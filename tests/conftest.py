@@ -40,6 +40,22 @@ def same_bits(a, b):
                           np.ascontiguousarray(b).reshape(-1).view(np.uint64))
 
 
+class FixedDraws:
+    """A stand-in for hypothesis' ``data()`` in an explicit ``@example``,
+    which hypothesis cannot fill: each ``draw`` returns a copy of the next
+    of ``values``, in turn and whatever the strategy, so a test that
+    draws them in that order runs unedited."""
+
+    def __init__(self, *values):
+        self._values = values
+        self._drawn = 0
+
+    def draw(self, strategy, label=None):
+        value = self._values[self._drawn % len(self._values)]
+        self._drawn += 1
+        return list(value)
+
+
 def assemble_block_circulant(blocks, n):
     """The explicit 5n x 5n block-circulant Jacobian circ(A0, A1, 0, ...,
     A-1) of a :class:`~pursuit_lab.stability.BlockTriple`: row block i

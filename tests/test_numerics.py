@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -546,3 +550,31 @@ class TestStacks:
             expected = (blocks.A0.astype(complex) + w * blocks.A1
                         + np.conj(w) * blocks.Am1)
             assert same_bits(stack[k], expected)
+
+
+class TestKernelBuilder:
+    """The generated kernels (``numerics._build_kernel``) are built on a
+    field's first call, never before."""
+
+    def test_import_and_workload_setup_build_no_kernel(self, tmp_path):
+        # building a benchmark workload is the set-up that setup_s times;
+        # a fresh process sees no kernel source filed and no kernel cached
+        root = Path(__file__).resolve().parents[1]
+        script = (
+            "import linecache, sys\n"
+            "import pursuit_lab\n"
+            "from pursuit_lab import full_space, pure_shape, shape_space\n"
+            "import workloads\n"
+            "for workload in workloads.WORKLOADS.values():\n"
+            "    workload(sys.argv[1], 7, 0.05, sys.argv[2])\n"
+            "print(sorted(name for name in linecache.cache\n"
+            "             if name.startswith('<pursuit_lab')),\n"
+            "      [m._kernel.cache_info().currsize\n"
+            "       for m in (full_space, pure_shape, shape_space)])\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(root / "src"), str(root / "benchmarks")]))
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(root), str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[] [0, 0, 0]"

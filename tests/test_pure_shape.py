@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis.strategies import data, floats, integers as ints, lists
 
 from pursuit_lab import (ControlParams, extract_shape, integrate_shape,
-                         random_world, shape_derivative)
+                         pure_shape, random_world, shape_derivative)
 from pursuit_lab import (asymptote_prediction, equilibrium_shape,
                          invariant_region_check, lift, manifold_spec,
                          pure_shape_derivative, reduced_derivative,
@@ -19,14 +19,15 @@ from pursuit_lab.numerics import (_wrap, cyclic_neighbors, rk4_integrate,
                                   wrap_angle)
 from pursuit_lab.pure_shape import (A5_GUARD_TOL, GridSpec, PureShapeState,
                                     a5_guard_values, _reduced_rates,
+                                    _constants, _field_constants,
                                     _require_manifold,
                                     integrate_pure_shape,
                                     integrate_reduced, phase_portrait,
                                     reduced_params)
 from pursuit_lab.shape_space import EPS_COL
 
-from conftest import (reference_a5_guards, reference_equilibrium,
-                      reference_pure_rates, same_bits)
+from conftest import (FixedDraws, reference_a5_guards,
+                      reference_equilibrium, reference_pure_rates, same_bits)
 
 
 def pure_constraint_residuals(state):
@@ -223,6 +224,13 @@ def _reference_integrate_pure_shape(state0, params, T, dt, record_every=1):
     return times, rows, flags
 
 
+# the angles and ratios of an n = 25 state, drawn within the strategies'
+# bounds
+_RNG_25 = np.random.default_rng(2025)
+_DRAWS_25 = FixedDraws(_RNG_25.uniform(-4 * np.pi, 4 * np.pi, 75).tolist(),
+                       _RNG_25.uniform(0.05, 20.0, 50).tolist())
+
+
 class TestScalarFieldMatchesNumpyOracle:
     """The transformed field and the A5 guard run in scalar math over
     agents; the numpy array forms in conftest are their oracles, bit for
@@ -234,6 +242,8 @@ class TestScalarFieldMatchesNumpyOracle:
            kappa1=floats(-4 * np.pi, 4 * np.pi),
            rho1=floats(0.05, 20.0, exclude_min=True, exclude_max=True),
            draw=data())
+    @example(n=25, mu=1.7, lam=0.35, alpha=0.6, alpha0=-2.2, kappa1=5.1,
+             rho1=1.5, draw=_DRAWS_25)
     def test_rates_and_guards_bit_for_bit(self, n, mu, lam, alpha, alpha0,
                                           kappa1, rho1, draw):
         # the half-angle forms are only 4*pi-periodic: angles unwrapped
@@ -702,6 +712,56 @@ class TestPortraitAndGuards:
         assert traj.a5_flags == flags
 
 
+class TestKernel:
+    """One generated pure-shape kernel per agent count, built from n
+    alone."""
+
+    FUNCTIONS = ("rates", "guards", "post")
+
+    def test_built_once_per_n_across_runs(self, spiral_params,
+                                          reference_params):
+        pure_shape._kernel.cache_clear()
+        st, _ = lift(manifold_spec(3, 2), kappa1=2.894, rho1=1.0)
+        integrate_pure_shape(st, spiral_params, T=0.05, dt=1e-2)
+        integrate_pure_shape(st, reference_params, T=0.05, dt=1e-2)
+        a5_guard_values(st)
+        info = pure_shape._kernel.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+
+    def test_parameter_sets_share_one_kernel(self, spiral_params,
+                                             reference_params):
+        st, _ = lift(manifold_spec(3, 1), kappa1=0.3, rho1=1.2)
+        st.psi += [0.1, -0.2, 0.05]
+        st.rho_tb *= [1.1, 0.9, 1.0]
+        kernel = pure_shape._kernel(3)
+        for params in (spiral_params, reference_params):
+            assert same_bits(pure_shape_derivative(st, params).to_vector(),
+                             _oracle_rates(st, params))
+            assert pure_shape._kernel(3) is kernel
+
+    def test_source_depends_on_n_alone(self):
+        # every parameter value arrives as an argument and every number
+        # by name, so the code holds no float
+        kernel = pure_shape._kernel(3)
+        for name in self.FUNCTIONS:
+            assert not [c for c in kernel[name].__code__.co_consts
+                        if isinstance(c, float)], name
+
+    def test_traceback_names_the_kernel(self, reference_params):
+        # a zero ratio rho~_2 divides by zero inside the kernel (the
+        # scalar pass would rerun it on numpy scalars)
+        st, _ = lift(manifold_spec(3, 1), kappa1=0.3, rho1=1.0)
+        st.rho_t[1] = 0.0
+        with pytest.raises(ZeroDivisionError) as err:
+            pure_shape._kernel(3)["rates"](
+                st.to_vector().tolist(),
+                _constants(*_field_constants(reference_params)),
+                math.sin, math.cos)
+        entry = err.traceback[-1]
+        assert str(entry.path) == "<pursuit_lab pure-shape n=3>"
+        assert "sp1 = sin(hphi1) * cpsi1 / rt1" in str(entry.statement)
+
+
 class TestCollisionTime:
     # heading inward from a small scale: rho1 reaches zero at t ~ 0.03
     KAPPA1 = -0.5
@@ -719,3 +779,20 @@ class TestCollisionTime:
                               T=1.0, dt=1e-3)
         assert err.value.t is not None and 0.0 < err.value.t < 0.1
         assert err.value.pair == (0, 1)
+
+
+class TestReducedStart:
+    @pytest.mark.parametrize("rho1", [-1.0, 0.0, np.nan])
+    def test_out_of_domain_scale_is_a_precondition(
+            self, traced_step_counts, reference_params, rho1):
+        # a starting scale that is not positive never reached zero: it is
+        # rejected before the first step, as reduced_derivative rejects it
+        with pytest.raises(PreconditionError, match="rho1 must be positive"):
+            integrate_reduced(0.3, rho1, reference_params, 1, T=1.0, dt=1e-3)
+        assert traced_step_counts == {"steps": 0, "fields": 0}
+
+    def test_portrait_seed_is_checked(self, spiral_params):
+        grid = GridSpec(kappa_min=-3.0, kappa_max=3.0, kappa_samples=3,
+                        rho_min=0.5, rho_max=5.0, rho_samples=3)
+        with pytest.raises(PreconditionError):
+            phase_portrait(spiral_params, 2, grid, seeds=[(2.894, 0.0)])

@@ -1,23 +1,27 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis.strategies import data, floats, integers as ints, lists
 
 from pursuit_lab import (ControlParams, constraint_residuals, extract_shape,
                          integrate_shape, random_world, shape_derivative,
                          simulate)
-from pursuit_lab import equilibrium_shape
+from pursuit_lab import equilibrium_shape, shape_space
 from pursuit_lab.errors import (AssumptionError, CollisionError,
                                 ConstraintDriftError, IntegrationError)
 from pursuit_lab.full_space import extract_shape_trajectory
 from pursuit_lab.numerics import _scalar_pass, rk4_integrate, rk4_step, \
     wrap_angle
 from pursuit_lab.shape_space import (DRIFT_TOL, EPS_COL, ShapeState,
-                                     _check_ranges, _field_constants,
+                                     _check_ranges, _constants,
+                                     _field_constants,
                                      _largest_residual, _rates,
                                      _residual_summary, _rewrap_and_check)
 
-from conftest import reference_equilibrium, reference_shape_rates, same_bits
+from conftest import (FixedDraws, reference_equilibrium,
+                      reference_shape_rates, same_bits)
 
 
 def _valid_shape(seed, n=3):
@@ -281,6 +285,14 @@ def _outcome(run):
     return None
 
 
+# alpha, the angles and the ranges of an n = 25 state, drawn within the
+# strategies' bounds
+_RNG_25 = np.random.default_rng(2025)
+_DRAWS_25 = FixedDraws(_RNG_25.uniform(-np.pi, np.pi, 25).tolist(),
+                       _RNG_25.uniform(-4 * np.pi, 4 * np.pi, 75).tolist(),
+                       _RNG_25.uniform(0.05, 20.0, 50).tolist())
+
+
 class TestScalarFieldMatchesNumpyOracle:
     """The shape field runs in scalar math over agents on a list state;
     ``reference_shape_rates`` in conftest is its numpy oracle, bit for
@@ -289,6 +301,7 @@ class TestScalarFieldMatchesNumpyOracle:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(n=ints(2, 10), mu=floats(0.1, 5.0), lam=floats(0.01, 0.99),
            alpha0=floats(-np.pi, np.pi), draw=data())
+    @example(n=25, mu=1.7, lam=0.35, alpha0=0.6, draw=_DRAWS_25)
     def test_rates_bit_for_bit(self, n, mu, lam, alpha0, draw):
         alpha = draw.draw(lists(floats(-np.pi, np.pi), min_size=n,
                                 max_size=n))
@@ -333,7 +346,8 @@ class TestScalarFieldMatchesNumpyOracle:
         assert str(got.value) == str(want.value)
 
     @pytest.mark.parametrize("n,seed,spread", [
-        (2, 0, 0.0), (3, 3, 0.0), (3, 5, 0.4), (5, 1, 0.3), (10, 2, 0.2)])
+        (2, 0, 0.0), (3, 3, 0.0), (3, 5, 0.4), (5, 1, 0.3), (10, 2, 0.2),
+        (25, 4, 0.2)])
     def test_run_bit_for_bit(self, n, seed, spread):
         rng = np.random.default_rng(seed)
         params = ControlParams.homogeneous(
@@ -434,3 +448,52 @@ class TestShapeTracedSteps:
         # evaluation of the run must pass through it
         integrate_shape(_valid_shape(3), reference_params, T=0.05, dt=1e-3)
         assert traced_step_counts == {"steps": 50, "fields": 200}
+
+
+class TestKernel:
+    """One generated shape-space kernel per agent count, built from n
+    alone."""
+
+    FUNCTIONS = ("ranges", "rates", "residual", "post")
+
+    def test_built_once_per_n_across_runs(self, reference_params):
+        shape_space._kernel.cache_clear()
+        other = ControlParams.homogeneous(3, mu=1.7, lam=0.3,
+                                          alpha=[0.4, 0.5, 0.6], alpha0=0.9)
+        shape0 = _valid_shape(3)
+        integrate_shape(shape0, reference_params, T=0.05, dt=1e-2)
+        integrate_shape(shape0, other, T=0.05, dt=1e-2)
+        info = shape_space._kernel.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+
+    def test_parameter_sets_share_one_kernel(self, reference_params):
+        other = ControlParams.homogeneous(3, mu=1.7, lam=0.3,
+                                          alpha=[0.4, 0.5, 0.6], alpha0=0.9)
+        shape = _valid_shape(5)
+        kernel = shape_space._kernel(3)
+        for params in (reference_params, other):
+            assert same_bits(shape_derivative(shape, params).to_vector(),
+                             reference_shape_rates(shape.to_blocks(),
+                                                   params).ravel())
+            assert shape_space._kernel(3) is kernel
+
+    def test_source_depends_on_n_alone(self):
+        # every parameter value arrives as an argument and every constant
+        # by name, so the code holds no float
+        kernel = shape_space._kernel(3)
+        for name in self.FUNCTIONS:
+            assert not [c for c in kernel[name].__code__.co_consts
+                        if isinstance(c, float)], name
+
+    def test_traceback_names_the_kernel(self, reference_params):
+        # math.sin of an infinite kappa_1 raises inside the kernel (the
+        # scalar pass would rerun it on numpy scalars)
+        v = _valid_shape(1).to_vector().tolist()
+        v[1] = math.inf
+        with pytest.raises(ValueError) as err:
+            shape_space._kernel(3)["rates"](
+                v, _constants(*_field_constants(reference_params)),
+                math.sin, math.cos)
+        entry = err.traceback[-1]
+        assert str(entry.path) == "<pursuit_lab shape-space n=3>"
+        assert "ld0 = (sin(k0) + sin(th1)) / r0" in str(entry.statement)
