@@ -59,7 +59,8 @@ _ASSUMPTION_KEYS = {"A1": "nu", "A2": "mu_b", "A3": "alpha0", "A4": "alpha"}
 
 
 def parse_angle(text, key="angle"):
-    """Parse radians or pi-suffix notation ("11/12pi", "pi", "-0.5pi")."""
+    """Parse radians or pi-suffix notation ("11/12pi", "pi", "-0.5pi");
+    nan and +-inf are rejected, naming ``key``."""
     s = str(text).strip().lower().replace(" ", "")
     try:
         if s.endswith("pi"):
@@ -74,11 +75,15 @@ def parse_angle(text, key="angle"):
                     / float(den)
             else:
                 factor = float(head)
-            return factor * math.pi
-        return float(s)
+            value = factor * math.pi
+        else:
+            value = float(s)
     except (ValueError, ZeroDivisionError):
         raise ConfigError(f"{key}: cannot parse angle value {text!r}") \
             from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{key}: expected a finite angle, got {text!r}")
+    return value
 
 
 def parse_angle_list(text, n, key):
@@ -164,11 +169,14 @@ def _check_unknown_keys(parser, mode):
 
 def _number(value, key, kind=float):
     try:
-        return kind(value)
+        out = kind(value)
     except ValueError:
         what = "an integer" if kind is int else "a number"
         raise ConfigError(f"{key}: expected {what}, got {value!r}") \
             from None
+    if not math.isfinite(out):
+        raise ConfigError(f"{key}: expected a finite number, got {value!r}")
+    return out
 
 
 def _positive(value, key, kind=float):

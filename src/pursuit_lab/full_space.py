@@ -35,8 +35,8 @@ first call at an n builds its kernel: about 1, 3, 8, 15 and 56 ms at
 n = 3, 10, 25, 50 and 200.  The entries are Python floats for one world
 and arrays over the leading axes for a batch, so the same kernel steps
 ``simulate`` and serves ``control_profile``, ``particle_rates`` and the
-recorded controls; asked for the controls alone, it returns them before
-any heading-rate product.
+recorded controls, each of which calls it directly; asked for the
+controls alone, it returns them before any heading-rate product.
 
 ``simulate`` steps the packed state as a list of floats, for the reason
 given in :mod:`pursuit_lab.pure_shape`: at small n, numpy's per-call
@@ -139,17 +139,16 @@ def _check_ranges(rho, rho_b):
 
 
 def _constants(params, beacon):
-    """The steering law's constants: n, and one flat tuple of Python
-    floats that the kernel of n unpacks: the beacon's x and y, mu,
-    1 - lambda and lambda, then over the agents -cos, cos and sin of
-    alpha, the same of alpha0, mu_b, nu and -nu."""
+    """The steering law's constants: one flat tuple of Python floats that
+    the kernel of n unpacks: the beacon's x and y, mu, 1 - lambda and
+    lambda, then over the agents -cos, cos and sin of alpha, the same of
+    alpha0, mu_b, nu and -nu."""
     cos_a, cos_b = np.cos(params.alpha), np.cos(params.alpha0)
     agents = np.concatenate((-cos_a, cos_a, np.sin(params.alpha), -cos_b,
                              cos_b, np.sin(params.alpha0), params.mu_b,
                              params.nu, -params.nu))
-    return params.n, (float(beacon[0]), float(beacon[1]), float(params.mu),
-                      float(1.0 - params.lam), float(params.lam),
-                      *agents.tolist())
+    return (float(beacon[0]), float(beacon[1]), float(params.mu),
+            float(1.0 - params.lam), float(params.lam), *agents.tolist())
 
 
 def _ranges(dx, dy):
@@ -231,22 +230,15 @@ def _law_source(n):
 @functools.lru_cache(maxsize=None)
 def _kernel(n):
     """The compiled steering law of n agents (:func:`_law_source`), built
-    on first use and filed as ``<pursuit_lab law n=...>``."""
-    return _build_kernel("law", _law_source, n, {"_ranges": _ranges})["law"]
+    on first use and filed as ``<pursuit_lab law n=...>``.
 
-
-def _law(v, const, rates, *trig):
-    """The curvature commands, or with ``rates`` the particle-model rates
-    r' = nu x and x' = nu u y packed as the state is, of the packed state
-    ``v``: its 4n entries px, py, hx, hy over the agents, Python floats
-    for one world or arrays of one shape for a batch of worlds.
-
-    ``const`` is :func:`_constants`; ``trig`` (the sine and cosine that
-    ``numerics._scalar_pass`` supplies) is unused, as the bearings enter
-    through ``const``.  The work is the kernel of n (:func:`_kernel`).
+    ``_kernel(n)(v, c, rates)`` gives the curvature commands, or with
+    ``rates`` the particle-model rates r' = nu x and x' = nu u y packed
+    as the state is, of the packed state ``v``: its 4n entries px, py,
+    hx, hy over the agents, Python floats for one world or arrays of one
+    shape for a batch of worlds; ``c`` is :func:`_constants`.
     """
-    n, flat = const
-    return _kernel(n)(v, flat, rates)
+    return _build_kernel("law", _law_source, n, {"_ranges": _ranges})["law"]
 
 
 def _entries(packed):
@@ -265,8 +257,9 @@ def _packed(positions, headings):
 
 def control_profile(world, params):
     """Curvature commands for all agents of a world state."""
-    return np.stack(_law(_entries(_packed(world.positions, world.headings)),
-                         _constants(params, world.beacon), False), axis=-1)
+    return np.stack(_kernel(params.n)(
+        _entries(_packed(world.positions, world.headings)),
+        _constants(params, world.beacon), False), axis=-1)
 
 
 def particle_rates(positions, headings, beacon, params):
@@ -275,8 +268,9 @@ def particle_rates(positions, headings, beacon, params):
     positions/headings: (..., n, 2); returns one (2, ..., n, 2) array
     stacking r' and x'.
     """
-    rates = np.stack(_law(_entries(_packed(positions, headings)),
-                          _constants(params, beacon), True), axis=-1)
+    rates = np.stack(_kernel(params.n)(_entries(_packed(positions, headings)),
+                                       _constants(params, beacon), True),
+                     axis=-1)
     rates = rates.reshape(rates.shape[:-1] + (2, 2, -1))
     return np.ascontiguousarray(np.moveaxis(rates, -3, 0).swapaxes(-1, -2))
 
@@ -301,10 +295,9 @@ class FullTrajectory:
                           self.beacon.copy(), t=float(self.t[idx]))
 
 
-def _unit_headings(v, n, *trig):
+def _unit_headings(v, n):
     """Divide each heading of the packed list state ``v`` by its np.hypot
-    norm, in place (``trig``, from ``numerics._scalar_pass``, is
-    unused)."""
+    norm, in place."""
     norms = np.hypot(v[2 * n:3 * n], v[3 * n:]).tolist()
     v[2 * n:] = map(truediv, v[2 * n:], norms + norms)
     return v
@@ -324,10 +317,11 @@ def simulate(world0, params, T, dt=DEFAULT_DT, record_every=1):
     """
     n = world0.n
     beacon = world0.beacon.copy()
+    law = _kernel(params.n)
     const = _constants(params, beacon)
 
     def field(v):
-        return _scalar_pass(_law, v, const, True)
+        return _scalar_pass(law, v, const, True)
 
     def renormalize(v, t):
         return _scalar_pass(_unit_headings, v, n)
@@ -340,7 +334,7 @@ def simulate(world0, params, T, dt=DEFAULT_DT, record_every=1):
         # law's array temporaries are sized to a block of samples, not
         # the record
         controls = np.concatenate([
-            np.stack(_law(_entries(block), const, False), axis=-1)
+            np.stack(law(_entries(block), const, False), axis=-1)
             for block in np.split(samples, range(_RECORD_BLOCK,
                                                  len(samples),
                                                  _RECORD_BLOCK))])

@@ -2,8 +2,9 @@
 
 The fixed-step RK4 step and the one driver loop every integrator runs
 through, the step count of a horizon, cyclic neighbour indices, angle
-normalization (of arrays and of one float), the scalar pass that runs
-a field in Python floats with an IEEE fallback, the one builder of the
+normalization (of arrays, and the source of the wrap of one float that
+the kernels' post-steps write), the scalar pass that runs a kernel in
+Python floats with an IEEE fallback, the one builder of the
 generated straight-line kernels (the steering law, the shape-space and
 the pure-shape fields: one function per agent count, written from a
 template by n alone, compiled on first use), the roots of tables of
@@ -14,10 +15,11 @@ All functions are pure.
 
 Conventions used package-wide:
 
-* state vectors are 1-D float arrays of fixed length; a state whose
-  field runs in scalar math is a Python list of floats instead, and
-  ``rk4_step`` and ``rk4_integrate`` step it as a list, bit for bit as
-  they step the same state as an array;
+* an integrated state is a Python list of floats of fixed length, and
+  its field takes and returns such lists (the generated kernels of the
+  steering law, the shape-space and the pure-shape fields, and the
+  reduced field); ``rk4_step`` and ``rk4_integrate`` step it in Python
+  floats and record its samples as one float array;
 * a polynomial table holds one monic polynomial per row, complex
   coefficients highest degree first, and each row is solved exactly as
   it would be alone;
@@ -28,6 +30,7 @@ import functools
 import linecache
 import math
 import operator
+import types
 from array import array
 
 import numpy as np
@@ -49,12 +52,15 @@ _MAX_SWEEPS = 500
 def step_count(T, dt):
     """The number of fixed steps dt that lands exactly on the horizon T.
 
-    Raises ValueError, naming T and dt, when dt is not positive, when
-    T / dt rounds to zero steps, or when T / dt is more than a relative
-    1e-9 off a whole number (the run would stop short of, or past, T).
+    Raises ValueError, naming T and dt, when dt is not positive, when T
+    is not finite, when T / dt rounds to zero steps, or when T / dt is
+    more than a relative 1e-9 off a whole number (the run would stop
+    short of, or past, T).
     """
     if not dt > 0.0:
         raise ValueError("dt must be positive")
+    if not math.isfinite(T):
+        raise ValueError(f"horizon T = {T:g} is not finite")
     ratio = T / dt
     steps = int(round(ratio))
     if steps < 1:
@@ -86,26 +92,30 @@ def wrap_angle(theta):
     return np.pi - np.mod(np.pi - theta, 2.0 * np.pi)
 
 
-def _wrap(angle):
-    """``wrap_angle`` of one float, bit for bit: Python's float % rounds
-    as np.mod does (fmod, then the divisor's sign).  The post-steps of
-    the generated kernels write this expression inline."""
-    return math.pi - (math.pi - angle) % (2.0 * math.pi)
+def _wrap_source(angle):
+    """The source of ``wrap_angle`` of the float named ``angle``, bit for
+    bit, for a kernel whose namespace holds ``pi`` and ``tau`` (2 pi):
+    Python's float % rounds as np.mod does (fmod, then the divisor's
+    sign)."""
+    return f"pi - (pi - {angle}) % tau"
 
 
 def _scalar_pass(fn, values, *args):
-    """``fn(values, *args, sin, cos)`` on the list of floats ``values``,
-    with math.sin and math.cos.
+    """``fn(values, *args)`` on the list of floats ``values``; a kernel
+    takes ``sin`` and ``cos`` from its namespace, math.sin and math.cos.
 
     Where a float operation raises instead of rounding (a zero divisor,
     the sine or cosine of an infinity), the same pass runs again on
-    numpy scalars with np.sin and np.cos: their IEEE results (inf, nan,
-    with numpy's warning) are those the array form gives.
+    numpy scalars, through a copy of ``fn`` whose namespace holds np.sin
+    and np.cos (``fn`` itself keeps its own): their IEEE results (inf,
+    nan, with numpy's warning) are those the array form gives.
     """
     try:
-        return fn(values, *args, math.sin, math.cos)
+        return fn(values, *args)
     except (ZeroDivisionError, ValueError):
-        return fn([np.float64(v) for v in values], *args, np.sin, np.cos)
+        ieee = types.FunctionType(fn.__code__, {**fn.__globals__,
+                                                "sin": np.sin, "cos": np.cos})
+        return ieee([np.float64(v) for v in values], *args)
 
 
 def _names(n, head, patterns, tail, sep=", "):
@@ -148,56 +158,39 @@ def rk4_step(field, state, dt):
     Parameters
     ----------
     field : callable
-        Maps a state vector to its time derivative (autonomous system).
-    state : ndarray or list of float
-        Current state.  A list is stepped entry by entry in Python
-        floats, and its field takes and returns lists; every entry takes
-        the array form's operations in its order, so the result has the
-        same bits.
+        Maps a state to its time derivative (autonomous system), a list
+        of floats to a list of floats of the same length.
+    state : list of float
+        Current state, stepped entry by entry in Python floats.
     dt : float
         Step size, > 0.
 
     Returns
     -------
-    ndarray or list of float
-        The state after one step, of the type of ``state``.
-        Deterministic for fixed inputs.
+    list of float
+        The state after one step.  Deterministic for fixed inputs.
     """
     if not dt > 0.0:
         raise ValueError("dt must be positive")
     # Each stage is gated by the finiteness of its sum: a non-finite entry
     # always makes the sum non-finite, and a finite sum that overflows
     # only takes the exact check, which passes.
-    if isinstance(state, list):
-        half = 0.5 * dt
-        k1 = field(state)
-        if not math.isfinite(sum(k1)):
-            _check_finite(k1, 1)
-        k2 = field([y + half * k for y, k in zip(state, k1)])
-        if not math.isfinite(sum(k2)):
-            _check_finite(k2, 2)
-        k3 = field([y + half * k for y, k in zip(state, k2)])
-        if not math.isfinite(sum(k3)):
-            _check_finite(k3, 3)
-        k4 = field([y + dt * k for y, k in zip(state, k3)])
-        if not math.isfinite(sum(k4)):
-            _check_finite(k4, 4)
-        sixth = dt / 6.0
-        return [y + sixth * (a + 2.0 * b + 2.0 * c + d)
-                for y, a, b, c, d in zip(state, k1, k2, k3, k4)]
-    k1 = np.asarray(field(state), dtype=float)
-    if not math.isfinite(np.add.reduce(k1, axis=None)):
+    half = 0.5 * dt
+    k1 = field(state)
+    if not math.isfinite(sum(k1)):
         _check_finite(k1, 1)
-    k2 = np.asarray(field(state + (0.5 * dt) * k1), dtype=float)
-    if not math.isfinite(np.add.reduce(k2, axis=None)):
+    k2 = field([y + half * k for y, k in zip(state, k1)])
+    if not math.isfinite(sum(k2)):
         _check_finite(k2, 2)
-    k3 = np.asarray(field(state + (0.5 * dt) * k2), dtype=float)
-    if not math.isfinite(np.add.reduce(k3, axis=None)):
+    k3 = field([y + half * k for y, k in zip(state, k2)])
+    if not math.isfinite(sum(k3)):
         _check_finite(k3, 3)
-    k4 = np.asarray(field(state + dt * k3), dtype=float)
-    if not math.isfinite(np.add.reduce(k4, axis=None)):
+    k4 = field([y + dt * k for y, k in zip(state, k3)])
+    if not math.isfinite(sum(k4)):
         _check_finite(k4, 4)
-    return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    sixth = dt / 6.0
+    return [y + sixth * (a + 2.0 * b + 2.0 * c + d)
+            for y, a, b, c, d in zip(state, k1, k2, k3, k4)]
 
 
 def rk4_integrate(field, y0, T, dt, record_every=1, post_step=None):
@@ -205,17 +198,15 @@ def rk4_integrate(field, y0, T, dt, record_every=1, post_step=None):
 
     Runs ``step_count(T, dt)`` steps from ``y0``, so the last sample
     sits exactly at T (a horizon that is not a whole number of steps is
-    rejected with ValueError).  After each step the state
-    must be finite (else :class:`NumericError`); then ``post_step(y, t)``,
-    when given, returns the state to carry on with (re-wrapped,
-    renormalized, checked).  A list ``y0`` is stepped as a list of floats
-    (see :func:`rk4_step`), and ``post_step`` gets and returns that list;
-    the samples are the same float array either way.  The state is
-    sampled at t = 0, every ``record_every`` steps and after the last
-    step; a ``record_every`` that is not a positive integer is rejected
-    with ValueError before the first step.  A :class:`CollisionError`
-    raised by the field or by ``post_step`` without a time is re-raised
-    carrying the time of the step.
+    rejected with ValueError).  The state is stepped as a list of floats
+    (see :func:`rk4_step`).  After each step it must be finite (else
+    :class:`NumericError`); then ``post_step(y, t)``, when given, returns
+    the list to carry on with (re-wrapped, renormalized, checked).  The
+    state is sampled at t = 0, every ``record_every`` steps and after the
+    last step; a ``record_every`` that is not a positive integer is
+    rejected with ValueError before the first step.  A
+    :class:`CollisionError` raised by the field or by ``post_step``
+    without a time is re-raised carrying the time of the step.
 
     Returns
     -------
@@ -230,15 +221,10 @@ def rk4_integrate(field, y0, T, dt, record_every=1, post_step=None):
     if every < 1:
         raise ValueError(f"record_every must be a positive integer, got "
                          f"{record_every!r}")
-    scalar = isinstance(y0, list)
-    if scalar:
-        y = [float(v) for v in y0]
-        # the samples of a list state, row after row, as raw doubles: a
-        # copied list would keep a float object alive per entry
-        samples = array("d", y)
-    else:
-        y = np.array(y0, dtype=float)
-        samples = [y.copy()]
+    y = [float(v) for v in y0]
+    # the samples, row after row, as raw doubles: a copied list would
+    # keep a float object alive per entry
+    samples = array("d", y)
     times = [0.0]
     for step in range(1, n_steps + 1):
         t = step * dt
@@ -246,8 +232,7 @@ def rk4_integrate(field, y0, T, dt, record_every=1, post_step=None):
             y = rk4_step(field, y, dt)
             # the sum gate of rk4_step: only a non-finite sum takes the
             # exact check
-            total = sum(y) if scalar else np.add.reduce(y, axis=None)
-            if not math.isfinite(total) and not np.isfinite(y).all():
+            if not math.isfinite(sum(y)) and not np.isfinite(y).all():
                 raise NumericError(f"non-finite state at t = {t:.6g}")
             if post_step is not None:
                 y = post_step(y, t)
@@ -257,13 +242,9 @@ def rk4_integrate(field, y0, T, dt, record_every=1, post_step=None):
             raise CollisionError(str(err), pair=err.pair, t=t) from None
         if step % every == 0 or step == n_steps:
             times.append(t)
-            if scalar:
-                samples.fromlist(y)
-            else:
-                samples.append(y.copy())
-    if scalar:
-        samples = np.frombuffer(samples).reshape(len(times), len(y))
-    return np.asarray(times), np.asarray(samples)
+            samples.fromlist(y)
+    return (np.asarray(times),
+            np.frombuffer(samples).reshape(len(times), len(y)))
 
 
 def _horner(coeffs, z):

@@ -19,19 +19,20 @@ and a Python loop's per-agent overhead, cost more than the arithmetic.
 agent's terms, with the suffix sums, kappa_i+ and the half-angles as
 named locals, and ``numerics._build_kernel`` compiles it on first use
 (filed as ``<pursuit_lab pure-shape n=...>``); only n enters the
-source, and parameter sets of one n share one kernel.  The integrators
-step their state as a list of floats, so no stage converts to or from
-an array.  Every IEEE operation keeps the operands and order of the
-numpy array form, kept as the test oracle: the two agree bit for bit
-wherever libm and numpy trig agree, which the oracle test checks on
-the build.  µs per RK4 step with its post-step, per-agent loop ->
-kernel, best of 7 in two runs on one 2-vCPU x86 VM: 42-43 -> 23 at
-n = 3, 98-104 -> 62-63 at n = 10, 200-204 -> 147-148 at n = 25,
-372-378 -> 270-292 at n = 50.  The numpy array form costs 188-335 µs
-over that range and overtakes the kernel between n = 35 and
-n = 40; no shipped config or benchmark runs this integrator past
-n = 10.  The first call at an n builds its kernel: about 2, 5, 26 and
-109 ms at n = 3, 10, 50 and 200.
+source, and parameter sets of one n share one kernel.  The integrator,
+``pure_shape_derivative`` and ``a5_guard_values`` call the kernel's
+functions directly.  The integrators step their state as a list of
+floats, so no stage converts to or from an array.  Every IEEE operation
+keeps the operands and order of the numpy array form, kept as the test
+oracle: the two agree bit for bit wherever libm and numpy trig agree,
+which the oracle test checks on the build.  µs per RK4 step with its
+post-step, per-agent loop -> kernel, best of 7 in two runs on one
+2-vCPU x86 VM: 42-43 -> 23 at n = 3, 98-104 -> 62-63 at n = 10,
+200-204 -> 147-148 at n = 25, 372-378 -> 270-292 at n = 50.  The numpy
+array form costs 188-335 µs over that range and overtakes the kernel
+between n = 35 and n = 40; no shipped config or benchmark runs this
+integrator past n = 10.  The first call at an n builds its kernel:
+about 2, 5, 26 and 109 ms at n = 3, 10, 50 and 200.
 """
 
 import functools
@@ -44,7 +45,8 @@ from .errors import (CollisionError, InconclusiveError,
                      PreconditionError, UndefinedManifoldError)
 from .full_space import WorldState, heading_from_angle
 from .numerics import (DEFAULT_DT, _build_kernel, _names, _scalar_pass,
-                       cyclic_neighbors, rk4_integrate, wrap_angle)
+                       _wrap_source, cyclic_neighbors, rk4_integrate,
+                       wrap_angle)
 from .params import (require_a6, require_analysis_assumptions, satisfies_a6)
 from .shape_space import EPS_COL
 
@@ -184,9 +186,9 @@ _AGENT = """\
 
 def _kernel_source(n):
     """The Python source of the pure-shape kernel of n agents, with no
-    loop over agents: ``rates(v, c, sin, cos)``, the transformed field
-    of the packed state ``v`` on the flat constants ``c`` of
-    :func:`_constants`, after the rho1 floor; ``guards(v, sin, cos)``,
+    loop over agents: ``rates(v, c)``, the transformed field of the
+    packed state ``v`` (a list), in its layout, on the flat constants
+    ``c`` of :func:`_constants`, after the rho1 floor; ``guards(v)``,
     the A5 guards of the packed head kappa1, rho1, kappa~, psi; and
     ``post(v, t, flags)``, the integrator's post-step: re-wrap, the
     rho1 and ratio floors, and the A5 guards, a flagged sample appended
@@ -198,7 +200,7 @@ def _kernel_source(n):
     """
     head = "    (kappa1, rho1,\n        "
     state = _names(n, head, _STATE, ") = v")
-    lines = ["def rates(v, c, sin, cos):", state,
+    lines = ["def rates(v, c):", state,
              "    if rho1 <= EPS_COL:",
              "        raise CollisionError(\"rho_1 at or below collocation "
              "floor\", pair=(0, 1))",
@@ -217,13 +219,13 @@ def _kernel_source(n):
     lines += [_names(n, "    return [dk1, -two * sq0,\n        ",
                      ("dkt{i}", "dpsi{i}", "dphib{i}", "drt{i}", "drtb{i}"),
                      "]")]
-    lines += ["", "", "def guards(v, sin, cos):",
+    lines += ["", "", "def guards(v):",
               _names(n, head, _STATE[:2], ") = v")]
     lines += _half_angle_lines(n) + _guard_lines(n)
     lines += ["    return g_phi, g_psi, g_sin", "", "",
               "def post(v, t, flags):", state,
-              "    kappa1 = pi - (pi - kappa1) % tau"]
-    lines += [f"    {name.format(i=i)} = pi - (pi - {name.format(i=i)}) % tau"
+              f"    kappa1 = {_wrap_source('kappa1')}"]
+    lines += [f"    {name.format(i=i)} = {_wrap_source(name.format(i=i))}"
               for name in _STATE[:3] for i in range(n)]
     lines += ["    if (rho1 <= EPS_COL",
               _names(n, "            or min(", _STATE[3:],
@@ -257,23 +259,11 @@ def a5_guard_values(state):
     return tuple(float(g) for g in guards)
 
 
-def _constants(mu, lam, alpha, alpha0):
-    """The flat constants the field kernel unpacks: mu, lambda,
-    1 - lambda, -2 mu, alpha and alpha0."""
-    return (mu, lam, 1.0 - lam, -2.0 * mu, alpha, alpha0)
-
-
-def _rates_vector(v, n, mu, lam, alpha, alpha0):
-    """The transformed rates of the packed state ``v`` (a list), in the
-    packed layout of the state (integration hot path); agent 1's chase
-    range must clear the collocation floor.  The kernel of n."""
-    return _scalar_pass(_kernel(n)["rates"], v,
-                        _constants(mu, lam, alpha, alpha0))
-
-
-def _field_constants(params):
-    """mu, lambda, alpha and alpha0 of the transformed field as floats."""
-    return (float(params.mu), float(params.lam), float(params.alpha[0]),
+def _constants(params):
+    """The flat constants the field kernel unpacks, as floats: mu,
+    lambda, 1 - lambda, -2 mu, alpha and alpha0."""
+    mu, lam = float(params.mu), float(params.lam)
+    return (mu, lam, 1.0 - lam, -2.0 * mu, float(params.alpha[0]),
             float(params.alpha0[0]))
 
 
@@ -281,8 +271,8 @@ def pure_shape_derivative(state, params):
     """Closed-loop rates of the transformed variables (requires A1-A4),
     in the :class:`PureShapeState` layout (each field its rate)."""
     require_analysis_assumptions(params)
-    rates = _rates_vector(state.to_vector().tolist(), state.n,
-                          *_field_constants(params))
+    rates = _scalar_pass(_kernel(state.n)["rates"],
+                         state.to_vector().tolist(), _constants(params))
     return PureShapeState.from_vector(rates, state.n)
 
 
@@ -560,7 +550,7 @@ def integrate_pure_shape(state0, params, T, dt=DEFAULT_DT, record_every=1):
     n = state0.n
     kernel = _kernel(n)
     rates, post = kernel["rates"], kernel["post"]
-    const = _constants(*_field_constants(params))
+    const = _constants(params)
 
     def field(v):
         return _scalar_pass(rates, v, const)

@@ -16,15 +16,16 @@ list of 5n Python floats), for the reason given in
 per agent count n, written by :func:`_kernel_source` from templates of
 one agent's terms and compiled on first use by
 ``numerics._build_kernel`` (filed as ``<pursuit_lab shape-space
-n=...>``); only n enters the source.  The field keeps the operands and
-order of the numpy array form, kept as the test oracle, and equals it
-bit for bit wherever libm and numpy trig agree.  µs per RK4 step with
-its post-step, per-agent loop -> kernel, best of 7 in two runs on one
-2-vCPU x86 VM: 34-35 -> 18 at n = 3, 68-104 -> 45 at n = 10, 141-142 ->
-109-110 at n = 25, 257-259 -> 211-218 at n = 50.  The numpy array form
-costs 183-257 µs over that range and overtakes the kernel between
-n = 45 and n = 50; no shipped config or benchmark runs it past
-n = 10.  The first call at an n builds its kernel: about 1, 3, 18 and
+n=...>``); only n enters the source, and ``shape_derivative`` and
+``integrate_shape`` call the kernel's functions directly.  The field
+keeps the operands and order of the numpy array form, kept as the test
+oracle, and equals it bit for bit wherever libm and numpy trig agree.
+µs per RK4 step with its post-step, per-agent loop -> kernel, best of 7
+in two runs on one 2-vCPU x86 VM: 34-35 -> 18 at n = 3, 68-104 -> 45 at
+n = 10, 141-142 -> 109-110 at n = 25, 257-259 -> 211-218 at n = 50.
+The numpy array form costs 183-257 µs over that range and overtakes the
+kernel between n = 45 and n = 50; no shipped config or benchmark runs
+it past n = 10.  The first call at an n builds its kernel: about 1, 3, 18 and
 83 ms at n = 3, 10, 50 and 200.  The recorded residual columns stay
 in numpy (``_residuals``).
 """
@@ -37,7 +38,8 @@ import numpy as np
 
 from .errors import CollisionError, ConstraintDriftError
 from .numerics import (DEFAULT_DT, _build_kernel, _names, _scalar_pass,
-                       cyclic_neighbors, rk4_integrate, wrap_angle)
+                       _wrap_source, cyclic_neighbors, rk4_integrate,
+                       wrap_angle)
 from .params import require_shape_assumptions
 
 # Hard collocation floor (length units); distances at or below it abort.
@@ -146,22 +148,17 @@ def shape_derivative(shape, params):
     range sits at or below the collocation floor.
     """
     require_shape_assumptions(params)
-    rates = _scalar_pass(_rates, shape.to_vector().tolist(),
-                         *_field_constants(params))
+    rates = _scalar_pass(_kernel(shape.n)["rates"],
+                         shape.to_vector().tolist(), _constants(params))
     return ShapeRates.from_vector(rates, shape.n)
 
 
-def _field_constants(params):
-    """mu, lambda, the per-agent alpha (a list) and the common alpha0 of
-    the shape field, as floats."""
-    return (float(params.mu), float(params.lam), params.alpha.tolist(),
+def _constants(params):
+    """The flat constants the field kernel unpacks, as floats: mu,
+    lambda, 1 - lambda, the per-agent alpha and the common alpha0."""
+    lam = float(params.lam)
+    return (float(params.mu), lam, 1.0 - lam, *params.alpha.tolist(),
             float(params.alpha0[0]))
-
-
-def _constants(mu, lam, alpha, alpha0):
-    """The flat constants the field kernel unpacks: mu, lambda,
-    1 - lambda, the per-agent alpha, alpha0."""
-    return (mu, lam, 1.0 - lam, *alpha, alpha0)
 
 
 # The packed agent-major state: the five shape variables of each agent.
@@ -185,15 +182,27 @@ _RESIDUAL = """\
 
 def _kernel_source(n):
     """The Python source of the shape-space kernel of n agents, with no
-    loop over agents: ``ranges(v, t)``, the range guard;
-    ``rates(v, c, sin, cos)``, the field of the packed state ``v`` with
-    the range guard in front, on the flat constants ``c`` of
-    :func:`_constants`; ``residual(v)``, the drift screen's largest
-    residual; and ``post(v, t)``, the integrator's post-step.
+    loop over agents, on the packed agent-major state ``v`` (a list:
+    rho_i, kappa_i, theta_i, rho_ib, kappa_ib per agent):
+    ``ranges(v, t=None)``, the range guard, which raises
+    :class:`CollisionError` naming the first chase range, else the first
+    beacon range, at or below the floor (a NaN range is skipped, as
+    ``np.fmin`` skips it); ``rates(v, c)``, the closed-loop rates in the
+    layout of ``v``, with the range guard in front, on the flat
+    constants ``c`` of :func:`_constants`; ``residual(v)``, the drift
+    screen's largest residual max(|g0|, |g1_i|, |g2_i|); and
+    ``post(v, t)``, the post-step of :func:`integrate_shape`: re-wrap
+    kappa, theta and kappa_b, then the range guard, then the drift gate,
+    returning the re-wrapped list.
 
     Every IEEE operation has the operands and order of the numpy array
     form (the test oracle), except that the screen's g0 sums in sequence
-    where np.sum sums pairwise.
+    where np.sum sums pairwise.  The drift gate only has to agree with
+    ``_residuals`` on the threshold decision: the screen passes a step
+    whose largest residual is at or below ``_DRIFT_SCREEN``, and any
+    other step (a residual within 1e-9 of ``DRIFT_TOL`` or above it, or
+    a NaN g0) is decided, and its error message formed, by
+    ``_residuals`` itself (``_check_drift``).
     """
     state = ("    (" + ",\n     ".join(_BLOCK.format(i=i) for i in range(n))
              + ") = v")
@@ -206,7 +215,7 @@ def _kernel_source(n):
     screen = [_RESIDUAL.format(i=i, j=(i + 1) % n) for i in range(n)]
     screen += ["    g0 = (" + " +\n        ".join(
                    f"(pi + k{i} - th{(i + 1) % n})" for i in range(n)) + ")",
-               _names(n, "    worst = max(abs(pi - (pi - g0) % tau),\n"
+               _names(n, f"    worst = max(abs({_wrap_source('g0')}),\n"
                       "        ", ("e{i}, f{i}",), ")")]
     lines = ["def ranges(v, t=None):", state]
     for i in range(n):
@@ -219,7 +228,7 @@ def _kernel_source(n):
                   f"        raise CollisionError(\"beacon range rho_{i + 1}b "
                   f"at or below collocation floor\", pair=({i}, \"beacon\"), "
                   f"t=t)"]
-    lines += ["", "", "def rates(v, c, sin, cos):", state, clear,
+    lines += ["", "", "def rates(v, c):", state, clear,
               "        ranges(v)",
               _names(n, "    (mu, lam, weight, ", ("a{i}",), ", alpha0) = c")]
     lines += [f"    ld{i} = (sin(k{i}) + sin(th{(i + 1) % n})) / r{i}"
@@ -230,7 +239,7 @@ def _kernel_source(n):
         f" -cos(kb{i}), tn{i} + sin(kb{i}) / rb{i}" for i in range(n)) + "]"]
     lines += ["", "", "def residual(v):", state, *screen, "    return worst",
               "", "", "def post(v, t):", state]
-    lines += [f"    {name}{i} = pi - (pi - {name}{i}) % tau"
+    lines += [f"    {name}{i} = {_wrap_source(f'{name}{i}')}"
               for i in range(n) for name in ("k", "th", "kb")]
     lines += ["    out = [" + ",\n        ".join(_BLOCK.format(i=i)
                                          for i in range(n)) + "]",
@@ -251,45 +260,6 @@ def _kernel(n):
         "CollisionError": CollisionError, "_check_drift": _check_drift,
         "pi": math.pi, "tau": 2.0 * math.pi, "sin": math.sin,
         "cos": math.cos})
-
-
-def _rates(v, mu, lam, alpha, alpha0, sin, cos):
-    """Closed-loop rates of the packed agent-major state ``v`` (a list:
-    rho_i, kappa_i, theta_i, rho_ib, kappa_ib per agent), in the same
-    layout, after the range guard: the kernel of n on the constants of
-    :func:`_field_constants`."""
-    return _kernel(len(v) // 5)["rates"](v, _constants(mu, lam, alpha,
-                                                        alpha0), sin, cos)
-
-
-def _check_ranges(v, t=None):
-    """Raise :class:`CollisionError` naming the first chase range, else
-    the first beacon range, of the packed state ``v`` (a list of 5n
-    floats) at or below the floor; a NaN range is skipped, as
-    ``np.fmin`` skips it."""
-    _kernel(len(v) // 5)["ranges"](v, t)
-
-
-def _largest_residual(v):
-    """max(|g0|, |g1_i|, |g2_i|) of the finite packed state ``v`` (a
-    list) in scalar math, with the operands of ``_residuals``; g0 sums
-    in sequence where np.sum sums pairwise."""
-    return _kernel(len(v) // 5)["residual"](v)
-
-
-def _rewrap_and_check(v, t):
-    """The post-step of :func:`integrate_shape` on the packed state ``v``
-    (a finite list, so math.sin and math.cos cannot raise): re-wrap
-    kappa, theta and kappa_b, then the range guard, then the drift gate;
-    returns the re-wrapped list.
-
-    The drift gate only has to agree with ``_residuals`` on the threshold
-    decision.  A scalar screen passes a step whose largest residual is at
-    or below ``_DRIFT_SCREEN``; any other step (a residual within 1e-9 of
-    ``DRIFT_TOL`` or above it, or a NaN g0) is decided, and its error
-    message formed, by ``_residuals`` itself.
-    """
-    return _kernel(len(v) // 5)["post"](v, t)
 
 
 def _check_drift(v, t):
@@ -335,13 +305,13 @@ def integrate_shape(shape0, params, T, dt=DEFAULT_DT, record_every=1):
     below the collocation floor raises :class:`CollisionError`.
 
     The state steps as a list of floats through the kernel of n, whose
-    post-step (:func:`_rewrap_and_check`) ends each step.
+    post-step (``post``, see :func:`_kernel_source`) ends each step.
     """
     require_shape_assumptions(params)
     n = shape0.n
     kernel = _kernel(n)
     rates = kernel["rates"]
-    const = _constants(*_field_constants(params))
+    const = _constants(params)
 
     def field(v):
         return _scalar_pass(rates, v, const)

@@ -8,7 +8,10 @@ unity into 5x5 mode blocks D_k.  Each mode's characteristic polynomial
 factors into a constraint pair (x^2 + mu^2 a^2) and a complex cubic; a
 Routh-type test on the cubic coefficients gives necessary conditions for
 stability, mode by mode.  The gain mu only scales the spectrum, so the
-verdict is mu-independent.
+verdict is mu-independent.  The package works from the closed-form
+cubics alone; the blocks, the mode blocks D_k and the closed-form
+quintics that the factorisation is checked against are test oracles in
+``tests/conftest.py``.
 """
 
 from dataclasses import dataclass, field, fields
@@ -36,26 +39,6 @@ class ABDCoefficients:
     d: float
     alpha_star: float
     m: int
-
-
-@dataclass(frozen=True)
-class QCoefficients:
-    """Entries of the linearization blocks (q4 = -mu^2 a^2 identically)."""
-
-    q1: float
-    q2: float
-    q3: float
-    q4: float
-    q5: float
-
-
-@dataclass(frozen=True)
-class BlockTriple:
-    """Self, next-neighbor and previous-neighbor coupling blocks."""
-
-    A0: np.ndarray
-    A1: np.ndarray
-    Am1: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -150,80 +133,6 @@ def _abd(n, m, lam, alpha, alpha0):
     _, exists = _accept(_margins(a_star, np.asarray(alpha)[..., None], lam,
                                  alpha0, 1), False)
     return ABDCoefficients(a=a, b=b, d=d, alpha_star=a_star, m=m), exists
-
-
-def block_triple(params, m):
-    """The three 5x5 linearization blocks and their q coefficients.
-
-    State order inside each agent block: (rho, kappa, theta, rho_b,
-    kappa_b).  A1 couples to the next agent solely through its theta
-    column; A-1 couples to the previous agent solely through the theta
-    row.
-    """
-    co = abd(params, m)
-    lam = params.lam
-    mu = params.mu
-    angle = co.m * np.pi / params.n
-    sin_m = np.sin(angle)
-    q1 = 0.5 * mu ** 2 * co.a ** 2 / sin_m
-    q2 = 0.5 * mu * co.a / np.tan(angle)
-    q3 = mu * (1.0 - lam) * np.cos(co.alpha_star)
-    q4 = -2.0 * q1 * sin_m
-    q5 = -mu * lam * np.sin(float(params.alpha0[0]))
-    q = QCoefficients(q1=float(q1), q2=float(q2), q3=float(q3),
-                      q4=float(q4), q5=float(q5))
-
-    a0 = np.array([
-        [0.0, sin_m, 0.0, 0.0, 0.0],
-        [-lam * q1, lam * q2 - q3, 0.0, 0.0, q5],
-        [(1 - lam) * q1, -(1 - lam) * q2 - q3, -q2, 0.0, q5],
-        [0.0, 0.0, 0.0, 0.0, 1.0],
-        [(1 - lam) * q1, -(1 - lam) * q2 - q3, 0.0, q4, q5],
-    ])
-    a1 = np.zeros((5, 5))
-    a1[:, 2] = [sin_m, -lam * q2, (1 - lam) * q2, 0.0, (1 - lam) * q2]
-    am1 = np.zeros((5, 5))
-    am1[2, :] = [-q1, q2, 0.0, 0.0, 0.0]
-    return BlockTriple(A0=a0, A1=a1, Am1=am1), q
-
-
-def dk(blocks, k, n):
-    """Mode block D_k = A0 + w^k A1 + w^-k A-1, w = exp(2 pi j / n).
-
-    ``k`` is a mode index or an array of them; an array of shape s gives
-    the stack of blocks, shape s + (5, 5).
-    """
-    k = np.asarray(k)
-    if np.any((k < 0) | (k >= n)):
-        raise ValueError("mode index k must satisfy 0 <= k < n")
-    # the phase is a real division: dividing the complex 2 pi j k by n
-    # would multiply by a rounded 1/n and move w in the last bit
-    w = np.exp(1j * (2.0 * np.pi * k / n))[..., None, None]
-    return blocks.A0.astype(complex) + w * blocks.A1 + np.conj(w) * blocks.Am1
-
-
-def char_poly(params, m, k):
-    """Coefficients (degree 5, highest first) of the mode-k
-    characteristic polynomial, in closed form."""
-    co = abd(params, m)
-    lam = params.lam
-    mu = params.mu
-    a, b, d = co.a, co.b, co.d
-    n = params.n
-    cot_m = 1.0 / np.tan(m * np.pi / n)
-    w = np.exp(2j * np.pi * k / n)
-    one_minus = 1.0 - w
-    one_plus = 1.0 + w
-    cos_star = np.cos(co.alpha_star)
-    c5 = 1.0
-    c4 = mu * (b + 0.5 * a * (1.0 - lam) * one_minus * cot_m)
-    c3 = 0.5 * mu ** 2 * a * (2.0 * a + one_minus * d + lam * a * one_plus)
-    c2 = (0.5 * mu ** 3 * a ** 2 * (1.0 - lam) * one_minus
-          * (cos_star + a * cot_m)
-          + mu ** 3 * a ** 2 * b)
-    c1 = 0.5 * mu ** 4 * a ** 3 * (one_minus * d + lam * a * one_plus)
-    c0 = 0.5 * mu ** 5 * a ** 4 * one_minus * (1.0 - lam) * cos_star
-    return np.array([c5, c4, c3, c2, c1, c0], dtype=complex)
 
 
 def cubic_coeffs(params, m, k):

@@ -1,12 +1,17 @@
+import math
+import operator
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
 from pursuit_lab import ControlParams, numerics
-from pursuit_lab.errors import CollisionError
+from pursuit_lab.errors import CollisionError, NumericError
 from pursuit_lab.full_space import FullTrajectory
-from pursuit_lab.numerics import cyclic_neighbors, rk4_integrate
+from pursuit_lab.numerics import _check_finite, cyclic_neighbors, step_count
 from pursuit_lab.shape_space import EPS_COL
+from pursuit_lab.stability import abd
 
 
 @pytest.hookimpl(hookwrapper=True)
@@ -56,12 +61,165 @@ class FixedDraws:
         return list(value)
 
 
+def reference_rk4_step(field, state, dt):
+    """Oracle of ``numerics.rk4_step``: the step on an array state, whose
+    field maps arrays to arrays, with the same stage gates."""
+    if not dt > 0.0:
+        raise ValueError("dt must be positive")
+    k1 = np.asarray(field(state), dtype=float)
+    if not math.isfinite(np.add.reduce(k1, axis=None)):
+        _check_finite(k1, 1)
+    k2 = np.asarray(field(state + (0.5 * dt) * k1), dtype=float)
+    if not math.isfinite(np.add.reduce(k2, axis=None)):
+        _check_finite(k2, 2)
+    k3 = np.asarray(field(state + (0.5 * dt) * k2), dtype=float)
+    if not math.isfinite(np.add.reduce(k3, axis=None)):
+        _check_finite(k3, 3)
+    k4 = np.asarray(field(state + dt * k3), dtype=float)
+    if not math.isfinite(np.add.reduce(k4, axis=None)):
+        _check_finite(k4, 4)
+    return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def reference_rk4_integrate(field, y0, T, dt, record_every=1,
+                            post_step=None):
+    """Oracle of ``numerics.rk4_integrate``: the driver on an array state
+    through :func:`reference_rk4_step`, with the same horizon rule,
+    state gate, post-step and collision times; ``post_step`` gets and
+    returns an array."""
+    n_steps = step_count(T, dt)
+    try:
+        every = operator.index(record_every)
+    except TypeError:
+        every = 0
+    if every < 1:
+        raise ValueError(f"record_every must be a positive integer, got "
+                         f"{record_every!r}")
+    y = np.array(y0, dtype=float)
+    samples = [y.copy()]
+    times = [0.0]
+    for step in range(1, n_steps + 1):
+        t = step * dt
+        try:
+            y = reference_rk4_step(field, y, dt)
+            total = np.add.reduce(y, axis=None)
+            if not math.isfinite(total) and not np.isfinite(y).all():
+                raise NumericError(f"non-finite state at t = {t:.6g}")
+            if post_step is not None:
+                y = post_step(y, t)
+        except CollisionError as err:
+            if err.t is not None:
+                raise
+            raise CollisionError(str(err), pair=err.pair, t=t) from None
+        if step % every == 0 or step == n_steps:
+            times.append(t)
+            samples.append(y.copy())
+    return np.asarray(times), np.asarray(samples)
+
+
+# The linearization oracles: the 5x5 coupling blocks, the mode blocks D_k
+# and the closed-form quintic of each mode.  They are the evidence chain
+# from the dynamics to the closed-form cubics of ``stability``
+# (criteria 05 and 06, TestCharPoly), which need none of them.
+@dataclass(frozen=True)
+class QCoefficients:
+    """Entries of the linearization blocks (q4 = -mu^2 a^2 identically)."""
+
+    q1: float
+    q2: float
+    q3: float
+    q4: float
+    q5: float
+
+
+@dataclass(frozen=True)
+class BlockTriple:
+    """Self, next-neighbor and previous-neighbor coupling blocks."""
+
+    A0: np.ndarray
+    A1: np.ndarray
+    Am1: np.ndarray
+
+
+def block_triple(params, m):
+    """The three 5x5 linearization blocks and their q coefficients.
+
+    State order inside each agent block: (rho, kappa, theta, rho_b,
+    kappa_b).  A1 couples to the next agent solely through its theta
+    column; A-1 couples to the previous agent solely through the theta
+    row.
+    """
+    co = abd(params, m)
+    lam = params.lam
+    mu = params.mu
+    angle = co.m * np.pi / params.n
+    sin_m = np.sin(angle)
+    q1 = 0.5 * mu ** 2 * co.a ** 2 / sin_m
+    q2 = 0.5 * mu * co.a / np.tan(angle)
+    q3 = mu * (1.0 - lam) * np.cos(co.alpha_star)
+    q4 = -2.0 * q1 * sin_m
+    q5 = -mu * lam * np.sin(float(params.alpha0[0]))
+    q = QCoefficients(q1=float(q1), q2=float(q2), q3=float(q3),
+                      q4=float(q4), q5=float(q5))
+
+    a0 = np.array([
+        [0.0, sin_m, 0.0, 0.0, 0.0],
+        [-lam * q1, lam * q2 - q3, 0.0, 0.0, q5],
+        [(1 - lam) * q1, -(1 - lam) * q2 - q3, -q2, 0.0, q5],
+        [0.0, 0.0, 0.0, 0.0, 1.0],
+        [(1 - lam) * q1, -(1 - lam) * q2 - q3, 0.0, q4, q5],
+    ])
+    a1 = np.zeros((5, 5))
+    a1[:, 2] = [sin_m, -lam * q2, (1 - lam) * q2, 0.0, (1 - lam) * q2]
+    am1 = np.zeros((5, 5))
+    am1[2, :] = [-q1, q2, 0.0, 0.0, 0.0]
+    return BlockTriple(A0=a0, A1=a1, Am1=am1), q
+
+
+def dk(blocks, k, n):
+    """Mode block D_k = A0 + w^k A1 + w^-k A-1, w = exp(2 pi j / n).
+
+    ``k`` is a mode index or an array of them; an array of shape s gives
+    the stack of blocks, shape s + (5, 5).
+    """
+    k = np.asarray(k)
+    if np.any((k < 0) | (k >= n)):
+        raise ValueError("mode index k must satisfy 0 <= k < n")
+    # the phase is a real division: dividing the complex 2 pi j k by n
+    # would multiply by a rounded 1/n and move w in the last bit
+    w = np.exp(1j * (2.0 * np.pi * k / n))[..., None, None]
+    return blocks.A0.astype(complex) + w * blocks.A1 + np.conj(w) * blocks.Am1
+
+
+def char_poly(params, m, k):
+    """Coefficients (degree 5, highest first) of the mode-k
+    characteristic polynomial, in closed form."""
+    co = abd(params, m)
+    lam = params.lam
+    mu = params.mu
+    a, b, d = co.a, co.b, co.d
+    n = params.n
+    cot_m = 1.0 / np.tan(m * np.pi / n)
+    w = np.exp(2j * np.pi * k / n)
+    one_minus = 1.0 - w
+    one_plus = 1.0 + w
+    cos_star = np.cos(co.alpha_star)
+    c5 = 1.0
+    c4 = mu * (b + 0.5 * a * (1.0 - lam) * one_minus * cot_m)
+    c3 = 0.5 * mu ** 2 * a * (2.0 * a + one_minus * d + lam * a * one_plus)
+    c2 = (0.5 * mu ** 3 * a ** 2 * (1.0 - lam) * one_minus
+          * (cos_star + a * cot_m)
+          + mu ** 3 * a ** 2 * b)
+    c1 = 0.5 * mu ** 4 * a ** 3 * (one_minus * d + lam * a * one_plus)
+    c0 = 0.5 * mu ** 5 * a ** 4 * one_minus * (1.0 - lam) * cos_star
+    return np.array([c5, c4, c3, c2, c1, c0], dtype=complex)
+
+
 def assemble_block_circulant(blocks, n):
     """The explicit 5n x 5n block-circulant Jacobian circ(A0, A1, 0, ...,
-    A-1) of a :class:`~pursuit_lab.stability.BlockTriple`: row block i
-    carries A0 on the diagonal, A1 at block i+1 and A-1 at block i-1
-    (indices mod n); at n = 2 both neighbours are one agent and its
-    block is A1 + A-1."""
+    A-1) of a :class:`BlockTriple`: row block i carries A0 on the
+    diagonal, A1 at block i+1 and A-1 at block i-1 (indices mod n); at
+    n = 2 both neighbours are one agent and its block is A1 + A-1."""
     big = np.zeros((5 * n, 5 * n))
     for i in range(n):
         big[5 * i:5 * i + 5, 5 * i:5 * i + 5] = blocks.A0
@@ -278,8 +436,8 @@ def reference_rates(positions, headings, beacon, params):
 
 def reference_simulate(world0, params, T, dt, record_every=1):
     """Oracle of ``simulate``: the agent-major state (positions, then
-    headings, each agent's x and y together) through ``rk4_integrate``
-    and the oracle rates."""
+    headings, each agent's x and y together) through
+    ``reference_rk4_integrate`` and the oracle rates."""
     n = world0.n
     beacon = world0.beacon.copy()
 
@@ -292,7 +450,7 @@ def reference_simulate(world0, params, T, dt, record_every=1):
         head /= np.hypot(head[:, 0], head[:, 1])[:, None]
         return vec
 
-    times, samples = rk4_integrate(
+    times, samples = reference_rk4_integrate(
         field, np.concatenate([world0.positions.ravel(),
                                world0.headings.ravel()]),
         T, dt, record_every, renormalize)

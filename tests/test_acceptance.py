@@ -15,9 +15,9 @@ import pytest
 from pursuit_lab import (ControlParams, equilibrium_shape,
                          extract_shape, integrate_shape, random_world,
                          shape_derivative, simulate)
-from pursuit_lab import (abd, block_triple, dk, invariant_region_check,
-                         lift, manifold_spec, reduced_equilibrium,
-                         routh_necessary, spectrum_report)
+from pursuit_lab import (abd, invariant_region_check, lift, manifold_spec,
+                         reduced_equilibrium, routh_necessary,
+                         spectrum_report)
 from pursuit_lab.errors import (CollisionError, EquilibriumNotFoundError,
                                 SingularModeError)
 from pursuit_lab.full_space import extract_shape_trajectory
@@ -25,8 +25,8 @@ from pursuit_lab.numerics import wrap_angle
 from pursuit_lab.pure_shape import integrate_pure_shape, integrate_reduced
 from pursuit_lab.shape_space import ShapeState
 
-from conftest import (assemble_block_circulant, multiset_distance,
-                      reference_equilibrium)
+from conftest import (assemble_block_circulant, block_triple, dk,
+                      multiset_distance, reference_equilibrium)
 
 
 def _reference_params(mu=1.0):

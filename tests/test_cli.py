@@ -601,6 +601,24 @@ class TestMainExitCodes:
         assert capsys.readouterr().err.startswith(
             f"error: {key}: expected an integer")
 
+    @pytest.mark.parametrize("mode,override,key", [
+        ("simulate", "t=inf", "t"),
+        ("simulate", "dt=nan", "dt"),
+        ("pure-shape", "rho1=nan", "rho1"),
+        ("simulate", "alpha=inf", "alpha"),
+        ("simulate", "mu=inf", "mu"),
+        ("simulate", "lambda=nan", "lambda"),
+        ("pure-shape", "kappa1=-infpi", "kappa1"),
+    ])
+    def test_non_finite_value_exit_code(self, tmp_path, capsys, mode,
+                                        override, key):
+        code = cli.main([mode, "--config", f"{CONFIG_DIR}/reference.cfg",
+                         "--out", str(tmp_path), "--override", override])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {key}: ")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("override,key", [
         ("nu=1.5", "nu"),
         ("mu_b=2", "mu_b"),

@@ -7,7 +7,7 @@ from pursuit_lab import (ControlParams, cli, extract_shape, full_space,
 from pursuit_lab import constraint_residuals
 from pursuit_lab.equilibria import embed_world
 from pursuit_lab.errors import CollisionError, IntegrationError
-from pursuit_lab.full_space import (WorldState, _constants, _entries, _law,
+from pursuit_lab.full_space import (WorldState, _constants, _entries,
                                     _packed, control_profile,
                                     extract_shape_trajectory,
                                     particle_rates)
@@ -302,10 +302,10 @@ _LIST_PROPERTY = settings(derandomize=True, deadline=None, max_examples=200)
 
 
 def _list_state(world, params):
-    """The packed state of a world as a list of floats, and the law's
-    constants."""
+    """The packed state of a world as a list of floats, the law's
+    constants and the law's kernel."""
     return (_packed(world.positions, world.headings).tolist(),
-            _constants(params, world.beacon))
+            _constants(params, world.beacon), full_space._kernel(params.n))
 
 
 def _collision(fn, *args):
@@ -316,8 +316,8 @@ def _collision(fn, *args):
 
 
 class TestFloatAndArrayEntries:
-    """``_law`` on the array entries of a stacked batch against ``_law``
-    on each member's list of floats, bit for bit."""
+    """The law's kernel on the array entries of a stacked batch against
+    the kernel on each member's list of floats, bit for bit."""
 
     @_LIST_PROPERTY
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 12),
@@ -330,9 +330,10 @@ class TestFloatAndArrayEntries:
                   for k in range(members)]
         packed = np.stack([_packed(w.positions, w.headings) for w in worlds])
         const = _constants(params, worlds[0].beacon)
+        law = full_space._kernel(n)
         for rates in (False, True):
-            batch = np.stack(_law(_entries(packed), const, rates), axis=-1)
-            each = np.array([_law(row.tolist(), const, rates)
+            batch = np.stack(law(_entries(packed), const, rates), axis=-1)
+            each = np.array([law(row.tolist(), const, rates)
                              for row in packed])
             assert same_bits(batch, each)
 
@@ -343,8 +344,9 @@ class TestFloatAndArrayEntries:
         monkeypatch.setattr(full_space, "_RECORD_BLOCK", 4)
         run = simulate(world, params, T=0.1, dt=1e-2)
         const = _constants(params, run.beacon)
+        law = full_space._kernel(6)
         per_sample = np.array([
-            _law(_packed(p, h).tolist(), const, False)
+            law(_packed(p, h).tolist(), const, False)
             for p, h in zip(run.positions, run.headings)])
         assert len(run.t) == 11
         assert same_bits(run.controls, per_sample)
@@ -367,8 +369,8 @@ class TestKernel:
         world, params = _random_case(7, 5)
         world = _off_origin(world, (3.0, -2.0))
         _, other = _random_case(8, 5)
-        assert _constants(params, world.beacon)[1] != \
-            _constants(other, world.beacon)[1]
+        assert _constants(params, world.beacon) != \
+            _constants(other, world.beacon)
         kernel = full_space._kernel(5)
         for p in (params, other):
             args = (world.positions, world.headings, world.beacon, p)
@@ -391,9 +393,9 @@ class TestKernel:
                                mu_b=1.0, nu=[5e-324, 1.0, 1.0])
         world = WorldState.from_polar([[0.0, 0.0], [0.3, 0.1], [1.0, 1.0]],
                                       [0.1, 1.0, 2.0], beacon=[2.0, -1.0])
-        v, const = _list_state(world, params)
+        v, const, law = _list_state(world, params)
         with pytest.raises(ZeroDivisionError) as err:
-            _law(v, const, True)
+            law(v, const, True)
         entry = err.traceback[-1]
         assert str(entry.path) == "<pursuit_lab law n=3>"
         assert "/ (nu0 * r0)" in str(entry.statement)
@@ -407,12 +409,12 @@ class TestListGuards:
         world = WorldState([[0.0, 0.0], [1.0, 0.5], [0.5, 2.0], [-1.0, 1.0]],
                            random_world(4, seed=3).headings, [2.0, -1.0])
         world.positions[0, 0] = np.nan
-        v, const = _list_state(world, params)
-        assert np.isnan(_law(v, const, False)[0])
+        v, const, law = _list_state(world, params)
+        assert np.isnan(law(v, const, False)[0])
         with np.errstate(invalid="ignore"):
             oracle = reference_controls(world.positions, world.headings,
                                         world.beacon, params)
-        assert same_bits(np.array(_law(v, const, False)), oracle)
+        assert same_bits(np.array(law(v, const, False)), oracle)
 
     def test_nan_next_to_collocated_range_raises(self):
         params = ControlParams.homogeneous(4, alpha=0.2, alpha0=0.4)
@@ -424,9 +426,9 @@ class TestListGuards:
             positions[pair[1]] = positions[pair[0]]
             positions[nan_at] = np.nan
             world = WorldState(positions, headings, [2.0, -1.0])
-            v, const = _list_state(world, params)
+            v, const, law = _list_state(world, params)
             message = f"agents {pair[0] + 1} and {pair[1] + 1} are collocated"
-            assert _collision(_law, v, const, True) == (message, pair)
+            assert _collision(law, v, const, True) == (message, pair)
             with np.errstate(invalid="ignore"):
                 assert _collision(reference_controls, world.positions,
                                   world.headings, world.beacon,
@@ -436,8 +438,8 @@ class TestListGuards:
         params = ControlParams.homogeneous(3, alpha=0.2, alpha0=0.4)
         world = WorldState.from_polar([[1.0, 1.0], [2.0, 0.5], [2.0, 0.5]],
                                       [0.0, 1.0, 2.0], beacon=[1.0, 1.0])
-        v, const = _list_state(world, params)
-        assert _collision(_law, v, const, False) == (
+        v, const, law = _list_state(world, params)
+        assert _collision(law, v, const, False) == (
             "agents 2 and 3 are collocated", (1, 2))
 
     def test_collision_at_the_last_sample_carries_its_time(self):
@@ -460,12 +462,12 @@ class TestListGuards:
                                mu_b=1.0, nu=[5e-324, 1.0, 1.0])
         world = WorldState.from_polar([[0.0, 0.0], [0.3, 0.1], [1.0, 1.0]],
                                       [0.1, 1.0, 2.0], beacon=[2.0, -1.0])
-        v, const = _list_state(world, params)
+        v, const, law = _list_state(world, params)
         with pytest.raises(ZeroDivisionError):
-            _law(v, const, True)
+            law(v, const, True)
         with np.errstate(divide="ignore", invalid="ignore"):
-            got = np.array(_scalar_pass(_law, v, const, True))
-            want = np.stack(_law(_entries(np.array([v])), const, True),
+            got = np.array(_scalar_pass(law, v, const, True))
+            want = np.stack(law(_entries(np.array([v])), const, True),
                             axis=-1)[0]
             assert same_bits(got, want)
             assert not np.isfinite(want).all()
@@ -499,8 +501,8 @@ class TestListGuards:
         params = _two_agent_params(alpha=0.0, alpha0=0.0)
         world = WorldState([[0.0, 1.0], [0.0, 0.0]],
                            [[0.0, 1.0], [0.0, 1.0]], beacon=[0.0, -1.0])
-        v, const = _list_state(world, params)
-        assert same_bits(np.array(_law(v, const, False)),
+        v, const, law = _list_state(world, params)
+        assert same_bits(np.array(law(v, const, False)),
                          np.array([-0.0, 0.0]))
 
 

@@ -15,19 +15,19 @@ from pursuit_lab import (asymptote_prediction, equilibrium_shape,
 from pursuit_lab.errors import (AssumptionError, CollisionError,
                                 InconclusiveError, PreconditionError,
                                 UndefinedManifoldError)
-from pursuit_lab.numerics import (_wrap, cyclic_neighbors, rk4_integrate,
+from pursuit_lab.numerics import (_scalar_pass, _wrap_source, cyclic_neighbors,
                                   wrap_angle)
 from pursuit_lab.pure_shape import (A5_GUARD_TOL, GridSpec, PureShapeState,
                                     a5_guard_values, _reduced_rates,
-                                    _constants, _field_constants,
-                                    _require_manifold,
+                                    _constants, _require_manifold,
                                     integrate_pure_shape,
                                     integrate_reduced, phase_portrait,
                                     reduced_params)
 from pursuit_lab.shape_space import EPS_COL
 
 from conftest import (FixedDraws, reference_a5_guards,
-                      reference_equilibrium, reference_pure_rates, same_bits)
+                      reference_equilibrium, reference_pure_rates,
+                      reference_rk4_integrate, same_bits)
 
 
 def pure_constraint_residuals(state):
@@ -192,9 +192,10 @@ def _oracle_guards(state):
 
 
 def _reference_integrate_pure_shape(state0, params, T, dt, record_every=1):
-    """The transformed dynamics through ``rk4_integrate`` with the oracle
-    field and the post-step of ``integrate_pure_shape`` (re-wrap, range
-    floors, A5 flags) over the oracle guards: times, samples, flags."""
+    """The transformed dynamics through ``reference_rk4_integrate`` with
+    the oracle field and the post-step of ``integrate_pure_shape``
+    (re-wrap, range floors, A5 flags) over the oracle guards: times,
+    samples, flags."""
     n = state0.n
     consts = (params.mu, params.lam, params.alpha[0], params.alpha0[0])
 
@@ -219,8 +220,8 @@ def _reference_integrate_pure_shape(state0, params, T, dt, record_every=1):
             flags.append((t, guards))
         return vec
 
-    times, rows = rk4_integrate(field, state0.to_vector(), T, dt,
-                                record_every, rewrap_and_guard)
+    times, rows = reference_rk4_integrate(field, state0.to_vector(), T, dt,
+                                          record_every, rewrap_and_guard)
     return times, rows, flags
 
 
@@ -332,7 +333,10 @@ class TestScalarFieldMatchesNumpyOracle:
              np.nextafter(-pi, 0.0), np.nextafter(-pi, -4.0)],
             rng.uniform(-4 * pi, 4 * pi, 100_000),
             rng.uniform(-1e6, 1e6, 1_000)])
-        assert same_bits(np.array([_wrap(a) for a in angles.tolist()]),
+        wrap = compile(_wrap_source("a"), "<wrap>", "eval")
+        namespace = pure_shape._kernel(3)
+        assert same_bits(np.array([eval(wrap, namespace, {"a": a})
+                                   for a in angles.tolist()]),
                          wrap_angle(angles))
 
 
@@ -356,7 +360,7 @@ def test_reduced_run_equals_array_state_run(spiral_params):
     # array state, with the constants as _require_manifold gives them,
     # yields the same bits
     consts = _require_manifold(spiral_params, 2)
-    times, rows = rk4_integrate(
+    times, rows = reference_rk4_integrate(
         lambda y: np.array(_reduced_rates(y[0], y[1], *consts)),
         np.array([2.894, 1.0]), 20.0, 1e-2, 3)
     t, kk, rr = integrate_reduced(2.894, 1.0, spiral_params, 2, T=20.0,
@@ -755,11 +759,33 @@ class TestKernel:
         with pytest.raises(ZeroDivisionError) as err:
             pure_shape._kernel(3)["rates"](
                 st.to_vector().tolist(),
-                _constants(*_field_constants(reference_params)),
-                math.sin, math.cos)
+                _constants(reference_params))
         entry = err.traceback[-1]
         assert str(entry.path) == "<pursuit_lab pure-shape n=3>"
         assert "sp1 = sin(hphi1) * cpsi1 / rt1" in str(entry.statement)
+
+    def test_fallback_pass_leaves_the_kernel_untouched(self,
+                                                       reference_params):
+        # the numpy-scalar rerun gets np.sin and np.cos through a copy of
+        # the kernel function; the kernel keeps math.sin and math.cos, so
+        # the next float pass gives the bits it gave before the rerun
+        kernel = pure_shape._kernel(3)
+        const = _constants(reference_params)
+        st, _ = lift(manifold_spec(3, 1), kappa1=0.3, rho1=1.0)
+        v = st.to_vector().tolist()
+        bad = list(v)
+        bad[0] = math.inf
+        passes = ((kernel["rates"], v, bad, (const,)),
+                  (kernel["guards"], v[:8], bad[:8], ()))
+        for fn, good, failing, args in passes:
+            before = fn(good, *args)
+            with np.errstate(invalid="ignore"):
+                assert np.isnan(_scalar_pass(fn, failing, *args)).any()
+            assert fn.__globals__["sin"] is math.sin
+            assert fn.__globals__["cos"] is math.cos
+            after = fn(good, *args)
+            assert {type(x) for x in after} == {float}
+            assert same_bits(np.array(after), np.array(before))
 
 
 class TestCollisionTime:

@@ -12,16 +12,13 @@ from pursuit_lab import equilibrium_shape, shape_space
 from pursuit_lab.errors import (AssumptionError, CollisionError,
                                 ConstraintDriftError, IntegrationError)
 from pursuit_lab.full_space import extract_shape_trajectory
-from pursuit_lab.numerics import _scalar_pass, rk4_integrate, rk4_step, \
-    wrap_angle
+from pursuit_lab.numerics import _scalar_pass, rk4_step, wrap_angle
 from pursuit_lab.shape_space import (DRIFT_TOL, EPS_COL, ShapeState,
-                                     _check_ranges, _constants,
-                                     _field_constants,
-                                     _largest_residual, _rates,
-                                     _residual_summary, _rewrap_and_check)
+                                     _constants, _residual_summary)
 
-from conftest import (FixedDraws, reference_equilibrium,
-                      reference_shape_rates, same_bits)
+from conftest import (FixedDraws, reference_equilibrium, reference_rk4_step,
+                      reference_rk4_integrate, reference_shape_rates,
+                      same_bits)
 
 
 def _valid_shape(seed, n=3):
@@ -185,11 +182,11 @@ class TestRangeGuard:
         v = blocks.ravel().tolist()
         expected = _any_guard(blocks)
         if expected is None:
-            _check_ranges(v, t=0.5)
+            shape_space._kernel(n)["ranges"](v, t=0.5)
             return False
         kind, i = expected
         with pytest.raises(CollisionError) as err:
-            _check_ranges(v, t=0.5)
+            shape_space._kernel(n)["ranges"](v, t=0.5)
         if kind == "chase":
             assert str(err.value).startswith(f"chase range rho_{i + 1} ")
             assert err.value.pair == (i, (i + 1) % n)
@@ -262,8 +259,9 @@ def _oracle_rewrap_and_check(vec, t):
 
 
 def _reference_integrate_shape(shape0, params, T, dt, record_every=1):
-    """The shape dynamics through ``rk4_integrate`` on an array state,
-    with the oracle field and the numpy post-step: times, samples."""
+    """The shape dynamics through ``reference_rk4_integrate`` on an array
+    state, with the oracle field and the numpy post-step: times,
+    samples."""
     n = shape0.n
 
     def field(vec):
@@ -271,8 +269,8 @@ def _reference_integrate_shape(shape0, params, T, dt, record_every=1):
         _oracle_check_ranges(blocks)
         return reference_shape_rates(blocks, params).ravel()
 
-    return rk4_integrate(field, shape0.to_vector(), T, dt, record_every,
-                         _oracle_rewrap_and_check)
+    return reference_rk4_integrate(field, shape0.to_vector(), T, dt,
+                                   record_every, _oracle_rewrap_and_check)
 
 
 def _outcome(run):
@@ -333,14 +331,15 @@ class TestScalarFieldMatchesNumpyOracle:
         assert np.array_equal(nan, np.isnan(expected.ravel()))
         assert same_bits(rates[~nan], expected.ravel()[~nan])
 
-        consts = _field_constants(reference_params)
+        rates = shape_space._kernel(3)["rates"]
+        const = _constants(reference_params)
         with np.errstate(invalid="ignore"), pytest.raises(
                 IntegrationError) as got:
-            rk4_step(lambda v: _scalar_pass(_rates, v, *consts),
+            rk4_step(lambda v: _scalar_pass(rates, v, const),
                      blocks.ravel().tolist(), 1e-3)
         with np.errstate(invalid="ignore"), pytest.raises(
                 IntegrationError) as want:
-            rk4_step(lambda vec: reference_shape_rates(
+            reference_rk4_step(lambda vec: reference_shape_rates(
                 vec.reshape(3, 5), reference_params).ravel(),
                 blocks.ravel(), 1e-3)
         assert str(got.value) == str(want.value)
@@ -414,8 +413,8 @@ class TestScalarFieldMatchesNumpyOracle:
             for offset in offsets:
                 vec = base.copy()
                 vec[entry] += DRIFT_TOL + offset * (1 + 100 * entry)
-                got = _outcome(lambda: _rewrap_and_check(vec.tolist(),
-                                                         0.25))
+                got = _outcome(lambda: shape_space._kernel(3)["post"](
+                    vec.tolist(), 0.25))
                 want = _outcome(lambda: _oracle_rewrap_and_check(vec.copy(),
                                                                  0.25))
                 assert got == want
@@ -437,7 +436,8 @@ class TestScalarFieldMatchesNumpyOracle:
         for blocks in states:
             g0, max_g1, max_g2 = _residual_summary(blocks)
             numpy_worst = max(abs(g0), max_g1, max_g2)
-            assert abs(_largest_residual(blocks.ravel().tolist())
+            residual = shape_space._kernel(len(blocks))["residual"]
+            assert abs(residual(blocks.ravel().tolist())
                        - numpy_worst) <= 1e-12 * (1.0 + numpy_worst)
 
 
@@ -492,8 +492,26 @@ class TestKernel:
         v[1] = math.inf
         with pytest.raises(ValueError) as err:
             shape_space._kernel(3)["rates"](
-                v, _constants(*_field_constants(reference_params)),
-                math.sin, math.cos)
+                v, _constants(reference_params))
         entry = err.traceback[-1]
         assert str(entry.path) == "<pursuit_lab shape-space n=3>"
         assert "ld0 = (sin(k0) + sin(th1)) / r0" in str(entry.statement)
+
+    def test_fallback_pass_leaves_the_kernel_untouched(self,
+                                                       reference_params):
+        # the numpy-scalar rerun gets np.sin and np.cos through a copy of
+        # the kernel function; the kernel keeps math.sin and math.cos, so
+        # the next float pass gives the bits it gave before the rerun
+        rates = shape_space._kernel(3)["rates"]
+        const = _constants(reference_params)
+        v = _valid_shape(1).to_vector().tolist()
+        bad = list(v)
+        bad[1] = math.inf
+        before = rates(v, const)
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(_scalar_pass(rates, bad, const)).any()
+        assert rates.__globals__["sin"] is math.sin
+        assert rates.__globals__["cos"] is math.cos
+        after = rates(v, const)
+        assert {type(x) for x in after} == {float}
+        assert same_bits(np.array(after), np.array(before))

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from pursuit_lab import (ControlParams, abd, block_triple, char_poly,
-                         corollary_checks, cubic_coeffs, dk, routh_necessary,
-                         shape_derivative, spectrum_report, stability)
+from pursuit_lab import (ControlParams, abd, corollary_checks, cubic_coeffs,
+                         routh_necessary, shape_derivative, spectrum_report,
+                         stability)
 from pursuit_lab import equilibrium_shape, leftmost_equilibrium
 from pursuit_lab.errors import (AssumptionError, EquilibriumNotFoundError,
                                 NumericError, PursuitLabError,
@@ -17,8 +17,8 @@ from pursuit_lab.numerics import wrap_angle
 from pursuit_lab.shape_space import ShapeState
 from pursuit_lab.stability import routh_conditions
 
-from conftest import (assemble_block_circulant, multiset_distance,
-                      reference_equilibrium, same_bits)
+from conftest import (assemble_block_circulant, block_triple, char_poly, dk,
+                      multiset_distance, reference_equilibrium, same_bits)
 
 
 def _random_admissible(rng):
