@@ -81,6 +81,77 @@ class TestRK4:
         with pytest.raises(IntegrationError, match="index 1"):
             rk4_step(bad, [0.0] * 3, 0.1)
 
+    # The edge cases of the stage and state gates, each run on a list
+    # state and on the array oracle: the two must fail with the same
+    # message or return the same bits.
+
+    def test_nonfinite_later_stage_names_index_and_stage(self):
+        def bad(s):
+            return [math.nan if s[1] > 0.07 else 1.0, 1.0, 1.0]
+
+        # s[1] passes 0.07 only at the last stage's state, y + dt * k3
+        want = r"^non-finite derivative entry at index 0 \(RK4 stage 4\)$"
+        with pytest.raises(IntegrationError, match=want):
+            rk4_step(bad, [0.0] * 3, 0.1)
+        with pytest.raises(IntegrationError, match=want):
+            reference_rk4_step(lambda s: np.array(bad(s.tolist())),
+                               np.zeros(3), 0.1)
+
+    def test_opposite_infinities_name_first_index(self):
+        # a later stage whose infinities cancel to NaN in the sum
+        def bad(s):
+            if s[0] > 0.0:
+                return [1.0, 0.0, -math.inf, 2.0, math.inf]
+            return [1.0] * 5
+
+        want = r"^non-finite derivative entry at index 2 \(RK4 stage 2\)$"
+        with pytest.raises(IntegrationError, match=want):
+            rk4_step(bad, [0.0] * 5, 0.1)
+        with np.errstate(invalid="ignore"), pytest.raises(IntegrationError,
+                                                          match=want):
+            reference_rk4_step(lambda s: np.array(bad(s.tolist())),
+                               np.zeros(5), 0.1)
+
+    def test_finite_entries_with_overflowing_sum_pass(self):
+        # the running sum passes the largest double and stays at inf
+        # though the signs cancel; each entry times six is still finite
+        k = [2.9e307] * 7 + [-2.9e307] * 7
+        assert math.isinf(sum(k))
+        state = rk4_step(lambda s: k, [0.0] * 14, 1.0)
+        assert all(math.isfinite(y) for y in state)
+        with np.errstate(over="ignore"):
+            want = reference_rk4_step(lambda s: np.array(k), np.zeros(14),
+                                      1.0)
+        assert same_bits(np.array(state), want)
+
+    def test_state_overflowing_to_inf_stops_the_run(self):
+        # each step adds 2.5e307 to entry 0, which passes the largest
+        # double at the eighth step
+        def field(s):
+            return [2.5e307, 0.0]
+
+        want = r"^non-finite state at t = 8$"
+        with pytest.raises(NumericError, match=want):
+            rk4_integrate(field, [0.0, 0.0], 10.0, 1.0)
+        with np.errstate(over="ignore"), pytest.raises(NumericError,
+                                                       match=want):
+            reference_rk4_integrate(lambda s: np.array(field(s)),
+                                    np.zeros(2), 10.0, 1.0)
+
+    def test_finite_state_with_overflowing_sum_runs_on(self):
+        # the state's sum overflows at every step while one entry moves
+        y0 = [1.5e308, 1.5e308, -1.0]
+        times, samples = rk4_integrate(lambda s: [0.0, 0.0, 1.0], y0, 1.0,
+                                       0.25, record_every=2)
+        assert times.tolist() == [0.0, 0.5, 1.0]
+        assert samples[:, 2].tolist() == [-1.0, -0.5, 0.0]
+        with np.errstate(over="ignore"):
+            want = reference_rk4_integrate(
+                lambda s: np.array([0.0, 0.0, 1.0]), np.array(y0), 1.0,
+                0.25, record_every=2)
+        assert same_bits(times, want[0])
+        assert same_bits(samples, want[1])
+
 
 class TestListState:
     """A list state steps in Python floats: the array oracle's
